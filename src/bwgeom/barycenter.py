@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bures import optimal_map, procrustes_distance_squared
+from .bures import (
+    kernel_leaks,
+    optimal_map,
+    procrustes_distance_squared,
+    product_root,
+    transport_matrix,
+)
 from .errors import (
     DimMismatchError,
     EmptyFamilyError,
@@ -25,16 +31,10 @@ from .errors import (
     OutOfRangeError,
 )
 from .spectral import (
-    EPS,
     Covariance,
-    SymMatrix,
     cov_from_product,
-    operator_norm,
-    psd_product_root,
-    rank_cutoff,
+    numerical_rank,
     sqrt_psd,
-    sym_eigen,
-    symmetrize,
     trace_norm,
     validate_psd,
 )
@@ -148,7 +148,7 @@ def fixed_point_residual(s, family) -> float:
     root = sqrt_psd(c).mat
     acc = np.zeros_like(root)
     for m in members:
-        acc += psd_product_root(root @ m.mat @ root)
+        acc += product_root(root, m)
     acc /= len(members)
     return trace_norm(c.mat - acc)
 
@@ -164,74 +164,33 @@ def _resolve_init(cfg: MeanConfig, members: list[Covariance]) -> np.ndarray:
     return validate_psd(cfg.init).mat
 
 
-def _member_factors(mats, rank_tol):
-    """Exact-rank factors L with m = L @ L.T, or None for full-rank members.
-
-    Evaluating a rank-deficient member through its factor avoids the spurious
-    near-zero eigenvalues of root @ m @ root, whose clamped square roots are
-    the dominant roundoff in the functional near the fixed point.
-    """
-    factors = []
-    for m in mats:
-        spec = sym_eigen(m)
-        keep = spec.values > rank_cutoff(spec.values, rank_tol)
-        factors.append(None if bool(keep.all()) else spec.vectors[:, keep] * np.sqrt(spec.values[keep]))
-    return factors
-
-
 class _Evaluation:
     """Descent-solver quantities at one iterate, sharing a single root."""
 
     __slots__ = ("functional", "residual", "trace", "lam_min", "step_map")
 
-    def __init__(self, cur, members, member_traces, factors, rank_tol, iterate_index):
-        spec = sym_eigen(cur)
-        w, v = spec.values, spec.vectors
-        cutoff = rank_cutoff(w, rank_tol)
-        null_mask = w <= cutoff
-        rel = w.size * EPS if rank_tol is None else float(rank_tol)
-        wc = np.maximum(w, 0.0)
-        root = symmetrize((v * np.sqrt(wc)) @ v.T)
-        inv = np.zeros_like(w)
-        inv[~null_mask] = 1.0 / np.sqrt(w[~null_mask])
-        rinv = symmetrize((v * inv) @ v.T)
-        v0 = v[:, null_mask] if bool(null_mask.any()) else None
-
-        tr_cur = float(np.trace(cur))
+    def __init__(self, cur: Covariance, members: list[Covariance], rank_tol, iterate_index):
+        kernel = cur.spectrum.vectors[:, numerical_rank(cur, rank_tol):]
+        root = sqrt_psd(cur).mat
+        tr_cur = cur.trace
         f = 0.0
-        gsum = np.zeros_like(cur)
+        gsum = np.zeros_like(root)
         for i, m in enumerate(members):
-            if v0 is not None:
-                leak = operator_norm(v0.T @ m @ v0)
-                if leak > rel * (1.0 + member_traces[i]):
-                    raise KernelConditionError(
-                        f"iterate {iterate_index} lost range inclusion for member {i}",
-                        index=iterate_index,
-                    )
-            l = factors[i]
-            if l is None:
-                g = psd_product_root(root @ m @ root)
-                tr_g = float(np.trace(g))
-            else:
-                # (B B^T)^{1/2} = B (B^T B)^{-1/2} B^T with B = root @ L.
-                b = root @ l
-                inner = sym_eigen(b.T @ b)
-                pos = inner.values > rank_cutoff(inner.values, rank_tol)
-                tr_g = float(np.sqrt(inner.values[pos]).sum())
-                scale = np.where(pos, 1.0 / np.sqrt(np.where(pos, inner.values, 1.0)), 0.0)
-                g = symmetrize(b @ ((inner.vectors * scale) @ inner.vectors.T) @ b.T)
-            f += max(0.0, tr_cur + member_traces[i] - 2.0 * tr_g)
+            if kernel_leaks(kernel, m, rank_tol):
+                raise KernelConditionError(
+                    f"iterate {iterate_index} lost range inclusion for member {i}",
+                    index=iterate_index,
+                )
+            g = product_root(root, m, rank_tol)
+            f += max(0.0, tr_cur + m.trace - 2.0 * float(np.trace(g)))
             gsum += g
         gbar = gsum / len(members)
 
         self.functional = f / (2.0 * len(members))
-        self.residual = trace_norm(cur - gbar)
+        self.residual = trace_norm(cur.mat - gbar)
         self.trace = tr_cur
-        self.lam_min = float(w[-1])
-        step = symmetrize(rinv @ gbar @ rinv)
-        if v0 is not None:
-            step = step + v0 @ v0.T
-        self.step_map = step
+        self.lam_min = float(cur.spectrum.values[-1])
+        self.step_map = transport_matrix(cur, gbar, rank_tol)
 
 
 def _result(mean_mat, embed, fs, residuals, traces, min_eigs, converged, algorithm):
@@ -265,9 +224,7 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
 
     # Deflate the common kernel, read off the euclidean mean's null space.
     esum = cov_from_product(sum(m.mat for m in members) / len(members))
-    evals = esum.spectrum.values
-    cut = rank_cutoff(evals, rank_tol)
-    rank = int(np.sum(evals > cut))
+    rank = numerical_rank(esum, rank_tol)
     if rank == 0:
         zero = np.zeros((d, d))
         zmean = validate_psd(zero)
@@ -276,16 +233,13 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
         return _result(zero, lambda m: m, [f0], [r0], [], [], True, "fixed_point")
     if rank < d:
         q = esum.spectrum.vectors[:, :rank]
-        mats = [symmetrize(q.T @ m.mat @ q) for m in members]
+        members = [cov_from_product(q.T @ m.mat @ q) for m in members]
         embed = lambda m: q @ m @ q.T
     else:
-        mats = [m.mat for m in members]
         embed = lambda m: m
-    member_traces = [float(np.trace(m)) for m in mats]
-    factors = _member_factors(mats, rank_tol)
 
-    cur = _resolve_init(cfg, [cov_from_product(m) for m in mats])
-    ev = _Evaluation(cur, mats, member_traces, factors, rank_tol, 0)
+    cur = cov_from_product(_resolve_init(cfg, members))
+    ev = _Evaluation(cur, members, rank_tol, 0)
     fs: list[float] = [ev.functional]
     residuals: list[float] = [ev.residual]
     traces: list[float] = []
@@ -296,15 +250,15 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
         return e.residual <= scale * (1.0 + e.trace)
 
     if certified(ev, cfg.rel_tol):
-        return _result(cur, embed, fs, residuals, traces, min_eigs, True, "fixed_point")
+        return _result(cur.mat, embed, fs, residuals, traces, min_eigs, True, "fixed_point")
     for k in range(1, cfg.max_iter + 1):
-        nxt = symmetrize(ev.step_map @ cur @ ev.step_map)
-        cand = _Evaluation(nxt, mats, member_traces, factors, rank_tol, k)
+        nxt = cov_from_product(ev.step_map @ cur.mat @ ev.step_map)
+        cand = _Evaluation(nxt, members, rank_tol, k)
         improvement = ev.functional - cand.functional
         if improvement < 0.0 and certified(ev, res_cert):
             # The step no longer lowers the functional: evaluation roundoff
             # dominates and the residual already certifies the current iterate.
-            return _result(cur, embed, fs, residuals, traces, min_eigs, True, "fixed_point")
+            return _result(cur.mat, embed, fs, residuals, traces, min_eigs, True, "fixed_point")
         cur, ev = nxt, cand
         fs.append(ev.functional)
         residuals.append(ev.residual)
@@ -312,9 +266,9 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
         min_eigs.append(ev.lam_min)
         settled = 0.0 <= improvement <= cfg.rel_tol * max(fs[-2], fs[-1], 1e-30)
         if certified(ev, cfg.rel_tol) or (settled and certified(ev, res_cert)):
-            return _result(cur, embed, fs, residuals, traces, min_eigs, True, "fixed_point")
+            return _result(cur.mat, embed, fs, residuals, traces, min_eigs, True, "fixed_point")
     raise MaxIterExceeded(
-        _result(cur, embed, fs, residuals, traces, min_eigs, False, "fixed_point")
+        _result(cur.mat, embed, fs, residuals, traces, min_eigs, False, "fixed_point")
     )
 
 

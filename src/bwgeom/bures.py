@@ -18,16 +18,18 @@ import numpy as np
 
 from .errors import DimMismatchError, KernelConditionError, NonFiniteError
 from .spectral import (
-    EPS,
     Covariance,
     SymMatrix,
+    cov_from_product,
+    from_spectrum,
+    numerical_rank,
     operator_norm,
     pinv_sqrt,
-    psd_product_root,
     rank_cutoff,
+    rank_rel,
     sqrt_psd,
+    sym_eigen,
     symmetrize,
-    trace_sqrt_clamped,
     validate_psd,
 )
 
@@ -42,8 +44,7 @@ class TransportMap:
     def condition(self) -> float:
         """Ratio of the largest to the smallest positive eigenvalue (diagnostic)."""
         w = np.linalg.eigvalsh(self.map.mat)
-        cutoff = rank_cutoff(np.sort(w)[::-1])
-        pos = w[w > cutoff]
+        pos = w[w > rank_cutoff(w[::-1])]
         if pos.size == 0:
             return math.inf
         return float(pos.max() / pos.min())
@@ -76,15 +77,11 @@ def _cross_trace(a: Covariance, b: Covariance) -> float:
     L L^T of the other argument, so evaluating through the lower-rank side
     avoids square roots of spurious near-zero eigenvalues.
     """
-    ranks = []
-    for c in (a, b):
-        w = c.spectrum.values
-        ranks.append(int(np.sum(w > rank_cutoff(w))))
-    lo, hi = (a, b) if ranks[0] <= ranks[1] else (b, a)
-    r = min(ranks)
-    w = lo.spectrum.values[:r]
-    l = lo.spectrum.vectors[:, :r] * np.sqrt(w)
-    return trace_sqrt_clamped(l.T @ hi.mat @ l)
+    ra, rb = numerical_rank(a), numerical_rank(b)
+    lo, hi, r = (a, b, ra) if ra <= rb else (b, a, rb)
+    l = lo.spectrum.vectors[:, :r] * np.sqrt(lo.spectrum.values[:r])
+    w = np.linalg.eigvalsh(symmetrize(l.T @ hi.mat @ l))
+    return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
 
 
 def procrustes_distance_squared(s1, s2) -> float:
@@ -129,6 +126,18 @@ def gaussian_w2(m1, s1, m2, s2) -> float:
     return math.sqrt(float(delta @ delta) + procrustes_distance_squared(a, b))
 
 
+def kernel_leaks(kernel: np.ndarray, target: Covariance, rank_tol: float | None = None) -> bool:
+    """Whether ``target`` has mass on the span of the columns of ``kernel``.
+
+    The compression of the target onto that span leaks when its operator norm
+    exceeds ``rank_rel * (1 + tr target)``; an empty kernel never leaks.
+    """
+    if not kernel.size:
+        return False
+    leak = operator_norm(kernel.T @ target.mat @ kernel)
+    return leak > rank_rel(target.dim, rank_tol) * (1.0 + target.trace)
+
+
 def kernel_condition(s1, s2, rank_tol: float | None = None) -> bool:
     """Whether ker(S1) is contained in ker(S2) numerically.
 
@@ -138,15 +147,35 @@ def kernel_condition(s1, s2, rank_tol: float | None = None) -> bool:
     S2 onto that kernel has operator norm at most ``rank_tol * (1 + tr S2)``.
     """
     a, b = _check_pair(s1, s2)
-    values = a.spectrum.values
-    cutoff = rank_cutoff(values, rank_tol)
-    null_mask = values <= cutoff
-    if not bool(null_mask.any()):
-        return True
-    v0 = a.spectrum.vectors[:, null_mask]
-    leak = operator_norm(v0.T @ b.mat @ v0)
-    rel = a.dim * EPS if rank_tol is None else float(rank_tol)
-    return leak <= rel * (1.0 + b.trace)
+    kernel = a.spectrum.vectors[:, numerical_rank(a, rank_tol):]
+    return not kernel_leaks(kernel, b, rank_tol)
+
+
+def product_root(root: np.ndarray, target: Covariance, rank_tol: float | None = None) -> np.ndarray:
+    """``(R S R)^{1/2}`` for symmetric ``R = root`` and PSD ``S = target``.
+
+    The product is PSD in exact arithmetic, so rounding negatives are clamped.
+    A rank-deficient target is evaluated through its exact-rank factor L
+    (S = L L^T): with B = R L, ``(B B^T)^{1/2} = B (B^T B)^{-1/2} B^T``, which
+    avoids square roots of the spurious near-zero eigenvalues of R S R.
+    """
+    r = numerical_rank(target, rank_tol)
+    if r == 0:
+        return np.zeros_like(root)
+    if r == target.dim:
+        spec = sym_eigen(root @ target.mat @ root)
+        return from_spectrum(spec.vectors, np.sqrt(np.maximum(spec.values, 0.0)))
+    b = root @ (target.spectrum.vectors[:, :r] * np.sqrt(target.spectrum.values[:r]))
+    return symmetrize(b @ pinv_sqrt(cov_from_product(b.T @ b), rank_tol).mat @ b.T)
+
+
+def transport_matrix(source: Covariance, mid: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+    """``S^{-1/2} mid S^{-1/2}`` on the numerical range of ``S = source``,
+    extended as the identity on its numerical kernel."""
+    rinv = pinv_sqrt(source, rank_tol).mat
+    t = symmetrize(rinv @ mid @ rinv)
+    kernel = source.spectrum.vectors[:, numerical_rank(source, rank_tol):]
+    return t + kernel @ kernel.T if kernel.size else t
 
 
 def optimal_map(s1, s2, rank_tol: float | None = None) -> TransportMap:
@@ -162,15 +191,6 @@ def optimal_map(s1, s2, rank_tol: float | None = None) -> TransportMap:
         raise KernelConditionError(
             "kernel of the source covariance is not contained in the kernel of the target"
         )
-    root = sqrt_psd(a).mat
-    rinv = pinv_sqrt(a, rank_tol).mat
-    mid = psd_product_root(root @ b.mat @ root)
-    t = symmetrize(rinv @ mid @ rinv)
-    values = a.spectrum.values
-    cutoff = rank_cutoff(values, rank_tol)
-    null_mask = values <= cutoff
-    if bool(null_mask.any()):
-        v0 = a.spectrum.vectors[:, null_mask]
-        t = t + v0 @ v0.T
-    rel = a.dim * EPS if rank_tol is None else float(rank_tol)
-    return TransportMap(map=SymMatrix(t), source_rank_tol=rel)
+    mid = product_root(sqrt_psd(a).mat, b, rank_tol)
+    t = transport_matrix(a, mid, rank_tol)
+    return TransportMap(map=SymMatrix(t), source_rank_tol=rank_rel(a.dim, rank_tol))

@@ -64,7 +64,7 @@ from .simulate import (
     projection_error,
     projection_stability_experiment,
 )
-from .spectral import Covariance, cov_from_product, validate_psd
+from .spectral import Covariance, cov_from_product, from_spectrum, validate_psd
 from .tpca import lift, reconstruct, tangent_pca
 
 
@@ -274,11 +274,11 @@ def cmd_multicouple(args):
     functional = frechet_functional(res.mean, covs)
     outdir = _outdir(args)
     joint_file = os.path.join(args.output, "multicoupling.txt")
-    write_matrix(os.path.join(outdir, "multicoupling.txt"), joint.full())
+    full = joint.full()
+    write_matrix(os.path.join(outdir, "multicoupling.txt"), full)
     block_gap = max(
         float(np.max(np.abs(joint.blocks[i, i] - covs[i].mat))) for i in range(joint.n)
     )
-    full = joint.full()
     results = {
         "joint_file": joint_file,
         "cost": cost,
@@ -310,7 +310,7 @@ def _random_template(dim: int, seed: int) -> Covariance:
     gen = RngSpec(seed, "template").generator()
     q, _ = np.linalg.qr(gen.standard_normal((dim, dim)))
     evals = gen.uniform(0.5, 2.0, size=dim)
-    return cov_from_product((q * evals) @ q.T)
+    return cov_from_product(from_spectrum(q, evals))
 
 
 def cmd_simulate_deform(args):

@@ -20,8 +20,8 @@ from .spectral import (
     Covariance,
     SymMatrix,
     cov_from_product,
+    numerical_rank,
     operator_norm,
-    rank_cutoff,
     sqrt_psd,
     trace_norm,
     validate_psd,
@@ -313,8 +313,7 @@ def fourth_moment_check(s, n: int, rng: RngSpec) -> dict:
     exact = tr * tr + 2.0 * hs_sq
     bound = 3.0 * tr * tr
     z = (estimate - exact) / se if se > 0.0 else 0.0
-    values = c.spectrum.values
-    rank = int(np.sum(values > rank_cutoff(values)))
+    rank = numerical_rank(c)
     return {
         "samples": n,
         "estimate": estimate,

@@ -2,6 +2,15 @@
 
 Public functions accept plain arrays, ``SymMatrix`` or ``Covariance``
 instances; input is coerced to float64 and symmetrized on entry.
+
+One rank rule serves the whole package: the numerical kernel of a covariance
+is spanned by the eigenvectors whose eigenvalues are at or below
+``rank_tol * lambda_max``, with ``rank_tol`` defaulting to ``dim * eps``
+(``rank_rel``, ``rank_cutoff``).  ``numerical_rank`` applies it to the
+spectrum a ``Covariance`` caches: the leading columns of
+``spectrum.vectors`` span the numerical range and the rest the kernel.  The
+kernel condition (``bures.kernel_leaks``) holds when a target's compression
+onto that kernel has operator norm at most ``rank_tol * (1 + tr target)``.
 """
 
 from __future__ import annotations
@@ -109,12 +118,10 @@ def sym_eigen(m) -> Spectrum:
         raise NonFiniteError("matrix entries must be finite")
     w, v = np.linalg.eigh(symmetrize(a))
     dom = np.argmax(np.abs(v), axis=0)
-    order = sorted(range(w.size), key=lambda i: (-w[i], dom[i]))
-    values = w[list(order)].copy()
-    vectors = v[:, list(order)].copy()
-    for k, i in enumerate(order):
-        if vectors[dom[i], k] < 0.0:
-            vectors[:, k] *= -1.0
+    order = np.lexsort((dom, -w))
+    values = w[order]
+    vectors = v[:, order].copy()
+    vectors[:, vectors[dom[order], np.arange(w.size)] < 0.0] *= -1.0
     values.flags.writeable = False
     vectors.flags.writeable = False
     return Spectrum(values, vectors)
@@ -144,7 +151,7 @@ def validate_psd(m, psd_tol: float | None = None) -> Covariance:
     if lam_min < 0.0:
         clamped = np.maximum(spec.values, 0.0)
         clamped.flags.writeable = False
-        mat = symmetrize((spec.vectors * clamped) @ spec.vectors.T)
+        mat = from_spectrum(spec.vectors, clamped)
         spec = Spectrum(clamped, spec.vectors)
     else:
         mat = symmetrize(as_matrix(m))
@@ -152,23 +159,37 @@ def validate_psd(m, psd_tol: float | None = None) -> Covariance:
     return Covariance(mat, spec)
 
 
-def rank_cutoff(values: np.ndarray, rank_tol: float | None = None) -> float:
-    """Absolute eigenvalue cutoff ``rank_tol * lambda_max``.
+def rank_rel(dim: int, rank_tol: float | None = None) -> float:
+    """Relative rank tolerance: ``rank_tol``, or dim * machine_eps by default."""
+    return dim * EPS if rank_tol is None else float(rank_tol)
 
-    ``rank_tol`` is relative to the largest eigenvalue and defaults to
-    dim * machine_eps.
-    """
+
+def rank_cutoff(values: np.ndarray, rank_tol: float | None = None) -> float:
+    """Absolute eigenvalue cutoff ``rank_rel * lambda_max`` of a descending spectrum."""
     if values.size == 0:
         return 0.0
-    rel = values.size * EPS if rank_tol is None else float(rank_tol)
-    return rel * float(values[0])
+    return rank_rel(values.size, rank_tol) * float(values[0])
+
+
+def numerical_rank(c: Covariance, rank_tol: float | None = None) -> int:
+    """Count of eigenvalues above ``rank_cutoff``.
+
+    This is the range/kernel split: ``spectrum.vectors[:, :r]`` spans the
+    numerical range and ``spectrum.vectors[:, r:]`` the numerical kernel.
+    """
+    values = c.spectrum.values
+    return int(np.count_nonzero(values > rank_cutoff(values, rank_tol)))
+
+
+def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Symmetric matrix ``V diag(values) V^T`` rebuilt from (part of) a spectrum."""
+    return symmetrize((vectors * values) @ vectors.T)
 
 
 def sqrt_psd(s, psd_tol: float | None = None) -> SymMatrix:
     """Unique PSD square root, by mapping eigenvalues to their roots."""
     c = validate_psd(s, psd_tol)
-    v = c.spectrum.vectors
-    return SymMatrix((v * np.sqrt(c.spectrum.values)) @ v.T)
+    return SymMatrix(from_spectrum(c.spectrum.vectors, np.sqrt(c.spectrum.values)))
 
 
 def pinv_sqrt(s, rank_tol: float | None = None) -> SymMatrix:
@@ -180,11 +201,10 @@ def pinv_sqrt(s, rank_tol: float | None = None) -> SymMatrix:
     """
     c = validate_psd(s)
     values, vectors = c.spectrum.values, c.spectrum.vectors
-    cutoff = rank_cutoff(values, rank_tol)
     inv = np.zeros_like(values)
-    mask = values > cutoff
-    inv[mask] = 1.0 / np.sqrt(values[mask])
-    return SymMatrix((vectors * inv) @ vectors.T)
+    r = numerical_rank(c, rank_tol)
+    inv[:r] = 1.0 / np.sqrt(values[:r])
+    return SymMatrix(from_spectrum(vectors, inv))
 
 
 def trace_sqrt(s) -> float:
@@ -204,36 +224,20 @@ def norms(a) -> tuple[float, float, float]:
     return float(ab.max()), float(np.sqrt(np.sum(values * values))), float(ab.sum())
 
 
-# Helpers for symmetric products that are PSD in exact arithmetic (for example
-# R @ S @ R with R symmetric and S PSD).  Negative eigenvalues of such products
-# can only be rounding noise, so they are clamped without a tolerance gate.
-
-def clamped_eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    spec = sym_eigen(a)
-    return np.maximum(spec.values, 0.0), spec.vectors
-
-
-def psd_product_root(a) -> np.ndarray:
-    w, v = clamped_eigh(a)
-    return symmetrize((v * np.sqrt(w)) @ v.T)
-
-
 def cov_from_product(a) -> Covariance:
     """Covariance built from a symmetric product that is PSD in exact arithmetic.
 
-    The matrix is rebuilt from its clamped spectrum, so the result is PSD by
-    construction regardless of rounding noise in the product.
+    Products such as ``R @ S @ R`` (R symmetric, S PSD) can have negative
+    eigenvalues only through rounding, so they are clamped without a
+    tolerance gate and the matrix is rebuilt from the clamped spectrum; the
+    result is PSD by construction.
     """
-    w, v = clamped_eigh(a)
-    mat = symmetrize((v * w) @ v.T)
+    spec = sym_eigen(a)
+    w = np.maximum(spec.values, 0.0)
+    mat = from_spectrum(spec.vectors, w)
     mat.flags.writeable = False
     w.flags.writeable = False
-    return Covariance(mat, Spectrum(w, v))
-
-
-def trace_sqrt_clamped(a) -> float:
-    w = np.linalg.eigvalsh(symmetrize(a))
-    return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
+    return Covariance(mat, Spectrum(w, spec.vectors))
 
 
 def trace_norm(a) -> float:

@@ -22,7 +22,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .geometry import TangentVector, exp_map, log_map, tangent_inner
-from .spectral import Covariance, SymMatrix, clamped_eigh, rank_cutoff, validate_psd
+from .spectral import Covariance, SymMatrix, cov_from_product, numerical_rank, validate_psd
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,11 @@ def tangent_pca(lifted, mean, k: int) -> PcaResult:
             g = float(np.trace(centred[i] @ weighted[j]))
             gram[i, j] = g
             gram[j, i] = g
-    gvals, gvecs = clamped_eigh(gram)
+    gcov = cov_from_product(gram)
+    gvals, gvecs = gcov.spectrum.values, gcov.spectrum.vectors
 
     variances = gvals[:k] / n
-    cut = rank_cutoff(gvals)
-    rank = int(np.sum(gvals > cut))
+    rank = numerical_rank(gcov)
     variances[min(k, rank):] = 0.0
     k_eff = min(k, rank)
 

@@ -173,6 +173,13 @@ def test_mean_zero_family():
     assert res.converged and res.mean.trace == 0.0
 
 
+def test_mean_with_zero_member():
+    # S = ((S^{1/2} I S^{1/2})^{1/2} + 0) / 2 gives S = I / 4.
+    res = mean_fixed_point([np.eye(3), np.zeros((3, 3))])
+    assert res.converged
+    assert np.max(np.abs(res.mean.mat - 0.25 * np.eye(3))) <= 1e-10
+
+
 def test_max_iter_exceeded_carries_result(rng):
     fam = [make_spd(6, rng) for _ in range(5)]
     with pytest.raises(MaxIterExceeded) as err:

@@ -1,0 +1,114 @@
+"""Property tests of the symmetries the Procrustes geometry guarantees.
+
+Bounds of the generated inputs, fixed up front: dimension d in 2..6, family
+size n in 2..6, eigenvalues in [0.1, 10] (condition number at most 100), with
+eigenbases drawn from seeded Gaussian matrices.  Tolerances: closed-form
+quantities (distance, map, geodesic) agree to 1e-12 relative to the scale of
+their inputs; means agree to 1e-6 relative to the trace, the solver's residual
+certificate.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bwgeom import geodesic, mean_fixed_point, optimal_map, procrustes_distance_squared
+
+CLOSED_FORM_TOL = 1e-12
+SOLVER_TOL = 1e-6
+
+# Derandomized so a run is reproducible; no example database is kept.
+BASE = settings(derandomize=True, deadline=None, database=None)
+
+
+def _orthogonal(seed, d):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))
+    return q
+
+
+@st.composite
+def _spd(draw, d):
+    values = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
+    q = _orthogonal(draw(st.integers(0, 2**32 - 1)), d)
+    return (q * values) @ q.T
+
+
+@st.composite
+def _family(draw):
+    """(members, orthogonal Q) with d in 2..6 and n in 2..6."""
+    d = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 6))
+    members = [draw(_spd(d)) for _ in range(n)]
+    return members, _orthogonal(draw(st.integers(0, 2**32 - 1)), d)
+
+
+def _conj(q, m):
+    return q @ np.asarray(m) @ q.T
+
+
+def _trace_norm(a):
+    return float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (a + a.T)))))
+
+
+@given(_family())
+@settings(BASE, max_examples=60)
+def test_distance_orthogonal_equivariance(fam):
+    (a, b, *_), q = fam
+    d2 = procrustes_distance_squared(a, b)
+    d2q = procrustes_distance_squared(_conj(q, a), _conj(q, b))
+    assert abs(d2q - d2) <= CLOSED_FORM_TOL * (np.trace(a) + np.trace(b))
+
+
+@given(_family())
+@settings(BASE, max_examples=60)
+def test_optimal_map_orthogonal_equivariance(fam):
+    (a, b, *_), q = fam
+    t = optimal_map(a, b).map.mat
+    tq = optimal_map(_conj(q, a), _conj(q, b)).map.mat
+    assert np.max(np.abs(tq - _conj(q, t))) <= CLOSED_FORM_TOL * np.max(np.abs(t))
+
+
+@given(_family(), st.floats(0.0, 1.0))
+@settings(BASE, max_examples=60)
+def test_geodesic_orthogonal_equivariance(fam, t):
+    (a, b, *_), q = fam
+    g = geodesic(a, b, t).mat
+    gq = geodesic(_conj(q, a), _conj(q, b), t).mat
+    assert _trace_norm(gq - _conj(q, g)) <= CLOSED_FORM_TOL * (np.trace(a) + np.trace(b))
+
+
+@given(_family())
+@settings(BASE, max_examples=30)
+def test_mean_orthogonal_equivariance(fam):
+    members, q = fam
+    mean = mean_fixed_point(members).mean.mat
+    mean_q = mean_fixed_point([_conj(q, m) for m in members]).mean.mat
+    assert _trace_norm(mean_q - _conj(q, mean)) <= SOLVER_TOL * np.trace(mean)
+
+
+@given(_family(), st.randoms(use_true_random=False))
+@settings(BASE, max_examples=30)
+def test_mean_member_order_invariance(fam, random):
+    members, _ = fam
+    shuffled = list(members)
+    random.shuffle(shuffled)
+    mean = mean_fixed_point(members).mean.mat
+    mean_s = mean_fixed_point(shuffled).mean.mat
+    assert _trace_norm(mean_s - mean) <= SOLVER_TOL * np.trace(mean)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the stopping rule's absolute 1 + trace floor certifies the starting "
+    "point of a family at scale 1e-12 (scale-aware floor not yet in place)",
+)
+def test_mean_scale_equivariance_at_tiny_scale():
+    rng = np.random.default_rng(7)
+    members = []
+    for _ in range(5):
+        q = _orthogonal(int(rng.integers(2**32)), 4)
+        members.append((q * rng.uniform(0.1, 10.0, size=4)) @ q.T)
+    mean = mean_fixed_point(members).mean.mat
+    tiny = mean_fixed_point([1e-12 * m for m in members]).mean.mat
+    assert _trace_norm(tiny - 1e-12 * mean) <= SOLVER_TOL * 1e-12 * np.trace(mean)

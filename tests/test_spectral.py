@@ -52,6 +52,39 @@ def test_sym_eigen_reconstruction_batch(rng):
         assert np.all(np.diff(spec.values) <= 0)
 
 
+def _sym_eigen_reference(m):
+    """The convention as a per-column loop: descending values, ties broken by
+    the row of the largest-magnitude component, that component positive."""
+    w, v = np.linalg.eigh(0.5 * (m + m.T))
+    dom = np.argmax(np.abs(v), axis=0)
+    order = sorted(range(w.size), key=lambda i: (-w[i], dom[i]))
+    values = w[list(order)].copy()
+    vectors = v[:, list(order)].copy()
+    for k, i in enumerate(order):
+        if vectors[dom[i], k] < 0.0:
+            vectors[:, k] *= -1.0
+    return values, vectors
+
+
+def test_sym_eigen_matches_reference_loop(rng):
+    ties = [
+        np.diag([1.0, 2.0, 2.0, 1.0]),
+        np.eye(4),
+        -np.eye(4),
+        np.kron(np.eye(2), np.ones((2, 2))),
+    ]
+    randoms = []
+    for _ in range(300):
+        d = int(rng.integers(1, 9))
+        a = rng.standard_normal((d, d))
+        randoms.append(0.5 * (a + a.T))
+    for m in ties + randoms:
+        values, vectors = _sym_eigen_reference(m)
+        spec = sym_eigen(m)
+        assert np.array_equal(spec.values, values)
+        assert np.array_equal(spec.vectors, vectors)
+
+
 def test_sym_eigen_rejects_nonfinite():
     with pytest.raises(NonFiniteError):
         sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
