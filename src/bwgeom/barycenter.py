@@ -35,6 +35,7 @@ from .spectral import (
     cov_from_product,
     numerical_rank,
     sqrt_psd,
+    symmetrize,
     trace_norm,
     validate_psd,
 )
@@ -91,26 +92,41 @@ class MeanResult:
 
 @dataclass(frozen=True)
 class JointCovariance:
-    """Covariance of the optimal multicoupling, stored blockwise.
+    """Covariance of the optimal multicoupling, kept as its factor.
 
-    ``blocks[i, j]`` is the d x d cross-covariance of members i and j; the
-    full (n d) x (n d) matrix is PSD with the family members on the diagonal.
+    The multicoupling is ``(t_1 X, ..., t_n X)`` with ``X ~ N(0, mean)`` and
+    ``t_i`` the optimal map from the mean to member i, so its covariance is
+    ``F mean F^T`` with ``F`` the ``maps`` stacked into an (n d) x d matrix.
+    Only the mean and the (n, d, d) maps are stored; block (i, j) is
+    ``t_i mean t_j``, the diagonal blocks are the family members and the full
+    (n d) x (n d) matrix is PSD of rank at most d.
     """
 
-    n: int
-    dim: int
-    blocks: np.ndarray
+    mean: Covariance
+    maps: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.maps.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.maps.shape[1]
 
     def block(self, i: int, j: int) -> np.ndarray:
-        return self.blocks[i, j]
+        return self.maps[i] @ self.mean.mat @ self.maps[j]
 
     def full(self) -> np.ndarray:
+        f = self.maps.reshape(self.n * self.dim, self.dim)
+        return symmetrize(f @ self.mean.mat @ f.T)
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """Read-only (n, n, d, d) view of ``full()``."""
         n, d = self.n, self.dim
-        out = np.empty((n * d, n * d))
-        for i in range(n):
-            for j in range(n):
-                out[i * d : (i + 1) * d, j * d : (j + 1) * d] = self.blocks[i, j]
-        return out
+        view = self.full().reshape(n, d, n, d).transpose(0, 2, 1, 3)
+        view.flags.writeable = False
+        return view
 
 
 def coerce_family(family) -> list[Covariance]:
@@ -125,12 +141,22 @@ def coerce_family(family) -> list[Covariance]:
     return members
 
 
-def frechet_functional(s, family) -> float:
-    """F(S) = (1/2N) sum_i d^2(S, S_i) for the Procrustes distance d."""
-    c = validate_psd(s)
+def coerce_point_and_family(point, family, role: str) -> tuple[Covariance, list[Covariance]]:
+    """Validate a point and a family and check that their dimensions agree.
+
+    ``role`` names the point in the error message, e.g. ``"candidate"`` or
+    ``"mean"``.
+    """
+    c = validate_psd(point)
     members = coerce_family(family)
     if c.dim != members[0].dim:
-        raise DimMismatchError(f"candidate dimension {c.dim} does not match family {members[0].dim}")
+        raise DimMismatchError(f"{role} dimension {c.dim} does not match family {members[0].dim}")
+    return c, members
+
+
+def frechet_functional(s, family) -> float:
+    """F(S) = (1/2N) sum_i d^2(S, S_i) for the Procrustes distance d."""
+    c, members = coerce_point_and_family(s, family, "candidate")
     total = sum(procrustes_distance_squared(c, m) for m in members)
     return total / (2.0 * len(members))
 
@@ -141,10 +167,7 @@ def fixed_point_residual(s, family) -> float:
     Returns ``|| S - (1/N) sum_i (S^{1/2} S_i S^{1/2})^{1/2} ||_1``, which
     vanishes exactly at the Frechet mean of the family.
     """
-    c = validate_psd(s)
-    members = coerce_family(family)
-    if c.dim != members[0].dim:
-        raise DimMismatchError(f"candidate dimension {c.dim} does not match family {members[0].dim}")
+    c, members = coerce_point_and_family(s, family, "candidate")
     root = sqrt_psd(c).mat
     acc = np.zeros_like(root)
     for m in members:
@@ -153,7 +176,9 @@ def fixed_point_residual(s, family) -> float:
     return trace_norm(c.mat - acc)
 
 
-def _resolve_init(cfg: MeanConfig, members: list[Covariance]) -> np.ndarray:
+def _resolve_init(cfg: MeanConfig, members: list[Covariance], d: int, q) -> np.ndarray:
+    """Starting point on the (possibly deflated) members; an explicit d x d
+    init is projected with the deflation basis ``q`` (None when not deflated)."""
     if isinstance(cfg.init, str):
         if cfg.init == "euclidean_mean":
             return sum(m.mat for m in members) / len(members)
@@ -161,7 +186,10 @@ def _resolve_init(cfg: MeanConfig, members: list[Covariance]) -> np.ndarray:
             root_avg = sum(sqrt_psd(m).mat for m in members) / len(members)
             return root_avg @ root_avg
         raise OutOfRangeError(f"unknown init {cfg.init!r}")
-    return validate_psd(cfg.init).mat
+    init = validate_psd(cfg.init)
+    if init.dim != d:
+        raise DimMismatchError(f"init dimension {init.dim} does not match family {d}")
+    return init.mat if q is None else q.T @ init.mat @ q
 
 
 class _Evaluation:
@@ -236,9 +264,10 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
         members = [cov_from_product(q.T @ m.mat @ q) for m in members]
         embed = lambda m: q @ m @ q.T
     else:
+        q = None
         embed = lambda m: m
 
-    cur = cov_from_product(_resolve_init(cfg, members))
+    cur = cov_from_product(_resolve_init(cfg, members, d, q))
     ev = _Evaluation(cur, members, rank_tol, 0)
     fs: list[float] = [ev.functional]
     residuals: list[float] = [ev.residual]
@@ -337,40 +366,29 @@ def multicoupling(mean, family, rank_tol: float | None = None) -> JointCovarianc
     ``t_i @ mean @ t_j``; the diagonal blocks reproduce the family members and
     the full matrix is PSD by construction.
     """
-    c = validate_psd(mean)
-    members = coerce_family(family)
-    if c.dim != members[0].dim:
-        raise DimMismatchError(f"mean dimension {c.dim} does not match family {members[0].dim}")
-    maps = []
+    c, members = coerce_point_and_family(mean, family, "mean")
+    maps = np.empty((len(members), c.dim, c.dim))
     for i, m in enumerate(members):
         try:
-            maps.append(optimal_map(c, m, rank_tol).map.mat)
+            maps[i] = optimal_map(c, m, rank_tol).map.mat
         except KernelConditionError as e:
             raise KernelConditionError(
                 "no transport map from the mean to a family member", index=i
             ) from e
-    n, d = len(members), c.dim
-    blocks = np.empty((n, n, d, d))
-    for i in range(n):
-        left = maps[i] @ c.mat
-        for j in range(i, n):
-            b = left @ maps[j]
-            blocks[i, j] = b
-            blocks[j, i] = b.T
-    return JointCovariance(n=n, dim=d, blocks=blocks)
+    maps.flags.writeable = False
+    return JointCovariance(mean=c, maps=maps)
 
 
 def multicoupling_cost(joint: JointCovariance) -> float:
     """Average pairwise squared-distance cost (1/2N^2) sum_{i<j} E||Y_i - Y_j||^2.
 
+    With C[i, j] = tr(t_i M t_j) the pairwise term is C_ii + C_jj - 2 C_ij.
     At the Frechet mean this equals the Frechet functional of the family.
     """
     n = joint.n
-    total = 0.0
-    for i in range(n):
-        tii = float(np.trace(joint.blocks[i, i]))
-        for j in range(i + 1, n):
-            tjj = float(np.trace(joint.blocks[j, j]))
-            tij = float(np.trace(joint.blocks[i, j]))
-            total += tii + tjj - 2.0 * tij
+    left = (joint.maps @ joint.mean.mat).reshape(n, -1)
+    cross = left @ joint.maps.transpose(0, 2, 1).reshape(n, -1).T
+    i, j = np.triu_indices(n, 1)
+    diag = np.diag(cross)
+    total = float(np.sum(diag[i] + diag[j] - 2.0 * cross[i, j]))
     return total / (2.0 * n * n)

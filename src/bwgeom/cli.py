@@ -15,6 +15,7 @@ reached (the best iterate is still written).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -24,7 +25,6 @@ from . import __version__
 from .barycenter import (
     MeanConfig,
     fixed_point_residual,
-    frechet_functional,
     mean_fixed_point,
     mean_procrustes_averaging,
     multicoupling,
@@ -36,6 +36,7 @@ from .errors import (
     DimMismatchError,
     EmptyFamilyError,
     KernelConditionError,
+    LeavesConeError,
     MatrixParseError,
     MaxIterExceeded,
     NonFiniteError,
@@ -106,7 +107,7 @@ def _mean_config(args) -> MeanConfig:
     return MeanConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
 
 
-def _solver_diagnostics(res) -> dict:
+def _solver_diagnostics(res, **extra) -> dict:
     return {
         "algorithm": res.algorithm,
         "iterations": res.iterations,
@@ -115,6 +116,16 @@ def _solver_diagnostics(res) -> dict:
         "residual_trace": list(res.residual_trace),
         "trace_of_iterates": list(res.trace_of_iterates),
         "min_eig_of_iterates": list(res.min_eig_of_iterates),
+        **extra,
+    }
+
+
+def _family_inputs(args, manifest: Manifest, **extra) -> dict:
+    return {
+        "manifest": args.manifest,
+        "operators": manifest.operators,
+        "labels": manifest.labels,
+        **extra,
     }
 
 
@@ -131,9 +142,22 @@ def _solve_mean(covs, args, algorithm=None):
         return e.result, 6
 
 
-def _outdir(args) -> str:
+def _write(args, name: str, matrix) -> str:
+    """Write one output matrix into ``--output``; returns the path the report names."""
     os.makedirs(args.output, exist_ok=True)
-    return args.output
+    path = os.path.join(args.output, name)
+    write_matrix(path, matrix)
+    return path
+
+
+def _write_family(args, mats) -> str:
+    """Write generated members as ``member_NN.txt`` plus their manifest; returns its path."""
+    names = [f"member_{i + 1:02d}.txt" for i in range(len(mats))]
+    for name, m in zip(names, mats):
+        _write(args, name, m)
+    path = os.path.join(args.output, "manifest.json")
+    write_manifest(path, names)
+    return path
 
 
 def _report(command: str, inputs: dict, results: dict, diagnostics: dict) -> Report:
@@ -173,25 +197,18 @@ def cmd_distance(args):
 def cmd_mean(args):
     manifest, covs = _load_manifest_family(args.manifest)
     res, code = _solve_mean(covs, args)
-    outdir = _outdir(args)
-    mean_file = os.path.join(args.output, "mean.txt")
-    write_matrix(os.path.join(outdir, "mean.txt"), res.mean.mat)
     results = {
-        "mean_file": mean_file,
+        "mean_file": _write(args, "mean.txt", res.mean.mat),
         "trace": res.mean.trace,
         "functional": float(res.functional_trace[-1]),
         "residual": float(res.residual_trace[-1]),
         "iterations": res.iterations,
         "converged": res.converged,
     }
-    diagnostics = _solver_diagnostics(res)
-    diagnostics.update({"rel_tol": args.rel_tol, "max_iter": args.max_iter, "rank_tol": args.rank_tol})
-    inputs = {
-        "manifest": args.manifest,
-        "operators": manifest.operators,
-        "labels": manifest.labels,
-        "algorithm": args.algorithm,
-    }
+    diagnostics = _solver_diagnostics(
+        res, rel_tol=args.rel_tol, max_iter=args.max_iter, rank_tol=args.rank_tol
+    )
+    inputs = _family_inputs(args, manifest, algorithm=args.algorithm)
     return _report("mean", inputs, results, diagnostics), code
 
 
@@ -233,37 +250,30 @@ def cmd_pca(args):
     res, code = _solve_mean(covs, args, algorithm="descent")
     lifted = lift(covs, res.mean, args.rank_tol)
     pca = tangent_pca(lifted, res.mean, k)
-    outdir = _outdir(args)
-    write_matrix(os.path.join(outdir, "mean.txt"), res.mean.mat)
-    component_files = []
-    for i, comp in enumerate(pca.components):
-        name = f"component_{i + 1:02d}.txt"
-        write_matrix(os.path.join(outdir, name), comp.mat)
-        component_files.append(os.path.join(args.output, name))
-    recon_errors = []
-    for i, member in enumerate(covs):
-        row = [
-            procrustes_distance(reconstruct(res.mean, pca, i, kk), member)
-            for kk in range(len(pca.components) + 1)
-        ]
-        recon_errors.append(row)
     results = {
-        "mean_file": os.path.join(args.output, "mean.txt"),
-        "component_files": component_files,
+        "mean_file": _write(args, "mean.txt", res.mean.mat),
+        "component_files": [
+            _write(args, f"component_{i + 1:02d}.txt", comp.mat) for i, comp in enumerate(pca.components)
+        ],
         "variances": list(pca.variances),
         "scores": _matrix_payload(pca.scores) if pca.scores.size else [],
         "lifted_mean_norm": pca.lifted_mean_norm,
         "effective_components": len(pca.components),
-        "reconstruction_errors": recon_errors,
+        "reconstruction_errors": [
+            [_reconstruction_error(res.mean, pca, i, kk, member) for kk in range(len(pca.components) + 1)]
+            for i, member in enumerate(covs)
+        ],
     }
-    diagnostics = _solver_diagnostics(res)
-    diagnostics.update({"requested_components": k, "rank_tol": args.rank_tol})
-    inputs = {
-        "manifest": args.manifest,
-        "operators": manifest.operators,
-        "labels": manifest.labels,
-    }
-    return _report("pca", inputs, results, diagnostics), code
+    diagnostics = _solver_diagnostics(res, requested_components=k, rank_tol=args.rank_tol)
+    return _report("pca", _family_inputs(args, manifest), results, diagnostics), code
+
+
+def _reconstruction_error(mean, pca, index: int, k: int, member) -> float:
+    """Distance of a reconstruction from its member; NaN (null) if it leaves the cone."""
+    try:
+        return procrustes_distance(reconstruct(mean, pca, index, k), member)
+    except LeavesConeError:
+        return math.nan
 
 
 def cmd_multicouple(args):
@@ -271,39 +281,27 @@ def cmd_multicouple(args):
     res, code = _solve_mean(covs, args, algorithm="descent")
     joint = multicoupling(res.mean, covs, args.rank_tol)
     cost = multicoupling_cost(joint)
-    functional = frechet_functional(res.mean, covs)
-    outdir = _outdir(args)
-    joint_file = os.path.join(args.output, "multicoupling.txt")
+    functional = float(res.functional_trace[-1])
     full = joint.full()
-    write_matrix(os.path.join(outdir, "multicoupling.txt"), full)
     block_gap = max(
-        float(np.max(np.abs(joint.blocks[i, i] - covs[i].mat))) for i in range(joint.n)
+        float(np.max(np.abs(joint.block(i, i) - covs[i].mat))) for i in range(joint.n)
     )
     results = {
-        "joint_file": joint_file,
+        "joint_file": _write(args, "multicoupling.txt", full),
         "cost": cost,
         "functional": functional,
         "cost_functional_gap": abs(cost - functional),
         "members": joint.n,
         "block_dim": joint.dim,
     }
-    diagnostics = _solver_diagnostics(res)
-    diagnostics.update(
-        {
-            "min_eigenvalue": float(np.linalg.eigvalsh(0.5 * (full + full.T))[0]),
-            "diagonal_block_gap": block_gap,
-            "map_conditioning": [
-                optimal_map(res.mean, c, args.rank_tol).condition() for c in covs
-            ],
-            "rank_tol": args.rank_tol,
-        }
+    diagnostics = _solver_diagnostics(
+        res,
+        min_eigenvalue=float(np.linalg.eigvalsh(full)[0]),
+        diagonal_block_gap=block_gap,
+        map_conditioning=[optimal_map(res.mean, c, args.rank_tol).condition() for c in covs],
+        rank_tol=args.rank_tol,
     )
-    inputs = {
-        "manifest": args.manifest,
-        "operators": manifest.operators,
-        "labels": manifest.labels,
-    }
-    return _report("multicouple", inputs, results, diagnostics), code
+    return _report("multicouple", _family_inputs(args, manifest), results, diagnostics), code
 
 
 def _random_template(dim: int, seed: int) -> Covariance:
@@ -320,32 +318,21 @@ def cmd_simulate_deform(args):
         template = _random_template(args.dim, args.seed)
     fam = deformation_family(template, args.count, args.eps, RngSpec(args.seed, "deform"))
     res, code = _solve_mean(fam.deformed, args, algorithm="descent")
-    outdir = _outdir(args)
-    write_matrix(os.path.join(outdir, "template.txt"), template.mat)
-    member_names = []
-    for i, member in enumerate(fam.deformed):
-        name = f"member_{i + 1:02d}.txt"
-        write_matrix(os.path.join(outdir, name), member.mat)
-        member_names.append(name)
-    write_manifest(os.path.join(outdir, "manifest.json"), member_names)
-    write_matrix(os.path.join(outdir, "recovered.txt"), res.mean.mat)
     avg_map = sum(t.mat for t in fam.maps) / len(fam.maps)
     results = {
-        "template_file": os.path.join(args.output, "template.txt"),
-        "manifest_file": os.path.join(args.output, "manifest.json"),
-        "recovered_file": os.path.join(args.output, "recovered.txt"),
+        "template_file": _write(args, "template.txt", template.mat),
+        "manifest_file": _write_family(args, [m.mat for m in fam.deformed]),
+        "recovered_file": _write(args, "recovered.txt", res.mean.mat),
         "members": args.count,
         "eps": args.eps,
         "recovery_distance": procrustes_distance(res.mean, template),
         "residual_at_template": fixed_point_residual(template, fam.deformed),
     }
-    diagnostics = _solver_diagnostics(res)
-    diagnostics.update(
-        {
-            "map_identity_gap": float(np.max(np.abs(avg_map - np.eye(template.dim)))),
-            "template_trace": template.trace,
-            "seed": args.seed,
-        }
+    diagnostics = _solver_diagnostics(
+        res,
+        map_identity_gap=float(np.max(np.abs(avg_map - np.eye(template.dim)))),
+        template_trace=template.trace,
+        seed=args.seed,
     )
     inputs = {
         "template": args.template,
@@ -409,26 +396,16 @@ def cmd_simulate_project(args):
 def cmd_simulate_counterexample(args):
     mean, s1, s2, thresholds = counterexample_family(args.blocks, args.ratio, args.b0)
     res, code = _solve_mean([s1, s2], args, algorithm="descent")
-    outdir = _outdir(args)
-    write_matrix(os.path.join(outdir, "mean.txt"), mean.mat)
-    write_matrix(os.path.join(outdir, "member_01.txt"), s1.mat)
-    write_matrix(os.path.join(outdir, "member_02.txt"), s2.mat)
-    write_manifest(os.path.join(outdir, "manifest.json"), ["member_01.txt", "member_02.txt"])
     results = {
-        "mean_file": os.path.join(args.output, "mean.txt"),
-        "manifest_file": os.path.join(args.output, "manifest.json"),
+        "mean_file": _write(args, "mean.txt", mean.mat),
+        "manifest_file": _write_family(args, [s1.mat, s2.mat]),
         "dim": mean.dim,
         "thresholds": list(thresholds),
         "min_threshold": float(np.min(thresholds)),
         "recovery_distance": procrustes_distance(res.mean, mean),
     }
-    diagnostics = _solver_diagnostics(res)
-    diagnostics.update(
-        {
-            "mean_eigenvalues": list(mean.spectrum.values),
-            "rel_tol": args.rel_tol,
-            "max_iter": args.max_iter,
-        }
+    diagnostics = _solver_diagnostics(
+        res, mean_eigenvalues=list(mean.spectrum.values), rel_tol=args.rel_tol, max_iter=args.max_iter
     )
     inputs = {"blocks": args.blocks, "ratio": args.ratio, "b0": args.b0}
     return _report("simulate.counterexample", inputs, results, diagnostics), code
@@ -544,30 +521,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code of each error a command may raise; any other error propagates.
+_EXIT_CODES = {
+    MatrixParseError: 2,
+    OutOfRangeError: 2,
+    EmptyFamilyError: 2,
+    DegenerateError: 2,
+    NonFiniteError: 2,
+    DimMismatchError: 3,
+    NotPSDError: 4,
+    KernelConditionError: 5,
+    MaxIterExceeded: 6,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
-    except MatrixParseError as e:
-        return _fail(2, e)
-    except (OutOfRangeError, EmptyFamilyError, DegenerateError, NonFiniteError) as e:
-        return _fail(2, e)
-    except DimMismatchError as e:
-        return _fail(3, e)
-    except NotPSDError as e:
-        return _fail(4, e)
-    except KernelConditionError as e:
-        return _fail(5, e)
-    except MaxIterExceeded as e:
-        return _fail(6, e)
+    except tuple(_EXIT_CODES) as e:
+        sys.stderr.write(f"error: {e}\n")
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
     sys.stdout.write(render_report(report))
     if code == 6:
         sys.stderr.write("warning: iteration cap reached; result did not converge\n")
-    return code
-
-
-def _fail(code: int, e: Exception) -> int:
-    sys.stderr.write(f"error: {e}\n")
     return code
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import coerce_family
+from .barycenter import coerce_point_and_family
 from .errors import (
     DimMismatchError,
     EmptyFamilyError,
@@ -45,10 +45,7 @@ class PcaResult:
 
 def lift(family, mean, rank_tol: float | None = None) -> list[TangentVector]:
     """Logarithms of all family members at the mean."""
-    c = validate_psd(mean)
-    members = coerce_family(family)
-    if c.dim != members[0].dim:
-        raise DimMismatchError(f"mean dimension {c.dim} does not match family {members[0].dim}")
+    c, members = coerce_point_and_family(mean, family, "mean")
     out = []
     for i, m in enumerate(members):
         try:

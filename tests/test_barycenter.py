@@ -15,6 +15,7 @@ from bwgeom import (
     mean_procrustes_averaging,
     multicoupling,
     multicoupling_cost,
+    optimal_map,
     pairwise_alignment,
     procrustes_distance,
     tangent_norm,
@@ -168,6 +169,24 @@ def test_mean_deflates_common_kernel(rng):
     assert fixed_point_residual(res.mean, fam) <= 1e-6 * (1.0 + res.mean.trace)
 
 
+def test_mean_explicit_init_on_common_kernel():
+    # Commuting members: the mean is ((sqrt(a) + sqrt(b)) / 2)^2 on the shared range.
+    fam = [np.diag([1.0, 2.0, 0.0]), np.diag([2.0, 1.0, 0.0])]
+    res = mean_fixed_point(fam, MeanConfig(init=np.diag([1.0, 1.0, 0.0])))
+    assert res.converged
+    c = ((1.0 + np.sqrt(2.0)) / 2.0) ** 2
+    assert np.max(np.abs(res.mean.mat - np.diag([c, c, 0.0]))) <= 1e-10
+
+
+def test_mean_explicit_init_dimension_mismatch():
+    fam = [np.diag([1.0, 2.0, 0.0]), np.diag([2.0, 1.0, 0.0])]
+    for init in (np.eye(2), np.eye(4)):
+        with pytest.raises(DimMismatchError):
+            mean_fixed_point(fam, MeanConfig(init=init))
+    with pytest.raises(DimMismatchError):
+        mean_fixed_point([A41, B14], MeanConfig(init=np.eye(3)))
+
+
 def test_mean_zero_family():
     res = mean_fixed_point([np.zeros((3, 3)), np.zeros((3, 3))])
     assert res.converged and res.mean.trace == 0.0
@@ -254,3 +273,51 @@ def test_multicoupling_single_member(rng):
     joint = multicoupling(s, [s])
     assert np.max(np.abs(joint.full() - s.mat)) <= 1e-8
     assert multicoupling_cost(joint) == 0.0
+
+
+def _blockwise_joint(maps, mean):
+    """Reference assembly: (t_i M) t_j on and above the diagonal, its transpose below."""
+    n, d = len(maps), mean.shape[0]
+    out = np.empty((n * d, n * d))
+    for i in range(n):
+        left = maps[i] @ mean
+        for j in range(i, n):
+            b = left @ maps[j]
+            out[i * d : (i + 1) * d, j * d : (j + 1) * d] = b
+            out[j * d : (j + 1) * d, i * d : (i + 1) * d] = b.T
+    return out
+
+
+def _pairwise_trace_cost(full, n, d):
+    """Reference cost: (1/2N^2) sum_{i<j} tr B_ii + tr B_jj - 2 tr B_ij over the blocks."""
+    tr = lambda i, j: float(np.trace(full[i * d : (i + 1) * d, j * d : (j + 1) * d]))
+    total = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += tr(i, i) + tr(j, j) - 2.0 * tr(i, j)
+    return total / (2.0 * n * n)
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (4, 5), (7, 3)])
+def test_joint_covariance_matches_blockwise_reference(rng, n, d):
+    fam = [make_spd(d, rng) for _ in range(n)]
+    mean = mean_fixed_point(fam).mean
+    joint = multicoupling(mean, fam)
+    assert joint.maps.shape == (n, d, d) and (joint.n, joint.dim) == (n, d)
+    ref = _blockwise_joint([optimal_map(mean, m).map.mat for m in fam], mean.mat)
+    scale = float(np.max(np.abs(ref)))
+    full = joint.full()
+    assert np.max(np.abs(full - ref)) <= 1e-13 * scale
+    assert np.array_equal(full, full.T)
+    blocks = joint.blocks
+    assert blocks.shape == (n, n, d, d) and not blocks.flags.writeable
+    for i in range(n):
+        for j in range(n):
+            assert np.max(np.abs(blocks[i, j] - joint.block(i, j))) <= 1e-13 * scale
+    cost = multicoupling_cost(joint)
+    want = _pairwise_trace_cost(ref, n, d)
+    if n == 1:
+        assert cost == want == 0.0
+    else:
+        # Relative to the member traces that cancel in each pairwise term.
+        assert abs(cost - want) <= 1e-13 * sum(m.trace for m in fam) / n

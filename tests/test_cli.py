@@ -296,3 +296,18 @@ def test_multicouple_command_consistency(tmp_path, capsys):
     assert doc["diagnostics"]["diagonal_block_gap"] <= 1e-9
     joint = read_matrix(tmp_path / "mc" / "multicoupling.txt")
     assert joint.shape == (4, 4)
+
+
+def test_pca_reconstruction_leaving_the_cone_is_null(tmp_path, capsys):
+    from bwgeom.simulate import RngSpec, deformation_family
+
+    # Member 6 rebuilt from 3 components has lambda_min(I + v) < 0.
+    fam = deformation_family(np.eye(3), 6, 0.99, RngSpec(1, "x"))
+    manifest = write_family(tmp_path, [m.mat for m in fam.deformed])
+    code, out, err = run_cli(capsys, "pca", manifest, "--output", str(tmp_path / "pca"))
+    assert code == 0
+    assert "null" in out
+    errors = json.loads(out)["results"]["reconstruction_errors"]
+    assert errors[5][3] is None
+    for row in errors:
+        assert row[-1] is not None and math.isfinite(row[-1]) and row[-1] <= 1e-6

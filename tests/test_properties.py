@@ -5,7 +5,8 @@ size n in 2..6, eigenvalues in [0.1, 10] (condition number at most 100), with
 eigenbases drawn from seeded Gaussian matrices.  Tolerances: closed-form
 quantities (distance, map, geodesic) agree to 1e-12 relative to the scale of
 their inputs; means agree to 1e-6 relative to the trace, the solver's residual
-certificate.
+certificate.  The triangle inequality gets the slack 1e-7 sqrt(tr), above the
+sqrt(eps tr) floor of a distance computed through its square.
 """
 
 import numpy as np
@@ -13,10 +14,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwgeom import geodesic, mean_fixed_point, optimal_map, procrustes_distance_squared
+from bwgeom import (
+    geodesic,
+    mean_fixed_point,
+    optimal_map,
+    procrustes_distance,
+    procrustes_distance_squared,
+)
 
 CLOSED_FORM_TOL = 1e-12
 SOLVER_TOL = 1e-6
+TRIANGLE_SLACK = 1e-7
+SCALES = (1e-6, 1e-3, 1e3, 1e6)
 
 # Derandomized so a run is reproducible; no example database is kept.
 BASE = settings(derandomize=True, deadline=None, database=None)
@@ -41,6 +50,13 @@ def _family(draw):
     n = draw(st.integers(2, 6))
     members = [draw(_spd(d)) for _ in range(n)]
     return members, _orthogonal(draw(st.integers(0, 2**32 - 1)), d)
+
+
+@st.composite
+def _points(draw, k):
+    """k covariances of one dimension d in 2..6."""
+    d = draw(st.integers(2, 6))
+    return [draw(_spd(d)) for _ in range(k)]
 
 
 def _conj(q, m):
@@ -96,6 +112,59 @@ def test_mean_member_order_invariance(fam, random):
     mean = mean_fixed_point(members).mean.mat
     mean_s = mean_fixed_point(shuffled).mean.mat
     assert _trace_norm(mean_s - mean) <= SOLVER_TOL * np.trace(mean)
+
+
+@given(_points(2), st.sampled_from(SCALES))
+@settings(BASE, max_examples=60)
+def test_distance_scale_equivariance(pair, c):
+    a, b = pair
+    d2 = procrustes_distance_squared(a, b)
+    d2c = procrustes_distance_squared(c * a, c * b)
+    assert abs(d2c - c * d2) <= CLOSED_FORM_TOL * c * (np.trace(a) + np.trace(b))
+
+
+@given(_points(2), st.sampled_from(SCALES))
+@settings(BASE, max_examples=60)
+def test_optimal_map_scale_invariance(pair, c):
+    a, b = pair
+    t = optimal_map(a, b).map.mat
+    tc = optimal_map(c * a, c * b).map.mat
+    assert np.max(np.abs(tc - t)) <= CLOSED_FORM_TOL * np.max(np.abs(t))
+
+
+@given(_points(2), st.sampled_from(SCALES), st.floats(0.0, 1.0))
+@settings(BASE, max_examples=60)
+def test_geodesic_scale_equivariance(pair, c, t):
+    a, b = pair
+    g = geodesic(a, b, t).mat
+    gc = geodesic(c * a, c * b, t).mat
+    assert _trace_norm(gc - c * g) <= CLOSED_FORM_TOL * c * (np.trace(a) + np.trace(b))
+
+
+@given(_points(2))
+@settings(BASE, max_examples=60)
+def test_distance_symmetry(pair):
+    a, b = pair
+    gap = abs(procrustes_distance_squared(a, b) - procrustes_distance_squared(b, a))
+    assert gap <= CLOSED_FORM_TOL * (np.trace(a) + np.trace(b))
+
+
+@given(_points(3))
+@settings(BASE, max_examples=60)
+def test_triangle_inequality(triple):
+    a, b, c = triple
+    slack = TRIANGLE_SLACK * np.sqrt(np.trace(a) + np.trace(b) + np.trace(c))
+    assert procrustes_distance(a, c) <= procrustes_distance(a, b) + procrustes_distance(b, c) + slack
+
+
+@given(_points(2), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@settings(BASE, max_examples=60)
+def test_geodesic_distance_is_proportional(pair, s, t):
+    a, b = pair
+    s, t = min(s, t), max(s, t)
+    d2 = procrustes_distance_squared(geodesic(a, b, s), geodesic(a, b, t))
+    want = (t - s) ** 2 * procrustes_distance_squared(a, b)
+    assert abs(d2 - want) <= CLOSED_FORM_TOL * (np.trace(a) + np.trace(b))
 
 
 @pytest.mark.xfail(
