@@ -7,7 +7,8 @@ Two solvers are provided.  ``mean_fixed_point`` iterates
 a steepest-descent scheme whose functional values are non-increasing and whose
 iterate traces are non-decreasing.  ``mean_procrustes_averaging`` alternates
 orthogonal alignment of the matrix roots with averaging of the aligned roots.
-Both expose the same diagnostics through ``MeanResult``.
+Both evaluate a candidate point through one ``_Evaluation`` and expose the
+same diagnostics through ``MeanResult``.
 """
 
 from __future__ import annotations
@@ -70,14 +71,16 @@ class MeanConfig:
 class MeanResult:
     """Mean with per-iterate diagnostics.
 
-    ``functional_trace`` and ``residual_trace`` have one entry per evaluated
-    point, the starting point included, so ``iterations ==
-    len(functional_trace) - 1``.  ``trace_of_iterates`` and
+    Both solvers evaluate each point once, from the family's product roots at
+    that point, and ``functional_trace`` and ``residual_trace`` read the
+    functional and the fixed-point residual from that evaluation.  They have
+    one entry per evaluated point, the starting point included, so
+    ``iterations == len(functional_trace) - 1``.  ``trace_of_iterates`` and
     ``min_eig_of_iterates`` cover only the iterates the solver itself produced
-    (one entry per step); the descent solver's trace sequence is non-decreasing
-    while its functional sequence, starting point included, is non-increasing.
-    On a deflated (common-kernel) run the minimum eigenvalues are measured on
-    the reduced problem.
+    (one entry per step); the descent solver's trace sequence is
+    non-decreasing while its functional sequence, starting point included, is
+    non-increasing.  On a deflated (common-kernel) run the minimum eigenvalues
+    are measured on the reduced problem.
     """
 
     mean: Covariance
@@ -168,12 +171,7 @@ def fixed_point_residual(s, family) -> float:
     vanishes exactly at the Frechet mean of the family.
     """
     c, members = coerce_point_and_family(s, family, "candidate")
-    root = sqrt_psd(c).mat
-    acc = np.zeros_like(root)
-    for m in members:
-        acc += product_root(root, m)
-    acc /= len(members)
-    return trace_norm(c.mat - acc)
+    return _Evaluation(c, members).residual
 
 
 def _resolve_init(cfg: MeanConfig, members: list[Covariance], d: int, q) -> np.ndarray:
@@ -193,44 +191,42 @@ def _resolve_init(cfg: MeanConfig, members: list[Covariance], d: int, q) -> np.n
 
 
 class _Evaluation:
-    """Descent-solver quantities at one iterate, sharing a single root."""
+    """A candidate mean S and the family's product roots, read from one root.
 
-    __slots__ = ("functional", "residual", "trace", "lam_min", "step_map")
+    The product roots ``G_i = (S^{1/2} S_i S^{1/2})^{1/2}`` give the Frechet
+    functional from their traces, ``(1/2N) sum_i (tr S + tr S_i - 2 tr G_i)``,
+    their average ``gbar`` and the trace-norm residual ``||S - gbar||_1``.
+    """
 
-    def __init__(self, cur: Covariance, members: list[Covariance], rank_tol, iterate_index):
-        kernel = cur.spectrum.vectors[:, numerical_rank(cur, rank_tol):]
-        root = sqrt_psd(cur).mat
-        tr_cur = cur.trace
+    __slots__ = ("point", "functional", "gbar", "residual")
+
+    def __init__(self, point: Covariance, members: list[Covariance], rank_tol=None):
+        root = sqrt_psd(point).mat
+        tr = point.trace
         f = 0.0
         gsum = np.zeros_like(root)
-        for i, m in enumerate(members):
-            if kernel_leaks(kernel, m, rank_tol):
-                raise KernelConditionError(
-                    f"iterate {iterate_index} lost range inclusion for member {i}",
-                    index=iterate_index,
-                )
+        for m in members:
             g = product_root(root, m, rank_tol)
-            f += max(0.0, tr_cur + m.trace - 2.0 * float(np.trace(g)))
+            f += max(0.0, tr + m.trace - 2.0 * float(np.trace(g)))
             gsum += g
-        gbar = gsum / len(members)
-
+        self.point = point
         self.functional = f / (2.0 * len(members))
-        self.residual = trace_norm(cur.mat - gbar)
-        self.trace = tr_cur
-        self.lam_min = float(cur.spectrum.values[-1])
-        self.step_map = transport_matrix(cur, gbar, rank_tol)
+        self.gbar = gsum / len(members)
+        self.residual = trace_norm(point.mat - self.gbar)
 
 
-def _result(mean_mat, embed, fs, residuals, traces, min_eigs, converged, algorithm):
-    mean = cov_from_product(embed(mean_mat))
+def _result(evals: list[_Evaluation], finish, converged: bool, algorithm: str) -> MeanResult:
+    """Diagnostics from the evaluations, starting point first; the mean is
+    ``finish`` applied to the last evaluated point."""
+    produced = [e.point for e in evals[1:]]
     freeze = lambda xs: np.asarray(xs, dtype=np.float64)
     return MeanResult(
-        mean=mean,
-        iterations=len(fs) - 1,
-        functional_trace=freeze(fs),
-        residual_trace=freeze(residuals),
-        trace_of_iterates=freeze(traces),
-        min_eig_of_iterates=freeze(min_eigs),
+        mean=finish(evals[-1].point),
+        iterations=len(evals) - 1,
+        functional_trace=freeze([e.functional for e in evals]),
+        residual_trace=freeze([e.residual for e in evals]),
+        trace_of_iterates=freeze([p.trace for p in produced]),
+        min_eig_of_iterates=freeze([float(p.spectrum.values[-1]) for p in produced]),
         converged=converged,
         algorithm=algorithm,
     )
@@ -254,51 +250,44 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
     esum = cov_from_product(sum(m.mat for m in members) / len(members))
     rank = numerical_rank(esum, rank_tol)
     if rank == 0:
-        zero = np.zeros((d, d))
-        zmean = validate_psd(zero)
-        f0 = frechet_functional(zmean, members)
-        r0 = fixed_point_residual(zmean, members)
-        return _result(zero, lambda m: m, [f0], [r0], [], [], True, "fixed_point")
+        zero = _Evaluation(cov_from_product(np.zeros((d, d))), members, rank_tol)
+        return _result([zero], lambda p: p, True, "fixed_point")
     if rank < d:
         q = esum.spectrum.vectors[:, :rank]
         members = [cov_from_product(q.T @ m.mat @ q) for m in members]
-        embed = lambda m: q @ m @ q.T
+        finish = lambda p: cov_from_product(q @ p.mat @ q.T)
     else:
         q = None
-        embed = lambda m: m
+        finish = lambda p: cov_from_product(p.mat)
 
-    cur = cov_from_product(_resolve_init(cfg, members, d, q))
-    ev = _Evaluation(cur, members, rank_tol, 0)
-    fs: list[float] = [ev.functional]
-    residuals: list[float] = [ev.residual]
-    traces: list[float] = []
-    min_eigs: list[float] = []
-    res_cert = max(cfg.rel_tol, RESIDUAL_CERT)
+    def evaluate(point, k):
+        kernel = point.spectrum.vectors[:, numerical_rank(point, rank_tol):]
+        for i, m in enumerate(members):
+            if kernel_leaks(kernel, m, rank_tol):
+                raise KernelConditionError(f"iterate {k} lost range inclusion for member {i}", index=k)
+        return _Evaluation(point, members, rank_tol)
 
     def certified(e, scale):
-        return e.residual <= scale * (1.0 + e.trace)
+        return e.residual <= scale * (1.0 + e.point.trace)
 
-    if certified(ev, cfg.rel_tol):
-        return _result(cur.mat, embed, fs, residuals, traces, min_eigs, True, "fixed_point")
+    evals = [evaluate(cov_from_product(_resolve_init(cfg, members, d, q)), 0)]
+    res_cert = max(cfg.rel_tol, RESIDUAL_CERT)
+    if certified(evals[0], cfg.rel_tol):
+        return _result(evals, finish, True, "fixed_point")
     for k in range(1, cfg.max_iter + 1):
-        nxt = cov_from_product(ev.step_map @ cur.mat @ ev.step_map)
-        cand = _Evaluation(nxt, members, rank_tol, k)
+        ev = evals[-1]
+        step = transport_matrix(ev.point, ev.gbar, rank_tol)
+        cand = evaluate(cov_from_product(step @ ev.point.mat @ step), k)
         improvement = ev.functional - cand.functional
         if improvement < 0.0 and certified(ev, res_cert):
             # The step no longer lowers the functional: evaluation roundoff
             # dominates and the residual already certifies the current iterate.
-            return _result(cur.mat, embed, fs, residuals, traces, min_eigs, True, "fixed_point")
-        cur, ev = nxt, cand
-        fs.append(ev.functional)
-        residuals.append(ev.residual)
-        traces.append(ev.trace)
-        min_eigs.append(ev.lam_min)
-        settled = 0.0 <= improvement <= cfg.rel_tol * max(fs[-2], fs[-1], 1e-30)
-        if certified(ev, cfg.rel_tol) or (settled and certified(ev, res_cert)):
-            return _result(cur.mat, embed, fs, residuals, traces, min_eigs, True, "fixed_point")
-    raise MaxIterExceeded(
-        _result(cur.mat, embed, fs, residuals, traces, min_eigs, False, "fixed_point")
-    )
+            return _result(evals, finish, True, "fixed_point")
+        evals.append(cand)
+        settled = 0.0 <= improvement <= cfg.rel_tol * max(ev.functional, cand.functional, 1e-30)
+        if certified(cand, cfg.rel_tol) or (settled and certified(cand, res_cert)):
+            return _result(evals, finish, True, "fixed_point")
+    raise MaxIterExceeded(_result(evals, finish, False, "fixed_point"))
 
 
 def pairwise_alignment(l1, l2) -> np.ndarray:
@@ -322,41 +311,26 @@ def mean_procrustes_averaging(family, cfg: MeanConfig | None = None) -> MeanResu
     is recomputed, and the loop stops when the average root moves less than
     ``cfg.rel_tol * (1 + ||average||_HS)`` in Hilbert-Schmidt norm.  The mean
     is the squared final average.  ``cfg.init`` is ignored: this scheme always
-    starts from the average of the roots themselves.
+    starts from the average of the roots themselves.  Each squared average is
+    evaluated once, like a descent iterate: its functional and fixed-point
+    residual come from the same product roots, and the mean is the last
+    evaluated point itself.
     """
     cfg = cfg or MeanConfig()
     members = coerce_family(family)
-    mats = [m.mat for m in members]
     aligned = [sqrt_psd(m).mat.copy() for m in members]
     avg = sum(aligned) / len(aligned)
-
-    fs: list[float] = []
-    residuals: list[float] = []
-    traces: list[float] = []
-    min_eigs: list[float] = []
-
-    def record(a, produced):
-        mean_k = cov_from_product(a @ a.T)
-        fs.append(frechet_functional(mean_k, members))
-        residuals.append(fixed_point_residual(mean_k, members))
-        if produced:
-            traces.append(mean_k.trace)
-            min_eigs.append(float(mean_k.spectrum.values[-1]))
-
-    record(avg, produced=False)
-    for k in range(1, cfg.max_iter + 1):
+    square = lambda a: _Evaluation(cov_from_product(a @ a.T), members)
+    evals = [square(avg)]
+    for _ in range(cfg.max_iter):
         for i, l in enumerate(aligned):
             aligned[i] = l @ pairwise_alignment(avg, l)
         prev = avg
         avg = sum(aligned) / len(aligned)
-        record(avg, produced=True)
+        evals.append(square(avg))
         if float(np.linalg.norm(avg - prev)) <= cfg.rel_tol * (1.0 + float(np.linalg.norm(avg))):
-            return _result(avg @ avg.T, lambda m: m, fs, residuals, traces, min_eigs, True,
-                           "procrustes_averaging")
-    raise MaxIterExceeded(
-        _result(avg @ avg.T, lambda m: m, fs, residuals, traces, min_eigs, False,
-                "procrustes_averaging")
-    )
+            return _result(evals, lambda p: p, True, "procrustes_averaging")
+    raise MaxIterExceeded(_result(evals, lambda p: p, False, "procrustes_averaging"))
 
 
 def multicoupling(mean, family, rank_tol: float | None = None) -> JointCovariance:

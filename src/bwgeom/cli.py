@@ -99,10 +99,6 @@ def _load_manifest_family(path) -> tuple[Manifest, list[Covariance]]:
     return manifest, covs
 
 
-def _matrix_payload(m) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(m)]
-
-
 def _mean_config(args) -> MeanConfig:
     return MeanConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
 
@@ -234,7 +230,7 @@ def cmd_geodesic(args):
     results = {
         "distance": dist,
         "grid": [float(t) for t in grid],
-        "points": [_matrix_payload(p.mat) for p in points],
+        "points": [p.mat for p in points],
         "speed_table": speed_table,
         "max_speed_deviation": max_dev,
     }
@@ -256,7 +252,7 @@ def cmd_pca(args):
             _write(args, f"component_{i + 1:02d}.txt", comp.mat) for i, comp in enumerate(pca.components)
         ],
         "variances": list(pca.variances),
-        "scores": _matrix_payload(pca.scores) if pca.scores.size else [],
+        "scores": pca.scores if pca.scores.size else [],
         "lifted_mean_norm": pca.lifted_mean_norm,
         "effective_components": len(pca.components),
         "reconstruction_errors": [

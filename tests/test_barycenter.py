@@ -229,6 +229,25 @@ def test_gpa_max_iter(rng):
         mean_procrustes_averaging(fam, MeanConfig(max_iter=1, rel_tol=1e-16))
 
 
+def test_gpa_diagnostics_contract(rng):
+    fam = [make_spd(4, rng) for _ in range(3)]
+    res = mean_procrustes_averaging(fam)
+    assert res.converged
+    assert len(res.functional_trace) == len(res.residual_trace) == res.iterations + 1
+    assert len(res.trace_of_iterates) == len(res.min_eig_of_iterates) == res.iterations
+    tr = res.mean.trace
+    assert abs(res.functional_trace[-1] - frechet_functional(res.mean, fam)) <= 1e-12 * (1.0 + tr)
+    assert res.residual_trace[-1] == fixed_point_residual(res.mean, fam)
+    assert res.trace_of_iterates[-1] == tr
+    assert res.min_eig_of_iterates[-1] == res.mean.spectrum.values[-1]
+    with pytest.raises(MaxIterExceeded) as err:
+        mean_procrustes_averaging(fam, MeanConfig(max_iter=3, rel_tol=1e-16))
+    capped = err.value.result
+    assert not capped.converged and capped.iterations == 3
+    assert len(capped.functional_trace) == len(capped.residual_trace) == 4
+    assert len(capped.trace_of_iterates) == len(capped.min_eig_of_iterates) == 3
+
+
 def test_pairwise_alignment_examples(rng):
     l = np.asarray(make_spd(4, rng))
     assert np.max(np.abs(pairwise_alignment(l, l) - np.eye(4))) <= 1e-10

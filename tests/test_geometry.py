@@ -128,3 +128,23 @@ def test_geodesic_matches_expanded_formula(rng):
             + t * (1.0 - t) * (t01 @ s0.mat + s0.mat @ t01)
         )
         assert np.max(np.abs(geodesic(s0, s1, t).mat - expanded)) <= 1e-10
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=LeavesConeError,
+    reason="exp_map's cone check (lambda_min(I + A) below -d eps max|lambda|) rejects "
+    "the roundoff-negative eigenvalues of a rank-deficient transport map taken "
+    "from an ill-conditioned source",
+)
+def test_exp_map_reaches_geodesic_point_from_ill_conditioned_source():
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    a = (q * np.logspace(0, -12, 5)) @ q.T
+    x = rng.standard_normal((5, 2))
+    b = x @ x.T
+    t = 1.0
+    g = geodesic(a, b, t)
+    assert g.spectrum.values[-1] >= 0.0
+    p = exp_map(a, t * log_map(a, b).direction.mat)
+    assert np.max(np.abs(p.mat - g.mat)) <= 1e-12 * np.max(np.abs(g.mat))

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwgeom import (
+    MeanConfig,
     geodesic,
     mean_fixed_point,
+    mean_procrustes_averaging,
     optimal_map,
     procrustes_distance,
     procrustes_distance_squared,
@@ -26,9 +28,18 @@ CLOSED_FORM_TOL = 1e-12
 SOLVER_TOL = 1e-6
 TRIANGLE_SLACK = 1e-7
 SCALES = (1e-6, 1e-3, 1e3, 1e6)
+MEAN_SCALES = (1e3, 1e6)
 
 # Derandomized so a run is reproducible; no example database is kept.
 BASE = settings(derandomize=True, deadline=None, database=None)
+
+# The descent solver's default stopping rule is not scale-equivariant: its
+# certificate carries an absolute 1 + trace floor (pinned by the xfails at the
+# end), so the scale property runs it to roundoff.  GPA passes at its default.
+SCALE_SOLVERS = (
+    lambda members: mean_fixed_point(members, MeanConfig(rel_tol=1e-12)),
+    mean_procrustes_averaging,
+)
 
 
 def _orthogonal(seed, d):
@@ -98,9 +109,10 @@ def test_geodesic_orthogonal_equivariance(fam, t):
 @settings(BASE, max_examples=30)
 def test_mean_orthogonal_equivariance(fam):
     members, q = fam
-    mean = mean_fixed_point(members).mean.mat
-    mean_q = mean_fixed_point([_conj(q, m) for m in members]).mean.mat
-    assert _trace_norm(mean_q - _conj(q, mean)) <= SOLVER_TOL * np.trace(mean)
+    for solver in (mean_fixed_point, mean_procrustes_averaging):
+        mean = solver(members).mean.mat
+        mean_q = solver([_conj(q, m) for m in members]).mean.mat
+        assert _trace_norm(mean_q - _conj(q, mean)) <= SOLVER_TOL * np.trace(mean)
 
 
 @given(_family(), st.randoms(use_true_random=False))
@@ -109,9 +121,20 @@ def test_mean_member_order_invariance(fam, random):
     members, _ = fam
     shuffled = list(members)
     random.shuffle(shuffled)
-    mean = mean_fixed_point(members).mean.mat
-    mean_s = mean_fixed_point(shuffled).mean.mat
-    assert _trace_norm(mean_s - mean) <= SOLVER_TOL * np.trace(mean)
+    for solver in (mean_fixed_point, mean_procrustes_averaging):
+        mean = solver(members).mean.mat
+        mean_s = solver(shuffled).mean.mat
+        assert _trace_norm(mean_s - mean) <= SOLVER_TOL * np.trace(mean)
+
+
+@given(_family(), st.sampled_from(MEAN_SCALES))
+@settings(BASE, max_examples=30)
+def test_mean_scale_equivariance(fam, c):
+    members, _ = fam
+    for solver in SCALE_SOLVERS:
+        mean = solver(members).mean.mat
+        mean_c = solver([c * m for m in members]).mean.mat
+        assert _trace_norm(mean_c - c * mean) <= SOLVER_TOL * c * np.trace(mean)
 
 
 @given(_points(2), st.sampled_from(SCALES))
@@ -181,3 +204,26 @@ def test_mean_scale_equivariance_at_tiny_scale():
     mean = mean_fixed_point(members).mean.mat
     tiny = mean_fixed_point([1e-12 * m for m in members]).mean.mat
     assert _trace_norm(tiny - 1e-12 * mean) <= SOLVER_TOL * 1e-12 * np.trace(mean)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the stopping rule's absolute 1 + trace floor stops the unscaled family "
+    "one step before the family scaled by 1e3 (scale-aware floor not yet in place)",
+)
+def test_mean_scale_equivariance_at_default_tolerance():
+    a = np.array([
+        [0.64171147, -0.81592868, -0.13959035, -0.19587746],
+        [-0.81592868, 3.51659729, -0.27472855, 1.8949458],
+        [-0.13959035, -0.27472855, 0.94604096, -0.05321855],
+        [-0.19587746, 1.8949458, -0.05321855, 2.14565029],
+    ])
+    b = np.array([
+        [6.8927136, 0.33692806, -0.5966426, 0.39458551],
+        [0.33692806, 5.92167062, 1.67226063, -1.50665542],
+        [-0.5966426, 1.67226063, 1.67476477, -0.47043805],
+        [0.39458551, -1.50665542, -0.47043805, 2.01085101],
+    ])
+    mean = mean_fixed_point([a, b]).mean.mat
+    big = mean_fixed_point([1e3 * a, 1e3 * b]).mean.mat
+    assert _trace_norm(big - 1e3 * mean) <= SOLVER_TOL * 1e3 * np.trace(mean)
