@@ -2,9 +2,14 @@
 
 Matrix files are plain text: one row per line, comma-separated decimals,
 ``#`` starts a comment.  Files written here use 17 significant digits, so
-every matrix the tool writes re-parses to bit-identical doubles.  Reports are
-JSON documents with sorted keys and the same fixed float formatting, making
-byte-identical output a function of the inputs alone.
+every matrix the tool writes re-parses to bit-identical doubles.  The writer
+accepts only what the reader accepts back: a nonempty, finite, square matrix,
+symmetric to within ``SYMMETRY_RTOL``.  It streams the file one row at a
+time, formats each row's upper triangle with one C-level ``%`` and mirrors
+those strings into the rows below, so each symmetric entry is formatted once.
+Reports are JSON documents with sorted keys and the same fixed float
+formatting, making byte-identical output a function of the inputs alone;
+float vectors are formatted with one ``%`` per vector.
 """
 
 from __future__ import annotations
@@ -22,6 +27,21 @@ from .spectral import symmetrize
 
 # Relative asymmetry allowed in an input matrix before it is rejected.
 SYMMETRY_RTOL = 1e-9
+# Fixed 17-significant-digit decimal form; round-trips every double and gives
+# the same text as ``format(x, ".17g")``.
+FLOAT_FORMAT = "%.17g"
+
+
+def _asymmetric_entry(a: np.ndarray) -> tuple[int, int] | None:
+    """Position of the largest asymmetry of a square array when it exceeds
+    ``SYMMETRY_RTOL`` relative to the largest entry, else ``None``."""
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    gap = a - a.T
+    np.abs(gap, out=gap)
+    if float(gap.max(initial=0.0)) <= SYMMETRY_RTOL * scale:
+        return None
+    i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    return int(i), int(j)
 
 
 def read_matrix(path) -> np.ndarray:
@@ -56,31 +76,31 @@ def read_matrix(path) -> np.ndarray:
     a = np.array([entries for _, entries in rows], dtype=np.float64)
     if a.shape[0] != a.shape[1]:
         raise MatrixParseError(path, f"matrix is {a.shape[0]}x{a.shape[1]}, expected square")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    gap = np.abs(a - a.T)
-    if float(gap.max(initial=0.0)) > SYMMETRY_RTOL * scale:
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    at = _asymmetric_entry(a)
+    if at is not None:
+        i, j = at
         raise MatrixParseError(
             path,
             f"asymmetric beyond tolerance at ({i + 1}, {j + 1}): "
             f"{float(a[i, j])!r} vs {float(a[j, i])!r}",
-            row=int(rows[i][0]),
-            col=int(j + 1),
+            row=rows[i][0],
+            col=j + 1,
         )
     return symmetrize(a)
 
 
 def format_float(x: float) -> str:
     """Fixed 17-significant-digit decimal form; round-trips every double."""
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
-def _atomic_write(path, text: str) -> None:
+def _atomic_write(path, chunks) -> None:
+    """Write the text chunks to a temp file beside ``path``, then rename it."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bwgeom-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -88,11 +108,44 @@ def _atomic_write(path, text: str) -> None:
         raise
 
 
+def _symmetric_rows(m: np.ndarray):
+    """Yield the text lines of a symmetric matrix, formatting each entry once.
+
+    Line i formats ``m[i, i:]`` with one ``%``.  The strings right of its
+    diagonal are kept in reverse, so that line j pops entry (i, j) as its
+    column-i entry; at most about n²/4 strings are held at once.
+    """
+    pending: list[list[str]] = []
+    for i in range(m.shape[0]):
+        upper = m[i, i:].tolist()
+        text = ",".join([FLOAT_FORMAT] * len(upper)) % tuple(upper)
+        line = [p.pop() for p in pending]
+        pending.append(text.split(",")[:0:-1])
+        line.append(text)
+        yield ",".join(line) + "\n"
+
+
 def write_matrix(path, a) -> None:
-    """Write a matrix file atomically (temp file plus rename)."""
+    """Write a symmetric matrix file atomically (temp file plus rename).
+
+    Raises ``ValueError`` for what ``read_matrix`` would refuse: an empty or
+    non-square array, non-finite entries, or asymmetry beyond
+    ``SYMMETRY_RTOL``.  Within that
+    tolerance the upper triangle is written and mirrored.
+    """
     m = np.asarray(a, dtype=np.float64)
-    lines = [",".join(format_float(x) for x in row) for row in m]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
+        raise ValueError(f"cannot write a {m.shape} array as a matrix file: expected nonempty square")
+    if not np.isfinite(m).all():
+        raise ValueError("cannot write a matrix with non-finite entries")
+    at = _asymmetric_entry(m)
+    if at is not None:
+        i, j = at
+        raise ValueError(
+            f"cannot write an asymmetric matrix: ({i + 1}, {j + 1}) is "
+            f"{float(m[i, j])!r} vs {float(m[j, i])!r}"
+        )
+    _atomic_write(path, _symmetric_rows(m))
 
 
 @dataclass(frozen=True)
@@ -152,7 +205,7 @@ def write_manifest(path, operators: list[str], labels: list[str] | None = None) 
     doc: dict = {"operators": list(operators)}
     if labels is not None:
         doc["labels"] = list(labels)
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
 
 
 @dataclass
@@ -186,6 +239,17 @@ def _render(obj, indent: int) -> str:
             for k in sorted(obj, key=str)
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+    if (
+        isinstance(obj, np.ndarray)
+        and obj.ndim == 1
+        and obj.dtype.kind == "f"
+        and obj.size
+        and np.isfinite(obj).all()
+    ):
+        # One % over the whole vector; non-finite entries take the per-item
+        # path below, which renders them as null.
+        body = (",\n" + inner).join([FLOAT_FORMAT] * obj.size) % tuple(obj.tolist())
+        return "[\n" + inner + body + "\n" + pad + "]"
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:

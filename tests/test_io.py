@@ -7,6 +7,7 @@ import pytest
 
 from bwgeom import DimMismatchError, MatrixParseError
 from bwgeom.io import (
+    FLOAT_FORMAT,
     Manifest,
     Report,
     format_float,
@@ -195,3 +196,83 @@ def test_write_matrix_is_atomic_and_leaves_no_temp(tmp_path):
     np.testing.assert_array_equal(read_matrix(p), 2.0 * np.eye(3))
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".bwgeom-")]
     assert leftovers == []
+
+
+SPECIAL_DOUBLES = [-0.0, 5e-324, 1e308, 1.0 / 3.0, 123456789012345678.0]
+
+
+def reference_matrix_text(m):
+    """The per-entry writer that the row-streaming ``write_matrix`` replaced."""
+    return "\n".join(",".join(format(float(x), ".17g") for x in row) for row in m) + "\n"
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 37, 200])
+def test_write_matrix_bytes_match_per_entry_writer(tmp_path, rng, n):
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, size=(n, n))
+    a = (a + a.T) / 2.0
+    for k, x in enumerate(SPECIAL_DOUBLES):
+        i, j = k % n, (2 * k + 1) % n
+        a[i, j] = a[j, i] = x if k % 2 else -x
+    p = tmp_path / "m.txt"
+    write_matrix(p, a)
+    assert p.read_bytes() == reference_matrix_text(a).encode("utf-8")
+
+
+def test_write_matrix_golden_text(tmp_path):
+    p = tmp_path / "m.txt"
+    write_matrix(p, np.array([[2.0, 1.0 / 3.0], [1.0 / 3.0, -0.0]]))
+    assert p.read_bytes() == b"2,0.33333333333333331\n0.33333333333333331,-0\n"
+
+
+def test_write_matrix_rejects_what_read_matrix_refuses(tmp_path):
+    p = tmp_path / "m.txt"
+    for bad in (np.ones((2, 3)), np.ones(3), np.zeros((0, 0))):
+        with pytest.raises(ValueError, match="square"):
+            write_matrix(p, bad)
+    with pytest.raises(ValueError, match="non-finite"):
+        write_matrix(p, np.diag([1.0, math.inf]))
+    with pytest.raises(ValueError, match="asymmetric") as exc:
+        write_matrix(p, np.array([[1.0, 0.5], [0.75, 1.0]]))
+    assert "0.5" in str(exc.value) and "0.75" in str(exc.value)
+    assert os.listdir(tmp_path) == []
+    # Within SYMMETRY_RTOL the upper triangle is written for both halves.
+    write_matrix(p, np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]]))
+    np.testing.assert_array_equal(read_matrix(p), [[1.0, 0.5 + 1e-12], [0.5 + 1e-12, 1.0]])
+
+
+def test_float_format_matches_format_float_on_random_bit_patterns(rng):
+    xs = SPECIAL_DOUBLES + [-x for x in SPECIAL_DOUBLES] + [math.nan, -math.nan, math.inf, -math.inf]
+    xs += np.frombuffer(rng.bytes(8 * 100_000), dtype=np.float64).tolist()
+    expected = [format(x, ".17g") for x in xs]
+    assert [FLOAT_FORMAT % x for x in xs] == expected
+    assert [format_float(x) for x in xs] == expected
+
+
+def test_render_report_arrays_match_their_lists(rng):
+    arrays = {
+        "vector": np.array(SPECIAL_DOUBLES + [-1e-300, 2.5]),
+        "vector32": np.array([0.1, -2.5, 3e38, 1e-45], dtype=np.float32),
+        "matrix": rng.standard_normal((3, 4)),
+        "matrix32": rng.standard_normal((2, 2)).astype(np.float32),
+        "cube": rng.standard_normal((2, 3, 2)),
+        "non_finite": np.array([1.0, math.nan, math.inf, -math.inf]),
+        "non_finite_rows": np.array([[math.nan, 1.0], [2.0, -math.inf]], dtype=np.float32),
+        "empty": np.array([]),
+        "empty_rows": np.zeros((3, 0)),
+        "no_rows": np.zeros((0, 3)),
+        "ints": np.arange(-3, 3),
+        "int_matrix": np.arange(6, dtype=np.int32).reshape(2, 3),
+        "bools": np.array([[True, False], [False, True]]),
+    }
+
+    def report(convert):
+        values = {k: convert(v) for k, v in arrays.items()}
+        return Report(
+            command="demo",
+            inputs={},
+            results=values,
+            diagnostics={"nested": [values["vector"], {"m": values["cube"]}]},
+            version="0.0.0",
+        )
+
+    assert render_report(report(lambda v: v)) == render_report(report(lambda v: v.tolist()))
