@@ -41,7 +41,7 @@ from .spectral import (
     validate_psd,
 )
 
-# Residual certificate required of a converged mean, relative to 1 + trace.
+# Residual certificate required of a converged mean, relative to its trace.
 RESIDUAL_CERT = 1e-6
 
 
@@ -239,7 +239,7 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
     complement before solving and the mean is embedded back afterwards.  The
     solver stops once the relative change of the functional falls below
     ``cfg.rel_tol`` and the fixed-point residual certifies optimality within
-    ``max(cfg.rel_tol, 1e-6) * (1 + trace)``; hitting ``cfg.max_iter`` first
+    ``max(cfg.rel_tol, 1e-6) * trace``; hitting ``cfg.max_iter`` first
     raises ``MaxIterExceeded`` carrying the best iterate.
     """
     cfg = cfg or MeanConfig()
@@ -258,7 +258,7 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
         finish = lambda p: cov_from_product(q @ p.mat @ q.T)
     else:
         q = None
-        finish = lambda p: cov_from_product(p.mat)
+        finish = lambda p: p
 
     def evaluate(point, k):
         kernel = point.spectrum.vectors[:, numerical_rank(point, rank_tol):]
@@ -268,7 +268,7 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
         return _Evaluation(point, members, rank_tol)
 
     def certified(e, scale):
-        return e.residual <= scale * (1.0 + e.point.trace)
+        return e.residual <= scale * e.point.trace
 
     evals = [evaluate(cov_from_product(_resolve_init(cfg, members, d, q)), 0)]
     res_cert = max(cfg.rel_tol, RESIDUAL_CERT)

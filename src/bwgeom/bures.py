@@ -130,12 +130,12 @@ def kernel_leaks(kernel: np.ndarray, target: Covariance, rank_tol: float | None 
     """Whether ``target`` has mass on the span of the columns of ``kernel``.
 
     The compression of the target onto that span leaks when its operator norm
-    exceeds ``rank_rel * (1 + tr target)``; an empty kernel never leaks.
+    exceeds ``rank_rel * tr target``; an empty kernel never leaks.
     """
     if not kernel.size:
         return False
     leak = operator_norm(kernel.T @ target.mat @ kernel)
-    return leak > rank_rel(target.dim, rank_tol) * (1.0 + target.trace)
+    return leak > rank_rel(target.dim, rank_tol) * target.trace
 
 
 def kernel_condition(s1, s2, rank_tol: float | None = None) -> bool:
@@ -144,7 +144,7 @@ def kernel_condition(s1, s2, rank_tol: float | None = None) -> bool:
     This is exactly the condition for an optimal transport map from S1 to S2
     to exist.  The numerical kernel of S1 collects eigenvalues at or below
     ``rank_tol * lambda_max(S1)``; the condition holds when the compression of
-    S2 onto that kernel has operator norm at most ``rank_tol * (1 + tr S2)``.
+    S2 onto that kernel has operator norm at most ``rank_tol * tr S2``.
     """
     a, b = _check_pair(s1, s2)
     kernel = a.spectrum.vectors[:, numerical_rank(a, rank_tol):]

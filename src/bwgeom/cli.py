@@ -7,9 +7,9 @@ same command line with the same files and seed produces byte-identical
 output.
 
 Exit codes: 0 success; 2 unusable input (parse errors, out-of-range values,
-empty families, degenerate requests); 3 dimension mismatch; 4 not positive
-semidefinite; 5 kernel condition violated (no transport map); 6 iteration cap
-reached (the best iterate is still written).
+empty families, degenerate requests, a geodesic step off the PSD cone); 3
+dimension mismatch; 4 not positive semidefinite; 5 kernel condition violated
+(no transport map); 6 iteration cap reached (the best iterate is still written).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     NotPSDError,
     OutOfRangeError,
 )
-from .geometry import geodesic
+from .geometry import exp_map, log_map
 from .io import (
     Manifest,
     Report,
@@ -213,7 +213,8 @@ def cmd_geodesic(args):
         raise OutOfRangeError(f"steps={args.steps} must be at least 2")
     a, b = _load_pair(args.a, args.b)
     grid = np.linspace(0.0, 1.0, args.steps)
-    points = [geodesic(a, b, float(t), args.rank_tol) for t in grid]
+    direction = log_map(a, b, args.rank_tol).direction.mat
+    points = [exp_map(a, float(t) * direction, args.rank_tol) for t in grid]
     dist = procrustes_distance(a, b)
     speed_table = []
     max_dev = 0.0
@@ -223,10 +224,8 @@ def cmd_geodesic(args):
             dev = abs(seg - (grid[j] - grid[i]) * dist)
             speed_table.append([float(grid[i]), float(grid[j]), dev])
             max_dev = max(max_dev, dev)
-    endpoint_gap = max(
-        float(np.max(np.abs(points[0].mat - a.mat))),
-        float(np.max(np.abs(points[-1].mat - b.mat))),
-    )
+    ends = (np.abs(points[0].mat - a.mat), np.abs(points[-1].mat - b.mat))
+    endpoint_gap = float(max(np.max(e) for e in ends))
     results = {
         "distance": dist,
         "grid": [float(t) for t in grid],
@@ -524,6 +523,7 @@ _EXIT_CODES = {
     EmptyFamilyError: 2,
     DegenerateError: 2,
     NonFiniteError: 2,
+    LeavesConeError: 2,
     DimMismatchError: 3,
     NotPSDError: 4,
     KernelConditionError: 5,

@@ -104,11 +104,10 @@ def deformation_family(s, n: int, eps: float, rng: RngSpec) -> DeformationFamily
     )
 
 
-def _projector_basis(c: Covariance, r: int, basis: str, reference) -> np.ndarray | None:
-    """Columns spanning the rank-r projection subspace; None means the leading
-    standard coordinates."""
+def _projector_basis(c: Covariance, r: int, basis: str, reference) -> np.ndarray:
+    """Orthonormal columns spanning the rank-r projection subspace."""
     if basis == "standard":
-        return None
+        return np.eye(c.dim)[:, :r]
     if basis == "eigen":
         ref = validate_psd(reference if reference is not None else c)
         if ref.dim != c.dim:
@@ -128,10 +127,6 @@ def project(s, r: int, basis: str = "standard", reference=None) -> Covariance:
     if not 1 <= r <= c.dim:
         raise OutOfRangeError(f"rank r={r} outside 1..{c.dim}")
     q = _projector_basis(c, r, basis, reference)
-    if q is None:
-        out = np.zeros_like(c.mat)
-        out[:r, :r] = c.mat[:r, :r]
-        return validate_psd(out)
     return cov_from_product(q @ (q.T @ c.mat @ q) @ q.T)
 
 
@@ -141,11 +136,7 @@ def projection_error(s, r: int, basis: str = "standard", reference=None) -> floa
     if not 1 <= r <= c.dim:
         raise OutOfRangeError(f"rank r={r} outside 1..{c.dim}")
     q = _projector_basis(c, r, basis, reference)
-    if q is None:
-        kept = float(np.trace(c.mat[:r, :r]))
-    else:
-        kept = float(np.trace(q.T @ c.mat @ q))
-    return max(0.0, c.trace - kept)
+    return max(0.0, c.trace - float(np.trace(q.T @ c.mat @ q)))
 
 
 def projection_stability_experiment(
@@ -191,19 +182,10 @@ def projection_stability_experiment(
     errors: list[str | None] = []
     for r in ranks:
         try:
-            if q_full is None:
-                sub = [cov_from_product(m.mat[:r, :r]) for m in members]
-                embed = np.zeros((d, d))
-            else:
-                q = q_full[:, :r]
-                sub = [cov_from_product(q.T @ m.mat @ q) for m in members]
+            q = q_full[:, :r]
+            sub = [cov_from_product(q.T @ m.mat @ q) for m in members]
             res = mean_fixed_point(sub, cfg)
-            if q_full is None:
-                embed[:r, :r] = res.mean.mat
-                emb = embed
-            else:
-                emb = q @ res.mean.mat @ q.T
-            mean_gap.append(trace_norm(emb - full.mean.mat))
+            mean_gap.append(trace_norm(q @ res.mean.mat @ q.T - full.mean.mat))
             disc = 0.0
             for (i, j), dist in pair_full.items():
                 disc = max(disc, abs(procrustes_distance(sub[i], sub[j]) - dist))

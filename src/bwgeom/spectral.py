@@ -10,7 +10,7 @@ is spanned by the eigenvectors whose eigenvalues are at or below
 spectrum a ``Covariance`` caches: the leading columns of
 ``spectrum.vectors`` span the numerical range and the rest the kernel.  The
 kernel condition (``bures.kernel_leaks``) holds when a target's compression
-onto that kernel has operator norm at most ``rank_tol * (1 + tr target)``.
+onto that kernel has operator norm at most ``rank_tol * tr target``.
 """
 
 from __future__ import annotations
@@ -205,23 +205,6 @@ def pinv_sqrt(s, rank_tol: float | None = None) -> SymMatrix:
     r = numerical_rank(c, rank_tol)
     inv[:r] = 1.0 / np.sqrt(values[:r])
     return SymMatrix(from_spectrum(vectors, inv))
-
-
-def trace_sqrt(s) -> float:
-    """Trace of the PSD square root, computed as the sum of eigenvalue roots."""
-    c = validate_psd(s)
-    return float(np.sum(np.sqrt(c.spectrum.values)))
-
-
-def norms(a) -> tuple[float, float, float]:
-    """(operator, Hilbert-Schmidt, trace) norms of a symmetric matrix.
-
-    All three are evaluated from the eigenvalues: max|l|, sqrt(sum l^2),
-    sum|l|.
-    """
-    values = sym_eigen(a).values
-    ab = np.abs(values)
-    return float(ab.max()), float(np.sqrt(np.sum(values * values))), float(ab.sum())
 
 
 def cov_from_product(a) -> Covariance:

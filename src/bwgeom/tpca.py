@@ -3,7 +3,9 @@
 Family members are lifted through the logarithm map, centred, and
 eigendecomposed through their N x N Gram matrix under the tangent metric.
 Components are pushed back to matrix space, orthonormalized in that metric,
-and can be retracted to covariances along principal geodesics.
+and can be retracted to covariances along principal geodesics.  The Gram
+matrix and the scores are each one stacked evaluation of the tangent inner
+product, and every retraction goes through ``exp_map``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import (
     LeavesConeError,
     OutOfRangeError,
 )
-from .geometry import TangentVector, exp_map, log_map, tangent_inner
+from .geometry import TangentVector, _tangent_gram, exp_map, log_map, tangent_inner, tangent_norm
 from .spectral import Covariance, SymMatrix, cov_from_product, numerical_rank, validate_psd
 
 
@@ -78,71 +80,54 @@ def tangent_pca(lifted, mean, k: int) -> PcaResult:
     if not 1 <= k <= k_cap:
         raise OutOfRangeError(f"component count k={k} outside 1..{k_cap}")
 
-    abar = sum(dirs) / n
-    centred = [a - abar for a in dirs]
-    weighted = [c.mat @ ci for ci in centred]
-    gram = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g = float(np.trace(centred[i] @ weighted[j]))
-            gram[i, j] = g
-            gram[j, i] = g
-    gcov = cov_from_product(gram)
+    stack = np.array(dirs)
+    abar = stack.mean(axis=0)
+    centred = stack - abar
+    gcov = cov_from_product(_tangent_gram(c, centred, centred))
     gvals, gvecs = gcov.spectrum.values, gcov.spectrum.vectors
 
+    k_eff = min(k, numerical_rank(gcov))
     variances = gvals[:k] / n
-    rank = numerical_rank(gcov)
-    variances[min(k, rank):] = 0.0
-    k_eff = min(k, rank)
+    variances[k_eff:] = 0.0
 
-    components: list[SymMatrix] = []
+    raw = np.einsum("ia,ijk->ajk", gvecs[:, :k_eff], centred) / np.sqrt(gvals[:k_eff])[:, None, None]
     comp_mats: list[np.ndarray] = []
-    for a in range(k_eff):
-        m = sum(gvecs[i, a] * centred[i] for i in range(n)) / math.sqrt(gvals[a])
+    for m in raw:
         # Gram-Schmidt under the tangent metric absorbs rounding in the weights.
         for prev in comp_mats:
             m = m - tangent_inner(c, m, prev) * prev
-        nrm = math.sqrt(max(0.0, tangent_inner(c, m, m)))
+        nrm = tangent_norm(c, m)
         if nrm <= 0.0:
             break
-        m = m / nrm
-        comp_mats.append(m)
-        components.append(SymMatrix(m))
-    k_eff = len(comp_mats)
+        comp_mats.append(m / nrm)
 
-    scores = np.empty((n, k_eff))
-    for i in range(n):
-        for a in range(k_eff):
-            scores[i, a] = float(np.trace(centred[i] @ c.mat @ comp_mats[a]))
-    lifted_mean_norm = math.sqrt(max(0.0, tangent_inner(c, abar, abar)))
+    scores = _tangent_gram(c, centred, np.array(comp_mats).reshape(-1, d, d))
     variances.flags.writeable = False
     scores.flags.writeable = False
     return PcaResult(
         base=c,
         mean_direction=SymMatrix(abar),
-        components=components,
+        components=[SymMatrix(m) for m in comp_mats],
         variances=variances,
         scores=scores,
-        lifted_mean_norm=float(lifted_mean_norm),
+        lifted_mean_norm=tangent_norm(c, abar),
     )
 
 
 def principal_geodesic(base, component, s: float) -> Covariance:
     """Point at parameter ``s`` along a principal component direction.
 
-    The admissible range of ``s`` keeps I + s * component PSD; outside it the
-    retraction leaves the cone and ``LeavesConeError`` reports the interval.
+    The admissible range of ``s`` keeps I + s * component PSD.  When
+    ``exp_map``'s cone test rejects the step, ``LeavesConeError`` reports
+    that interval.
     """
-    c = validate_psd(base)
-    comp = SymMatrix(component)
-    if comp.dim != c.dim:
-        raise DimMismatchError(f"component dimension {comp.dim} does not match base {c.dim}")
-    w = np.linalg.eigvalsh(comp.mat)
-    lo = -math.inf if w[-1] <= 0.0 else -1.0 / w[-1]
-    hi = math.inf if w[0] >= 0.0 else -1.0 / w[0]
+    comp = SymMatrix(component).mat
     try:
-        return exp_map(c, float(s) * comp.mat)
+        return exp_map(base, float(s) * comp)
     except LeavesConeError as e:
+        w = np.linalg.eigvalsh(comp)
+        lo = -math.inf if w[-1] <= 0.0 else -1.0 / w[-1]
+        hi = math.inf if w[0] >= 0.0 else -1.0 / w[0]
         raise LeavesConeError(lambda_min=e.lambda_min, interval=(lo, hi)) from e
 
 

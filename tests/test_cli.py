@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +154,47 @@ def test_geodesic_speed_table_is_flat(tmp_path, capsys):
     assert doc["diagnostics"]["endpoint_gap"] <= 1e-12
 
 
+def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monkeypatch):
+    from bwgeom.bures import optimal_map
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return optimal_map(*args, **kwargs)
+
+    # Rebind the name in every module that imported it, so no call escapes the count.
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("bwgeom") and hasattr(module, "optimal_map"):
+            monkeypatch.setattr(module, "optimal_map", counted)
+    rng = np.random.default_rng(3)
+    for name in ("a.txt", "b.txt"):
+        x = rng.standard_normal((4, 4))
+        write_matrix(tmp_path / name, x @ x.T + np.eye(4))
+    code, out, _ = run_cli(
+        capsys, "geodesic", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), "--steps", "11"
+    )
+    assert code == 0
+    assert len(json.loads(out)["results"]["points"]) == 11
+    assert len(calls) == 1
+
+
+def test_geodesic_step_off_the_cone_exits_2(tmp_path, capsys, monkeypatch):
+    import bwgeom.cli
+    from bwgeom import LeavesConeError
+
+    def rejecting(*args, **kwargs):
+        raise LeavesConeError(lambda_min=-0.5)
+
+    monkeypatch.setattr(bwgeom.cli, "exp_map", rejecting)
+    for name in ("a.txt", "b.txt"):
+        write_matrix(tmp_path / name, np.eye(2))
+    code, out, err = run_cli(capsys, "geodesic", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"))
+    assert code == 2
+    assert out == ""
+    assert "leaves the PSD cone" in err
+
+
 def test_identical_command_lines_are_byte_identical(tmp_path, capsys):
     manifest = write_family(tmp_path, [np.diag([4.0, 1.0]), np.diag([1.0, 4.0])])
     out_dir = str(tmp_path / "out")
@@ -284,6 +326,16 @@ def test_pca_command_two_point_family(tmp_path, capsys):
     errors = doc["results"]["reconstruction_errors"]
     for row in errors:
         assert row[-1] <= 1e-6
+
+
+def test_pca_command_one_member_family(tmp_path, capsys):
+    manifest = write_family(tmp_path, [np.diag([4.0, 1.0])])
+    code, out, _ = run_cli(capsys, "pca", manifest, "--output", str(tmp_path / "pca"))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["effective_components"] == 0
+    assert results["scores"] == []
+    assert results["reconstruction_errors"][0][-1] <= 1e-12
 
 
 def test_multicouple_command_consistency(tmp_path, capsys):

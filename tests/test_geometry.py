@@ -62,6 +62,24 @@ def test_exp_map_leaves_cone():
     assert err.value.lambda_min == pytest.approx(-0.5)
 
 
+def test_exp_map_rejects_a_fold_near_the_rank_cutoff():
+    # kappa = 1e15 is still inside the numerical range at d = 2; a fold of
+    # -0.1 max|lambda(I + A)| is far beyond any rounding of a direction there.
+    for small in (1e-14, 1e-15, 1e-16):
+        with pytest.raises(LeavesConeError):
+            exp_map(np.diag([1.0, small]), np.diag([-1.1, 0.0]))
+
+
+def test_exp_map_cone_tolerance_follows_the_callers_rank_tol():
+    # At the default rank_tol, 1e-18 is kernel and kappa = 1; at 1e-22 it is
+    # range, as in a logarithm computed with that rank_tol, and kappa = 1e18
+    # scales the tolerance up to its cap of 1e-3 max|lambda(I + A)|.
+    base, fold = np.diag([1.0, 1e-18]), np.diag([0.0, -1.0 - 1e-6])
+    with pytest.raises(LeavesConeError):
+        exp_map(base, fold)
+    np.testing.assert_allclose(exp_map(base, fold, rank_tol=1e-22).mat, np.diag([1.0, 1e-30]))
+
+
 def test_log_map_examples(rng):
     s = make_spd(3, rng)
     assert tangent_norm(s, log_map(s, s).direction) <= 1e-7
@@ -130,13 +148,6 @@ def test_geodesic_matches_expanded_formula(rng):
         assert np.max(np.abs(geodesic(s0, s1, t).mat - expanded)) <= 1e-10
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=LeavesConeError,
-    reason="exp_map's cone check (lambda_min(I + A) below -d eps max|lambda|) rejects "
-    "the roundoff-negative eigenvalues of a rank-deficient transport map taken "
-    "from an ill-conditioned source",
-)
 def test_exp_map_reaches_geodesic_point_from_ill_conditioned_source():
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))

@@ -6,7 +6,11 @@ eigenbases drawn from seeded Gaussian matrices.  Tolerances: closed-form
 quantities (distance, map, geodesic) agree to 1e-12 relative to the scale of
 their inputs; means agree to 1e-6 relative to the trace, the solver's residual
 certificate.  The triangle inequality gets the slack 1e-7 sqrt(tr), above the
-sqrt(eps tr) floor of a distance computed through its square.
+sqrt(eps tr) floor of a distance computed through its square.  The cone test
+of ``exp_map`` is checked on ill-conditioned sources instead (condition number
+up to 1e12, rank-deficient targets): it must pass every geodesic point, at
+the default rank_tol and at a smaller one, and still reject a fold of
+-1e-2 max|lambda(I + A)|, above its cap of 1e-3 max|lambda(I + A)|.
 """
 
 import numpy as np
@@ -15,8 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwgeom import (
+    LeavesConeError,
     MeanConfig,
+    exp_map,
     geodesic,
+    log_map,
     mean_fixed_point,
     mean_procrustes_averaging,
     optimal_map,
@@ -33,9 +40,11 @@ MEAN_SCALES = (1e3, 1e6)
 # Derandomized so a run is reproducible; no example database is kept.
 BASE = settings(derandomize=True, deadline=None, database=None)
 
-# The descent solver's default stopping rule is not scale-equivariant: its
-# certificate carries an absolute 1 + trace floor (pinned by the xfails at the
-# end), so the scale property runs it to roundoff.  GPA passes at its default.
+# The descent solver's certificate is relative to the trace, so its default
+# stopping rule is scale-invariant; the two fixed families at the end check it
+# at the default tolerance.  Here it runs to roundoff, so that a random family
+# whose stopping test sits at the threshold cannot flip by rounding alone.
+# GPA runs at its default.
 SCALE_SOLVERS = (
     lambda members: mean_fixed_point(members, MeanConfig(rel_tol=1e-12)),
     mean_procrustes_averaging,
@@ -68,6 +77,17 @@ def _points(draw, k):
     """k covariances of one dimension d in 2..6."""
     d = draw(st.integers(2, 6))
     return [draw(_spd(d)) for _ in range(k)]
+
+
+@st.composite
+def _ill_conditioned_pair(draw):
+    """(source, target): d in 2..6, a source of condition number up to 1e12 and a
+    target of rank 1..d-1."""
+    d = draw(st.integers(2, 6))
+    q = _orthogonal(draw(st.integers(0, 2**32 - 1)), d)
+    source = (q * np.logspace(0.0, -draw(st.floats(0.0, 12.0)), d)) @ q.T
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((d, draw(st.integers(1, d - 1))))
+    return source, x @ x.T
 
 
 def _conj(q, m):
@@ -190,11 +210,26 @@ def test_geodesic_distance_is_proportional(pair, s, t):
     assert abs(d2 - want) <= CLOSED_FORM_TOL * (np.trace(a) + np.trace(b))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the stopping rule's absolute 1 + trace floor certifies the starting "
-    "point of a family at scale 1e-12 (scale-aware floor not yet in place)",
-)
+@given(_ill_conditioned_pair(), st.sampled_from([None, 1e-22]))
+@settings(BASE, max_examples=100)
+def test_exp_map_accepts_every_geodesic_point(pair, rank_tol):
+    a, b = pair
+    direction = log_map(a, b, rank_tol).direction.mat
+    for t in np.linspace(0.0, 1.0, 11):
+        assert exp_map(a, t * direction, rank_tol).spectrum.values[-1] >= 0.0
+
+
+@given(_ill_conditioned_pair(), st.integers(0, 2**32 - 1))
+@settings(BASE, max_examples=100)
+def test_exp_map_rejects_a_fold_at_an_ill_conditioned_base(pair, seed):
+    # I + A has eigenvalues from -1e-2 to 1, so lambda_min = -1e-2 max|lambda|.
+    a, _ = pair
+    d = len(a)
+    q = _orthogonal(seed, d)
+    with pytest.raises(LeavesConeError):
+        exp_map(a, (q * np.linspace(-1e-2, 1.0, d)) @ q.T - np.eye(d))
+
+
 def test_mean_scale_equivariance_at_tiny_scale():
     rng = np.random.default_rng(7)
     members = []
@@ -206,11 +241,6 @@ def test_mean_scale_equivariance_at_tiny_scale():
     assert _trace_norm(tiny - 1e-12 * mean) <= SOLVER_TOL * 1e-12 * np.trace(mean)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the stopping rule's absolute 1 + trace floor stops the unscaled family "
-    "one step before the family scaled by 1e3 (scale-aware floor not yet in place)",
-)
 def test_mean_scale_equivariance_at_default_tolerance():
     a = np.array([
         [0.64171147, -0.81592868, -0.13959035, -0.19587746],

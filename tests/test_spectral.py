@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bwgeom import NonFiniteError, NotPSDError, SymMatrix, sqrt_psd, sym_eigen, trace_sqrt, validate_psd
-from bwgeom.spectral import norms, pinv_sqrt
+from bwgeom import NonFiniteError, NotPSDError, SymMatrix, sqrt_psd, sym_eigen, validate_psd
+from bwgeom.spectral import pinv_sqrt
 
 from conftest import make_spd
 
@@ -136,38 +136,6 @@ def test_pinv_sqrt_range_projector(rng):
     low = np.diag([2.0, 1.0, 0.0])
     p = np.asarray(pinv_sqrt(low)) @ low @ np.asarray(pinv_sqrt(low))
     assert np.allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
-
-
-def test_trace_sqrt_examples():
-    assert trace_sqrt(np.diag([4.0, 4.0])) == pytest.approx(4.0)
-    # M = sqrt(S2) S1 sqrt(S2) for S1 = diag(4,1), S2 = [[2,1],[1,2]]:
-    # tr M = 10, det M = 12, and for 2x2 PSD tr sqrt(M) = sqrt(tr M + 2 sqrt(det M)).
-    r2 = sqrt_psd(np.array([[2.0, 1.0], [1.0, 2.0]])).mat
-    m = r2 @ np.diag([4.0, 1.0]) @ r2
-    assert np.trace(m) == pytest.approx(10.0)
-    assert np.linalg.det(m) == pytest.approx(12.0)
-    assert trace_sqrt(m) == pytest.approx(math.sqrt(10.0 + 2.0 * math.sqrt(12.0)))
-    assert trace_sqrt(np.zeros((2, 2))) == 0.0
-
-
-def test_trace_sqrt_is_trace_norm_of_root(rng):
-    for _ in range(20):
-        s = make_spd(4, rng)
-        assert trace_sqrt(s) == pytest.approx(norms(sqrt_psd(s))[2], abs=1e-10)
-
-
-def test_norms_examples():
-    assert norms(np.diag([3.0, -4.0])) == pytest.approx((4.0, 5.0, 7.0))
-    assert norms(np.eye(4)) == pytest.approx((1.0, 2.0, 4.0))
-    assert norms(np.zeros((2, 2))) == pytest.approx((0.0, 0.0, 0.0))
-
-
-def test_norm_ordering(rng):
-    for _ in range(50):
-        d = int(rng.integers(1, 9))
-        a = rng.standard_normal((d, d))
-        op, hs, tr = norms(0.5 * (a + a.T))
-        assert op <= hs + 1e-12 and hs <= tr + 1e-12
 
 
 def test_sym_matrix_immutable(rng):

@@ -62,6 +62,15 @@ def test_two_point_family_single_exact_variance():
     assert res.lifted_mean_norm <= 1e-9
 
 
+def test_one_member_family_has_no_components():
+    s = np.diag([3.0, 1.0])
+    res = tangent_pca(lift([s], s), s, k=1)
+    assert res.components == []
+    assert res.scores.shape == (1, 0)
+    np.testing.assert_array_equal(res.variances, [0.0])
+    assert reconstruct(s, res, 0, 1).mat == pytest.approx(s)
+
+
 def test_identical_family_has_no_variance(rng):
     s = make_spd(4, rng)
     fam = [s, s, s]
@@ -109,6 +118,26 @@ def test_variances_account_for_total_and_scores(rng):
         col = pca.scores[:, a]
         assert float(col @ col) / n == pytest.approx(float(pca.variances[a]), rel=1e-8, abs=1e-12)
         assert col.sum() == pytest.approx(0.0, abs=1e-8)
+
+
+def test_stacked_inner_products_match_pairwise_trace_loop(rng):
+    # Reference: the per-pair trace loops the stacked products replaced.  The
+    # summation order differs, so entries agree to 1e-12 of the largest one
+    # (d^2 n eps is about 1e-13 here), not bit for bit.
+    for d, n in ((3, 4), (5, 12), (8, 6)):
+        fam = [make_spd(d, rng) for _ in range(n)]
+        res = mean_fixed_point(fam)
+        s = res.mean.mat
+        dirs = [tv.direction.mat for tv in lift(fam, res.mean)]
+        pca = tangent_pca(dirs, res.mean, k=n)
+        abar = sum(dirs) / n
+        centred = [a - abar for a in dirs]
+        gram = np.array([[np.trace(x @ s @ y) for y in centred] for x in centred])
+        want = np.linalg.eigvalsh(gram)[::-1][: len(pca.components)] / n
+        np.testing.assert_allclose(pca.variances[: len(want)], want, rtol=0.0, atol=1e-12 * want[0])
+        comps = [m.mat for m in pca.components]
+        scores = np.array([[np.trace(x @ s @ m) for m in comps] for x in centred])
+        np.testing.assert_allclose(pca.scores, scores, rtol=0.0, atol=1e-12 * np.max(np.abs(scores)))
 
 
 def test_full_rank_reconstruction_recovers_members(rng):
