@@ -123,6 +123,13 @@ class JointCovariance:
         f = self.maps.reshape(self.n * self.dim, self.dim)
         return symmetrize(f @ self.mean.mat @ f.T)
 
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of ``full()``, whose nonzero spectrum is that of
+        the d x d ``mean^{1/2} F^T F mean^{1/2}``; the other (n - 1) d are 0."""
+        f, r = self.maps.reshape(self.n * self.dim, self.dim), sqrt_psd(self.mean).mat
+        w = float(np.linalg.eigvalsh(symmetrize(r @ (f.T @ f) @ r))[0])
+        return w if self.n == 1 else min(w, 0.0)
+
     @property
     def blocks(self) -> np.ndarray:
         """Read-only (n, n, d, d) view of ``full()``."""

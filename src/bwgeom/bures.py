@@ -70,24 +70,30 @@ def _check_pair(s1, s2) -> tuple[Covariance, Covariance]:
     return a, b
 
 
-def _cross_trace(a: Covariance, b: Covariance) -> float:
-    """tr of the root of S2^{1/2} S1 S2^{1/2}, which is symmetric in S1, S2.
+def _range_factor(c: Covariance, r: int) -> np.ndarray:
+    """Exact-rank factor L of ``c = L L^T``, r its numerical rank: the leading
+    r cached eigenvectors scaled by the roots of their eigenvalues."""
+    return c.spectrum.vectors[:, :r] * np.sqrt(c.spectrum.values[:r])
 
-    The nonzero spectrum equals that of L^T S L for an exact-rank factor
-    L L^T of the other argument, so evaluating through the lower-rank side
-    avoids square roots of spurious near-zero eigenvalues.
-    """
-    ra, rb = numerical_rank(a), numerical_rank(b)
-    lo, hi, r = (a, b, ra) if ra <= rb else (b, a, rb)
-    l = lo.spectrum.vectors[:, :r] * np.sqrt(lo.spectrum.values[:r])
-    w = np.linalg.eigvalsh(symmetrize(l.T @ hi.mat @ l))
-    return float(np.sum(np.sqrt(np.maximum(w, 0.0))))
+
+def _cross_trace(l: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Cross trace ``tr (S^{1/2} H S^{1/2})^{1/2}`` for one H or each of a
+    stack (..., d, d), from the spectrum of ``L^T H L`` with ``S = L L^T``."""
+    g = l.T @ hs @ l
+    w = np.linalg.eigvalsh(0.5 * (g + g.swapaxes(-1, -2)))
+    return np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
 
 
 def procrustes_distance_squared(s1, s2) -> float:
-    """Squared Procrustes distance; the radicand is clamped at zero."""
+    """Squared Procrustes distance; the radicand is clamped at zero.
+
+    The cross trace goes through the factor of the lower-rank side, which
+    avoids square roots of spurious near-zero eigenvalues.
+    """
     a, b = _check_pair(s1, s2)
-    return max(0.0, a.trace + b.trace - 2.0 * _cross_trace(a, b))
+    ra, rb = numerical_rank(a), numerical_rank(b)
+    lo, hi, r = (a, b, ra) if ra <= rb else (b, a, rb)
+    return max(0.0, a.trace + b.trace - 2.0 * float(_cross_trace(_range_factor(lo, r), hi.mat)))
 
 
 def procrustes_distance(s1, s2) -> float:
@@ -165,7 +171,7 @@ def product_root(root: np.ndarray, target: Covariance, rank_tol: float | None = 
     if r == target.dim:
         spec = sym_eigen(root @ target.mat @ root)
         return from_spectrum(spec.vectors, np.sqrt(np.maximum(spec.values, 0.0)))
-    b = root @ (target.spectrum.vectors[:, :r] * np.sqrt(target.spectrum.values[:r]))
+    b = root @ _range_factor(target, r)
     return symmetrize(b @ pinv_sqrt(cov_from_product(b.T @ b), rank_tol).mat @ b.T)
 
 

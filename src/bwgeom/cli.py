@@ -15,7 +15,6 @@ dimension mismatch; 4 not positive semidefinite; 5 kernel condition violated
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
@@ -66,7 +65,7 @@ from .simulate import (
     projection_stability_experiment,
 )
 from .spectral import Covariance, cov_from_product, from_spectrum, validate_psd
-from .tpca import lift, reconstruct, tangent_pca
+from .tpca import lift, reconstruction_errors, tangent_pca
 
 
 def _load_cov(path) -> Covariance:
@@ -254,21 +253,10 @@ def cmd_pca(args):
         "scores": pca.scores if pca.scores.size else [],
         "lifted_mean_norm": pca.lifted_mean_norm,
         "effective_components": len(pca.components),
-        "reconstruction_errors": [
-            [_reconstruction_error(res.mean, pca, i, kk, member) for kk in range(len(pca.components) + 1)]
-            for i, member in enumerate(covs)
-        ],
+        "reconstruction_errors": reconstruction_errors(res.mean, pca, covs, args.rank_tol),
     }
     diagnostics = _solver_diagnostics(res, requested_components=k, rank_tol=args.rank_tol)
     return _report("pca", _family_inputs(args, manifest), results, diagnostics), code
-
-
-def _reconstruction_error(mean, pca, index: int, k: int, member) -> float:
-    """Distance of a reconstruction from its member; NaN (null) if it leaves the cone."""
-    try:
-        return procrustes_distance(reconstruct(mean, pca, index, k), member)
-    except LeavesConeError:
-        return math.nan
 
 
 def cmd_multicouple(args):
@@ -291,7 +279,7 @@ def cmd_multicouple(args):
     }
     diagnostics = _solver_diagnostics(
         res,
-        min_eigenvalue=float(np.linalg.eigvalsh(full)[0]),
+        min_eigenvalue=joint.min_eigenvalue(),
         diagonal_block_gap=block_gap,
         map_conditioning=[optimal_map(res.mean, c, args.rank_tol).condition() for c in covs],
         rank_tol=args.rank_tol,

@@ -5,8 +5,9 @@ inner product tr(A S B).  The exponential map sends A to (I + A) S (I + A);
 its inverse at injective base points is the optimal transport map minus the
 identity.  Geodesics are McCann interpolations: the point at time t is the
 exponential of t times the logarithm, which stays in the cone because
-(1 - t) I + t T is PSD for t in [0, 1].  ``exp_map`` is the one place that
-forms this retraction and tests the cone, and ``_tangent_gram`` the one place
+(1 - t) I + t T is PSD for t in [0, 1].  ``_cone_test`` is the one test of
+whether a retraction stays in the cone: ``exp_map`` applies it to one point,
+``tpca.reconstruction_errors`` to a stack.  ``_tangent_gram`` is the one place
 that evaluates the inner product, for whole stacks of directions at once.
 """
 
@@ -20,10 +21,10 @@ import numpy as np
 from .bures import optimal_map
 from .errors import DimMismatchError, LeavesConeError, OutOfRangeError
 from .spectral import (
+    EPS,
     Covariance,
     SymMatrix,
     cov_from_product,
-    default_psd_tol,
     numerical_rank,
     validate_psd,
 )
@@ -68,23 +69,28 @@ def tangent_norm(base, a) -> float:
     return math.sqrt(max(0.0, tangent_inner(base, a, a)))
 
 
-def exp_map(base, a, rank_tol: float | None = None) -> Covariance:
-    """Exponential map (I + A) S (I + A) at the base covariance S.
+def _cone_test(base: Covariance, b: np.ndarray, rank_tol: float | None = None):
+    """Whether ``lambda_min`` of ``I + A``, or of each of a stack (..., d, d), at
+    the base S lies below ``-min(d eps kappa, 1e-3) max|lambda(I + A)|``.
 
-    Raises ``LeavesConeError`` when I + A has an eigenvalue below
-    ``-min(d eps kappa, 1e-3) max|lambda(I + A)|``, kappa the condition number
-    of S on its numerical range at ``rank_tol``.  A direction at S, a logarithm
-    for one, is known only to a relative accuracy of about eps kappa (folds of
-    logarithms stay below 3e-6 max|lambda| up to kappa = 1e12), and the cap
-    keeps every fold deeper than 1e-3 max|lambda| a rejection.
+    kappa is the condition number of S on its range at ``rank_tol``: a
+    logarithm at S is known to a relative accuracy of about eps kappa (its folds
+    stay below 3e-6 max|lambda| up to kappa = 1e12), and the cap keeps every
+    deeper fold a rejection.
     """
+    w = np.linalg.eigvalsh(b)
+    pos = base.spectrum.values[: numerical_rank(base, rank_tol)]
+    kappa = float(pos[0] / pos[-1]) if pos.size else 1.0
+    return w[..., 0] < -min(base.dim * EPS * kappa, 1e-3) * np.max(np.abs(w), axis=-1)
+
+
+def exp_map(base, a, rank_tol: float | None = None) -> Covariance:
+    """Exponential map (I + A) S (I + A) at the base covariance S; raises
+    ``LeavesConeError`` when ``_cone_test`` rejects I + A."""
     s = validate_psd(base)
     b = np.eye(s.dim) + _direction(s, a)
-    w = np.linalg.eigvalsh(b)
-    pos = s.spectrum.values[: numerical_rank(s, rank_tol)]
-    kappa = float(pos[0] / pos[-1]) if pos.size else 1.0
-    if w[0] < -min(default_psd_tol(w) * kappa, 1e-3 * float(np.max(np.abs(w)))):
-        raise LeavesConeError(lambda_min=float(w[0]))
+    if _cone_test(s, b, rank_tol):
+        raise LeavesConeError(lambda_min=float(np.linalg.eigvalsh(b)[0]))
     return cov_from_product(b @ s.mat @ b)
 
 

@@ -56,16 +56,22 @@ def read_matrix(path) -> np.ndarray:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        entries = []
-        for colno, part in enumerate(line.split(","), 1):
-            text = part.strip()
-            try:
-                x = float(text)
-            except ValueError:
-                raise MatrixParseError(path, f"not a number: {text!r}", row=lineno, col=colno) from None
-            if not math.isfinite(x):
-                raise MatrixParseError(path, f"non-finite entry {text!r}", row=lineno, col=colno)
-            entries.append(x)
+        try:
+            entries = list(map(float, line.split(",")))
+        except ValueError:
+            entries = [math.nan]
+        if not math.isfinite(sum(entries)):
+            # Again entry by entry, to name the bad column; a finite row whose sum overflows passes.
+            entries = []
+            for colno, part in enumerate(line.split(","), 1):
+                text = part.strip()
+                try:
+                    x = float(text)
+                except ValueError:
+                    raise MatrixParseError(path, f"not a number: {text!r}", row=lineno, col=colno) from None
+                if not math.isfinite(x):
+                    raise MatrixParseError(path, f"non-finite entry {text!r}", row=lineno, col=colno)
+                entries.append(x)
         rows.append((lineno, entries))
     if not rows:
         raise MatrixParseError(path, "no matrix rows found")

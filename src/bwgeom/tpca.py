@@ -4,8 +4,8 @@ Family members are lifted through the logarithm map, centred, and
 eigendecomposed through their N x N Gram matrix under the tangent metric.
 Components are pushed back to matrix space, orthonormalized in that metric,
 and can be retracted to covariances along principal geodesics.  The Gram
-matrix and the scores are each one stacked evaluation of the tangent inner
-product, and every retraction goes through ``exp_map``.
+matrix, the scores and each member's row of reconstruction errors are one
+stacked evaluation each; the rows apply ``exp_map``'s cone test.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycenter import coerce_point_and_family
+from .bures import _cross_trace, _range_factor
 from .errors import (
     DimMismatchError,
     EmptyFamilyError,
@@ -23,7 +24,7 @@ from .errors import (
     LeavesConeError,
     OutOfRangeError,
 )
-from .geometry import TangentVector, _tangent_gram, exp_map, log_map, tangent_inner, tangent_norm
+from .geometry import TangentVector, _cone_test, _tangent_gram, exp_map, log_map, tangent_inner, tangent_norm
 from .spectral import Covariance, SymMatrix, cov_from_product, numerical_rank, validate_psd
 
 
@@ -131,7 +132,7 @@ def principal_geodesic(base, component, s: float) -> Covariance:
         raise LeavesConeError(lambda_min=e.lambda_min, interval=(lo, hi)) from e
 
 
-def reconstruct(mean, pca: PcaResult, index: int, k: int) -> Covariance:
+def reconstruct(mean, pca: PcaResult, index: int, k: int, rank_tol: float | None = None) -> Covariance:
     """Retraction of member ``index`` from its first ``k`` component scores."""
     c = validate_psd(mean)
     n = pca.scores.shape[0]
@@ -142,4 +143,25 @@ def reconstruct(mean, pca: PcaResult, index: int, k: int) -> Covariance:
     v = pca.mean_direction.mat.copy()
     for a in range(min(k, len(pca.components))):
         v += pca.scores[index, a] * pca.components[a].mat
-    return exp_map(c, v)
+    return exp_map(c, v, rank_tol)
+
+
+def reconstruction_errors(mean, pca: PcaResult, family, rank_tol: float | None = None) -> np.ndarray:
+    """Distances of member i from ``reconstruct(mean, pca, i, k, rank_tol)``,
+    k = 0..K with K the effective component count; NaN where that leaves the
+    cone.  A member's K + 1 retractions ``B M B`` are one stack ``B = I + v``:
+    one ``eigvalsh`` for the cone test, one for the cross traces.
+    """
+    c, members = coerce_point_and_family(mean, family, "mean")
+    if len(members) != len(pca.scores):
+        raise DimMismatchError(f"family of {len(members)} members for a PCA of {len(pca.scores)}")
+    comps = np.array([m.mat for m in pca.components]).reshape(-1, c.dim, c.dim)
+    out = np.empty((len(members), len(comps) + 1))
+    for i, member in enumerate(members):
+        steps = np.concatenate([pca.mean_direction.mat[None], pca.scores[i, :, None, None] * comps])
+        b = np.cumsum(steps, axis=0) + np.eye(c.dim)
+        bm = b @ c.mat
+        cross = _cross_trace(_range_factor(member, numerical_rank(member)), bm @ b)
+        d2 = np.sum(bm * b, axis=(1, 2)) + member.trace - 2.0 * cross
+        out[i] = np.where(_cone_test(c, b, rank_tol), np.nan, np.sqrt(np.maximum(d2, 0.0)))
+    return out

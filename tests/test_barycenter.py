@@ -340,3 +340,17 @@ def test_joint_covariance_matches_blockwise_reference(rng, n, d):
     else:
         # Relative to the member traces that cancel in each pairwise term.
         assert abs(cost - want) <= 1e-13 * sum(m.trace for m in fam) / n
+
+
+@pytest.mark.parametrize("n, d", [(1, 3), (1, 6), (2, 4), (5, 3), (8, 6)])
+def test_joint_min_eigenvalue_matches_the_full_spectrum(rng, n, d):
+    fam = [make_spd(d, rng) for _ in range(n)]
+    # A mean that is not the family's own, so a one-member joint is t M t with t != I.
+    joint = multicoupling(make_spd(d, rng), fam)
+    full = joint.full()
+    ref = float(np.linalg.eigvalsh(full)[0])
+    assert abs(joint.min_eigenvalue() - ref) <= 1e-13 * float(np.max(np.abs(full)))
+    if n == 1:
+        assert joint.min_eigenvalue() == pytest.approx(float(np.linalg.eigvalsh(fam[0].mat)[0]), rel=1e-12)
+    else:
+        assert joint.min_eigenvalue() == 0.0

@@ -179,6 +179,54 @@ def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monk
     assert len(calls) == 1
 
 
+def test_pca_command_evaluates_no_reconstruction_entry_by_entry(tmp_path, capsys, monkeypatch):
+    from bwgeom.bures import procrustes_distance
+    from bwgeom.geometry import exp_map
+
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    # Rebind both names in every module that imported them, so no call escapes the count.
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("bwgeom"):
+            for fn in (exp_map, procrustes_distance):
+                if hasattr(module, fn.__name__):
+                    monkeypatch.setattr(module, fn.__name__, counting(fn))
+    rng = np.random.default_rng(5)
+    mats = [x @ x.T + np.eye(3) for x in rng.standard_normal((6, 3, 3))]
+    manifest = write_family(tmp_path, mats)
+    code, out, _ = run_cli(capsys, "pca", manifest, "--output", str(tmp_path / "pca"))
+    assert code == 0
+    # Six centred lifts span five components: 6 x 6 entries, none evaluated alone.
+    assert np.array(json.loads(out)["results"]["reconstruction_errors"]).shape == (6, 6)
+    assert calls == []
+
+
+@pytest.mark.parametrize("flag, rank_tol", [([], None), (["--rank-tol", "1e-12"], 1e-12)])
+def test_pca_command_passes_its_rank_tol_to_the_reconstruction_table(
+    tmp_path, capsys, monkeypatch, flag, rank_tol
+):
+    import bwgeom.cli
+    from bwgeom.tpca import reconstruction_errors
+
+    seen = []
+
+    def recording(mean, pca, family, rank_tol):
+        seen.append(rank_tol)
+        return reconstruction_errors(mean, pca, family, rank_tol)
+
+    monkeypatch.setattr(bwgeom.cli, "reconstruction_errors", recording)
+    manifest = write_family(tmp_path, [np.diag([4.0, 1.0]), np.diag([1.0, 4.0])])
+    code, _, _ = run_cli(capsys, "pca", manifest, "--output", str(tmp_path / "pca"), *flag)
+    assert code == 0 and seen == [rank_tol]
+
+
 def test_geodesic_step_off_the_cone_exits_2(tmp_path, capsys, monkeypatch):
     import bwgeom.cli
     from bwgeom import LeavesConeError

@@ -15,9 +15,13 @@ from bwgeom import (
     principal_geodesic,
     procrustes_distance,
     reconstruct,
+    reconstruction_errors,
     tangent_inner,
     tangent_pca,
 )
+from bwgeom.simulate import RngSpec, deformation_family
+from bwgeom.spectral import EPS, SymMatrix, numerical_rank, validate_psd
+from bwgeom.tpca import PcaResult
 from conftest import make_spd
 
 
@@ -210,3 +214,61 @@ def test_reconstruct_rejects_bad_arguments(rng):
         reconstruct(mean, pca, 4, k=1)
     with pytest.raises(OutOfRangeError):
         reconstruct(mean, pca, 0, k=7)
+
+
+def _shared_kernel_family(rng):
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    return [(q[:, :3] * rng.uniform(0.2, 3.0, size=3)) @ q[:, :3].T for _ in range(6)]
+
+
+FAMILIES = {
+    "full_rank": lambda rng: [make_spd(4, rng) for _ in range(6)],
+    "shared_kernel": _shared_kernel_family,
+    # Member 6 rebuilt from 3 components leaves the cone, as in the CLI test.
+    "leaves_cone": lambda rng: deformation_family(np.eye(3), 6, 0.99, RngSpec(1, "x")).deformed,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_reconstruction_errors_match_entrywise_reconstruction(rng, name):
+    fam = [validate_psd(m) for m in FAMILIES[name](rng)]
+    mean = mean_fixed_point(fam).mean
+    pca = tangent_pca(lift(fam, mean), mean, k=len(fam))
+    table = reconstruction_errors(mean, pca, fam)
+    assert table.shape == (len(fam), len(pca.components) + 1)
+    for i, member in enumerate(fam):
+        for k in range(table.shape[1]):
+            try:
+                rec = reconstruct(mean, pca, i, k)
+            except LeavesConeError:
+                assert math.isnan(table[i, k])
+                continue
+            # The trace form's floor: the smallest root of the cross trace
+            # carries an error of about eps lambda_max kappa, kappa the member's
+            # condition number (1e-4 is an eigenvalue of the last cone member).
+            pos = member.spectrum.values[: numerical_rank(member)]
+            floor = math.sqrt(EPS * (rec.trace + member.trace) * pos[0] / pos[-1])
+            assert abs(table[i, k] - procrustes_distance(rec, member)) <= 2.0 * floor
+    assert np.isnan(table).any() == (name == "leaves_cone")
+
+
+def test_reconstruction_errors_cone_test_follows_the_callers_rank_tol():
+    # As for exp_map: 1e-18 is kernel at the default rank_tol, so the fold of
+    # I + v is rejected; at 1e-22 it is range, kappa = 1e18 and the tolerance
+    # reaches its cap.
+    mean, member = validate_psd(np.diag([1.0, 1e-18])), validate_psd(np.diag([1.0, 1e-30]))
+    pca = PcaResult(mean, SymMatrix(np.diag([0.0, -1.0 - 1e-6])), [], np.zeros(1), np.empty((1, 0)), 0.0)
+    assert np.isnan(reconstruction_errors(mean, pca, [member])).all()
+    with pytest.raises(LeavesConeError):
+        reconstruct(mean, pca, 0, 0)
+    table = reconstruction_errors(mean, pca, [member], rank_tol=1e-22)
+    assert table.shape == (1, 1) and 0.0 <= table[0, 0] <= 1e-12
+    assert procrustes_distance(reconstruct(mean, pca, 0, 0, rank_tol=1e-22), member) <= 1e-12
+
+
+def test_reconstruction_errors_rejects_a_family_of_another_size(rng):
+    fam = [make_spd(3, rng) for _ in range(4)]
+    mean = mean_fixed_point(fam).mean
+    pca = tangent_pca(lift(fam, mean), mean, k=3)
+    with pytest.raises(DimMismatchError):
+        reconstruction_errors(mean, pca, fam[:3])
