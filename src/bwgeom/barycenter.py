@@ -20,6 +20,7 @@ import numpy as np
 from .bures import (
     kernel_leaks,
     optimal_map,
+    pairwise_alignment,
     procrustes_distance_squared,
     product_root,
     transport_matrix,
@@ -51,14 +52,13 @@ class MeanConfig:
 
     ``rel_tol`` applies to the relative change of the Frechet functional in the
     descent solver and to the Hilbert-Schmidt change of the average root in the
-    averaging solver.  ``init`` selects the starting point of the descent
-    solver: ``"euclidean_mean"``, ``"root_mean_square"`` (the squared average
-    of the matrix roots), or an explicit PSD matrix.
+    averaging solver.  ``max_iter`` caps the iterations of either.  The
+    starting points are fixed: the descent starts from the euclidean mean of
+    the (deflated) members, the averaging from the average of their roots.
     """
 
     max_iter: int = 200
     rel_tol: float = 1e-9
-    init: object = "euclidean_mean"
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -181,22 +181,6 @@ def fixed_point_residual(s, family) -> float:
     return _Evaluation(c, members).residual
 
 
-def _resolve_init(cfg: MeanConfig, members: list[Covariance], d: int, q) -> np.ndarray:
-    """Starting point on the (possibly deflated) members; an explicit d x d
-    init is projected with the deflation basis ``q`` (None when not deflated)."""
-    if isinstance(cfg.init, str):
-        if cfg.init == "euclidean_mean":
-            return sum(m.mat for m in members) / len(members)
-        if cfg.init == "root_mean_square":
-            root_avg = sum(sqrt_psd(m).mat for m in members) / len(members)
-            return root_avg @ root_avg
-        raise OutOfRangeError(f"unknown init {cfg.init!r}")
-    init = validate_psd(cfg.init)
-    if init.dim != d:
-        raise DimMismatchError(f"init dimension {init.dim} does not match family {d}")
-    return init.mat if q is None else q.T @ init.mat @ q
-
-
 class _Evaluation:
     """A candidate mean S and the family's product roots, read from one root.
 
@@ -244,6 +228,7 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
 
     Families with a common numerical kernel are deflated to its orthogonal
     complement before solving and the mean is embedded back afterwards.  The
+    descent starts from the euclidean mean of the (deflated) members.  The
     solver stops once the relative change of the functional falls below
     ``cfg.rel_tol`` and the fixed-point residual certifies optimality within
     ``max(cfg.rel_tol, 1e-6) * trace``; hitting ``cfg.max_iter`` first
@@ -264,7 +249,6 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
         members = [cov_from_product(q.T @ m.mat @ q) for m in members]
         finish = lambda p: cov_from_product(q @ p.mat @ q.T)
     else:
-        q = None
         finish = lambda p: p
 
     def evaluate(point, k):
@@ -277,7 +261,7 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
     def certified(e, scale):
         return e.residual <= scale * e.point.trace
 
-    evals = [evaluate(cov_from_product(_resolve_init(cfg, members, d, q)), 0)]
+    evals = [evaluate(cov_from_product(sum(m.mat for m in members) / len(members)), 0)]
     res_cert = max(cfg.rel_tol, RESIDUAL_CERT)
     if certified(evals[0], cfg.rel_tol):
         return _result(evals, finish, True, "fixed_point")
@@ -297,31 +281,16 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
     raise MaxIterExceeded(_result(evals, finish, False, "fixed_point"))
 
 
-def pairwise_alignment(l1, l2) -> np.ndarray:
-    """Orthogonal R maximizing tr(R.T @ L2.T @ L1), aligning L2 toward L1.
-
-    R is the orthogonal polar factor of ``L2.T @ L1`` (via SVD); the achieved
-    value of the trace is the trace norm of ``L2.T @ L1``.
-    """
-    a1 = np.asarray(l1, dtype=np.float64)
-    a2 = np.asarray(l2, dtype=np.float64)
-    if a1.shape != a2.shape or a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
-        raise DimMismatchError(f"expected square factors of equal shape, got {a1.shape} and {a2.shape}")
-    w, _, vt = np.linalg.svd(a2.T @ a1)
-    return w @ vt
-
-
 def mean_procrustes_averaging(family, cfg: MeanConfig | None = None) -> MeanResult:
     """Frechet mean by generalized Procrustes averaging of matrix roots.
 
     Each member's root is rotated toward the current average root, the average
     is recomputed, and the loop stops when the average root moves less than
     ``cfg.rel_tol * (1 + ||average||_HS)`` in Hilbert-Schmidt norm.  The mean
-    is the squared final average.  ``cfg.init`` is ignored: this scheme always
-    starts from the average of the roots themselves.  Each squared average is
-    evaluated once, like a descent iterate: its functional and fixed-point
-    residual come from the same product roots, and the mean is the last
-    evaluated point itself.
+    is the squared final average.  The scheme starts from the average of the
+    roots themselves.  Each squared average is evaluated once, like a descent
+    iterate: its functional and fixed-point residual come from the same
+    product roots, and the mean is the last evaluated point itself.
     """
     cfg = cfg or MeanConfig()
     members = coerce_family(family)

@@ -36,10 +36,13 @@ from .spectral import (
 
 @dataclass(frozen=True)
 class TransportMap:
-    """Symmetric PSD matrix t with t @ S1 @ t = S2 (acting as identity on ker S1)."""
+    """Symmetric PSD matrix t with t @ S1 @ t = S2 (acting as identity on ker S1).
+
+    Only the map is stored: the caller knows the ``rank_tol`` it was built
+    at, and ``condition`` reads the positive spectrum at the default cutoff.
+    """
 
     map: SymMatrix
-    source_rank_tol: float
 
     def condition(self) -> float:
         """Ratio of the largest to the smallest positive eigenvalue (diagnostic)."""
@@ -104,17 +107,29 @@ def procrustes_distance(s1, s2) -> float:
 def procrustes_distance_via_alignment(s1, s2) -> AlignmentResult:
     """Distance through the explicit orthogonal alignment of matrix roots.
 
-    The optimal rotation is the transposed orthogonal polar factor of
-    ``sqrt(S2) @ sqrt(S1)``, computed from its singular value decomposition;
-    the distance is evaluated literally at that rotation.
+    The optimal rotation is the transpose of ``pairwise_alignment(sqrt(S1),
+    sqrt(S2))``; the distance is evaluated literally at that rotation.
     """
     a, b = _check_pair(s1, s2)
     r1 = sqrt_psd(a).mat
     r2 = sqrt_psd(b).mat
-    w, _, vt = np.linalg.svd(r2 @ r1)
-    u = vt.T @ w.T
+    u = pairwise_alignment(r1, r2).T
     dist = float(np.linalg.norm(r1 - u @ r2))
     return AlignmentResult(distance=dist, rotation=u)
+
+
+def pairwise_alignment(l1, l2) -> np.ndarray:
+    """Orthogonal R maximizing tr(R.T @ L2.T @ L1), aligning L2 toward L1.
+
+    R is the orthogonal polar factor of ``L2.T @ L1`` (via SVD); the achieved
+    value of the trace is the trace norm of ``L2.T @ L1``.
+    """
+    a1 = np.asarray(l1, dtype=np.float64)
+    a2 = np.asarray(l2, dtype=np.float64)
+    if a1.shape != a2.shape or a1.ndim != 2 or a1.shape[0] != a1.shape[1]:
+        raise DimMismatchError(f"expected square factors of equal shape, got {a1.shape} and {a2.shape}")
+    w, _, vt = np.linalg.svd(a2.T @ a1)
+    return w @ vt
 
 
 def gaussian_w2(m1, s1, m2, s2) -> float:
@@ -199,4 +214,4 @@ def optimal_map(s1, s2, rank_tol: float | None = None) -> TransportMap:
         )
     mid = product_root(sqrt_psd(a).mat, b, rank_tol)
     t = transport_matrix(a, mid, rank_tol)
-    return TransportMap(map=SymMatrix(t), source_rank_tol=rank_rel(a.dim, rank_tol))
+    return TransportMap(map=SymMatrix(t))

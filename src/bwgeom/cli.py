@@ -185,7 +185,7 @@ def cmd_distance(args):
         "trace_regime": bool(a.trace <= b.trace + 1.0),
         "rotation_orthogonality_gap": float(np.max(np.abs(u.T @ u - np.eye(a.dim)))),
     }
-    inputs = {"a": args.a, "b": args.b, "rank_tol": args.rank_tol}
+    inputs = {"a": args.a, "b": args.b}
     return _report("distance", inputs, results, diagnostics), 0
 
 
@@ -406,8 +406,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=200, help="iteration cap")
 
 
-def _add_rank_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+def _add_rank_tol(p: argparse.ArgumentParser) -> argparse.Action:
+    return p.add_argument(
         "--rank-tol",
         type=float,
         default=None,
@@ -426,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distance", help="Procrustes distance between two covariance files")
     p.add_argument("a")
     p.add_argument("b")
-    _add_rank_tol(p)
     p.set_defaults(handler=cmd_distance)
 
     p = sub.add_parser("mean", help="Frechet mean of a manifest of covariances")
@@ -438,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="transport-map descent or generalized Procrustes averaging",
     )
     _add_solver_flags(p)
-    _add_rank_tol(p)
+    _add_rank_tol(p).help += "; --algorithm gpa ignores it"
     p.add_argument("--output", default=".", help="directory for mean.txt")
     p.set_defaults(handler=cmd_mean)
 

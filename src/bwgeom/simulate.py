@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycenter import MeanConfig, coerce_family, mean_fixed_point
-from .bures import procrustes_distance
-from .errors import BwGeomError, DegenerateError, DimMismatchError, OutOfRangeError
+from .bures import _check_pair, procrustes_distance
+from .errors import BwGeomError, DegenerateError, OutOfRangeError
 from .spectral import (
     Covariance,
     SymMatrix,
@@ -104,38 +104,36 @@ def deformation_family(s, n: int, eps: float, rng: RngSpec) -> DeformationFamily
     )
 
 
-def _projector_basis(c: Covariance, r: int, basis: str, reference) -> np.ndarray:
-    """Orthonormal columns spanning the rank-r projection subspace."""
+def _projector_basis(ref: Covariance, r: int, basis: str) -> np.ndarray:
+    """Orthonormal columns spanning the rank-r projection subspace: the leading
+    r coordinates, or the top-r eigenvectors of ``ref``."""
     if basis == "standard":
-        return np.eye(c.dim)[:, :r]
+        return np.eye(ref.dim)[:, :r]
     if basis == "eigen":
-        ref = validate_psd(reference if reference is not None else c)
-        if ref.dim != c.dim:
-            raise DimMismatchError(f"reference dimension {ref.dim} does not match {c.dim}")
         return ref.spectrum.vectors[:, :r]
     raise OutOfRangeError(f"unknown basis {basis!r}")
 
 
-def project(s, r: int, basis: str = "standard", reference=None) -> Covariance:
+def project(s, r: int, basis: str = "standard") -> Covariance:
     """Compression P S P onto a rank-r subspace.
 
     ``basis="standard"`` keeps the leading r coordinates; ``basis="eigen"``
-    uses the top-r eigenvectors of ``reference`` (the matrix itself when no
-    reference is given).
+    uses the top-r eigenvectors of S itself.
     """
     c = validate_psd(s)
     if not 1 <= r <= c.dim:
         raise OutOfRangeError(f"rank r={r} outside 1..{c.dim}")
-    q = _projector_basis(c, r, basis, reference)
+    q = _projector_basis(c, r, basis)
     return cov_from_product(q @ (q.T @ c.mat @ q) @ q.T)
 
 
-def projection_error(s, r: int, basis: str = "standard", reference=None) -> float:
-    """tr((I - P) S), which equals the squared distance from S to P S P."""
+def projection_error(s, r: int, basis: str = "standard") -> float:
+    """tr((I - P) S), which equals the squared distance from S to P S P, for
+    the subspace ``project`` uses."""
     c = validate_psd(s)
     if not 1 <= r <= c.dim:
         raise OutOfRangeError(f"rank r={r} outside 1..{c.dim}")
-    q = _projector_basis(c, r, basis, reference)
+    q = _projector_basis(c, r, basis)
     return max(0.0, c.trace - float(np.trace(q.T @ c.mat @ q)))
 
 
@@ -143,11 +141,12 @@ def projection_stability_experiment(
     family,
     ranks,
     basis: str = "standard",
-    reference=None,
     cfg: MeanConfig | None = None,
 ) -> dict:
     """Frechet means of rank-r compressions of a family, swept over ranks.
 
+    The subspaces are the leading r coordinates (``basis="standard"``) or the
+    top-r eigenvectors of the family's euclidean mean (``basis="eigen"``).
     For each rank the family is deflated to the r-dimensional subspace, its
     mean is solved there and embedded back, and the report records the
     trace-norm gap to the full mean together with the worst pairwise metric
@@ -165,9 +164,8 @@ def projection_stability_experiment(
     if ranks[0] < 1 or ranks[-1] > d:
         raise OutOfRangeError(f"ranks must lie in 1..{d}")
 
-    if basis == "eigen" and reference is None:
-        reference = cov_from_product(sum(m.mat for m in members) / len(members))
-    q_full = _projector_basis(members[0], d, basis, reference)
+    euclidean = cov_from_product(sum(m.mat for m in members) / len(members))
+    q_full = _projector_basis(euclidean, d, basis)
 
     full = mean_fixed_point(members, cfg)
     n = len(members)
@@ -212,10 +210,7 @@ def convergence_equivalence(a, b) -> tuple[float, float, float]:
     roots, and the trace distance is controlled by ``equivalence_constant(b)``
     times the Procrustes distance whenever ``tr a <= tr b + 1``.
     """
-    ca = validate_psd(a)
-    cb = validate_psd(b)
-    if ca.dim != cb.dim:
-        raise DimMismatchError(f"covariance dimensions differ: {ca.dim} vs {cb.dim}")
+    ca, cb = _check_pair(a, b)
     pi = procrustes_distance(ca, cb)
     root_hs = float(np.linalg.norm(sqrt_psd(ca).mat - sqrt_psd(cb).mat))
     return pi, root_hs, trace_norm(ca.mat - cb.mat)

@@ -134,8 +134,8 @@ def default_psd_tol(values: np.ndarray) -> float:
     return values.size * EPS * float(np.max(np.abs(values)))
 
 
-def validate_psd(m, psd_tol: float | None = None) -> Covariance:
-    """Check positive semidefiniteness within tolerance and clamp noise.
+def validate_psd(m) -> Covariance:
+    """Check positive semidefiniteness within ``default_psd_tol`` and clamp noise.
 
     Eigenvalues in ``[-tol, 0)`` are set to zero and the matrix is rebuilt from
     the clamped spectrum; an eigenvalue below ``-tol`` raises ``NotPSDError``.
@@ -144,9 +144,8 @@ def validate_psd(m, psd_tol: float | None = None) -> Covariance:
     if isinstance(m, Covariance):
         return m
     spec = sym_eigen(m)
-    tol = default_psd_tol(spec.values) if psd_tol is None else float(psd_tol)
     lam_min = float(spec.values[-1]) if spec.values.size else 0.0
-    if lam_min < -tol:
+    if lam_min < -default_psd_tol(spec.values):
         raise NotPSDError(lam_min)
     if lam_min < 0.0:
         clamped = np.maximum(spec.values, 0.0)
@@ -186,9 +185,9 @@ def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     return symmetrize((vectors * values) @ vectors.T)
 
 
-def sqrt_psd(s, psd_tol: float | None = None) -> SymMatrix:
+def sqrt_psd(s) -> SymMatrix:
     """Unique PSD square root, by mapping eigenvalues to their roots."""
-    c = validate_psd(s, psd_tol)
+    c = validate_psd(s)
     return SymMatrix(from_spectrum(c.spectrum.vectors, np.sqrt(c.spectrum.values)))
 
 

@@ -4,8 +4,9 @@ Family members are lifted through the logarithm map, centred, and
 eigendecomposed through their N x N Gram matrix under the tangent metric.
 Components are pushed back to matrix space, orthonormalized in that metric,
 and can be retracted to covariances along principal geodesics.  The Gram
-matrix, the scores and each member's row of reconstruction errors are one
-stacked evaluation each; the rows apply ``exp_map``'s cone test.
+matrix, the orthonormalization, the scores and each member's row of
+reconstruction errors are one stacked evaluation each; the rows apply
+``exp_map``'s cone test.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
     LeavesConeError,
     OutOfRangeError,
 )
-from .geometry import TangentVector, _cone_test, _tangent_gram, exp_map, log_map, tangent_inner, tangent_norm
+from .geometry import TangentVector, _cone_test, _tangent_gram, exp_map, log_map
 from .spectral import Covariance, SymMatrix, cov_from_product, numerical_rank, validate_psd
 
 
@@ -92,26 +93,22 @@ def tangent_pca(lifted, mean, k: int) -> PcaResult:
     variances[k_eff:] = 0.0
 
     raw = np.einsum("ia,ijk->ajk", gvecs[:, :k_eff], centred) / np.sqrt(gvals[:k_eff])[:, None, None]
-    comp_mats: list[np.ndarray] = []
-    for m in raw:
-        # Gram-Schmidt under the tangent metric absorbs rounding in the weights.
-        for prev in comp_mats:
-            m = m - tangent_inner(c, m, prev) * prev
-        nrm = tangent_norm(c, m)
-        if nrm <= 0.0:
-            break
-        comp_mats.append(m / nrm)
+    # Gram-Schmidt under the tangent metric absorbs rounding in the weights:
+    # with L L^T the Cholesky factorization of the raw Gram matrix, the rows
+    # of L^{-1} raw are its orthonormal result.
+    chol = np.linalg.cholesky(_tangent_gram(c, raw, raw))
+    comps = np.linalg.solve(chol, raw.reshape(k_eff, d * d)).reshape(k_eff, d, d)
 
-    scores = _tangent_gram(c, centred, np.array(comp_mats).reshape(-1, d, d))
+    scores = _tangent_gram(c, centred, comps)
     variances.flags.writeable = False
     scores.flags.writeable = False
     return PcaResult(
         base=c,
         mean_direction=SymMatrix(abar),
-        components=[SymMatrix(m) for m in comp_mats],
+        components=[SymMatrix(m) for m in comps],
         variances=variances,
         scores=scores,
-        lifted_mean_norm=tangent_norm(c, abar),
+        lifted_mean_norm=math.sqrt(max(0.0, float(_tangent_gram(c, abar[None], abar[None])[0, 0]))),
     )
 
 

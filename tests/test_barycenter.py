@@ -63,8 +63,6 @@ def test_mean_config_validation():
         MeanConfig(max_iter=0)
     with pytest.raises(OutOfRangeError):
         MeanConfig(rel_tol=0.0)
-    with pytest.raises(OutOfRangeError):
-        mean_fixed_point([np.eye(2)], MeanConfig(init="nonsense"))
 
 
 def test_mean_identical_family(rng):
@@ -88,7 +86,7 @@ def test_commuting_one_step_from_euclidean_mean(rng):
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     roots = [rng.uniform(0.4, 1.8, 5) for _ in range(4)]
     fam = [(q * (w * w)) @ q.T for w in roots]
-    res = mean_fixed_point(fam, MeanConfig(init="euclidean_mean"))
+    res = mean_fixed_point(fam)
     avg_root = sum(roots) / len(roots)
     want = (q * (avg_root * avg_root)) @ q.T
     assert np.max(np.abs(res.mean.mat - want)) <= 1e-8
@@ -172,19 +170,10 @@ def test_mean_deflates_common_kernel(rng):
 def test_mean_explicit_init_on_common_kernel():
     # Commuting members: the mean is ((sqrt(a) + sqrt(b)) / 2)^2 on the shared range.
     fam = [np.diag([1.0, 2.0, 0.0]), np.diag([2.0, 1.0, 0.0])]
-    res = mean_fixed_point(fam, MeanConfig(init=np.diag([1.0, 1.0, 0.0])))
+    res = mean_fixed_point(fam)
     assert res.converged
     c = ((1.0 + np.sqrt(2.0)) / 2.0) ** 2
     assert np.max(np.abs(res.mean.mat - np.diag([c, c, 0.0]))) <= 1e-10
-
-
-def test_mean_explicit_init_dimension_mismatch():
-    fam = [np.diag([1.0, 2.0, 0.0]), np.diag([2.0, 1.0, 0.0])]
-    for init in (np.eye(2), np.eye(4)):
-        with pytest.raises(DimMismatchError):
-            mean_fixed_point(fam, MeanConfig(init=init))
-    with pytest.raises(DimMismatchError):
-        mean_fixed_point([A41, B14], MeanConfig(init=np.eye(3)))
 
 
 def test_mean_zero_family():

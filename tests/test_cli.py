@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from bwgeom import __version__
-from bwgeom.cli import main
+from bwgeom.cli import build_parser, main
 from bwgeom.io import read_matrix, write_manifest, write_matrix
 
 
@@ -225,6 +226,81 @@ def test_pca_command_passes_its_rank_tol_to_the_reconstruction_table(
     manifest = write_family(tmp_path, [np.diag([4.0, 1.0]), np.diag([1.0, 4.0])])
     code, _, _ = run_cli(capsys, "pca", manifest, "--output", str(tmp_path / "pca"), *flag)
     assert code == 0 and seen == [rank_tol]
+
+
+def _near_kernel(w):
+    """Covariance with eigenvalues ``w`` and 1e-13 (relative) in a rotated basis,
+    so ``--rank-tol 1e-10`` moves that eigenvalue into the kernel while the
+    default cutoff (dim * eps) keeps it in the range."""
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((len(w) + 1, len(w) + 1)))
+    return (q * np.array([*w, 1e-13 * max(w)])) @ q.T
+
+
+def _family_argv(tmp_path, command):
+    manifest = write_family(tmp_path, [_near_kernel(w) for w in ([1.0, 2.0], [2.0, 1.5], [1.2, 0.8])])
+    return [command, manifest, "--output", str(tmp_path / "out")]
+
+
+def _geodesic_argv(tmp_path):
+    write_matrix(tmp_path / "a.txt", _near_kernel([1.0, 2.0]))
+    write_matrix(tmp_path / "b.txt", np.diag([1.0, 2.0, 3.0]))
+    return ["geodesic", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+
+
+def _deform_argv(tmp_path):
+    write_matrix(tmp_path / "t.txt", _near_kernel([1.0, 2.0]))
+    return ["simulate", "deform", "--template", str(tmp_path / "t.txt"), "--output", str(tmp_path / "out")]
+
+
+# One case per command that accepts --rank-tol.  ``mean`` runs the descent:
+# ``--algorithm gpa`` ignores the flag and evaluates at the default split.
+RANK_TOL_CASES = {
+    "mean": lambda tmp_path: _family_argv(tmp_path, "mean"),
+    "pca": lambda tmp_path: _family_argv(tmp_path, "pca"),
+    "multicouple": lambda tmp_path: _family_argv(tmp_path, "multicouple"),
+    "geodesic": _geodesic_argv,
+    "simulate deform": _deform_argv,
+    # Block 2's mu is 0.9 * 2^-2 / ratio^2, about 1e-13 of the largest eigenvalue.
+    "simulate counterexample": lambda tmp_path: [
+        "simulate", "counterexample", "--blocks", "2", "--ratio", "2e6", "--output", str(tmp_path / "out"),
+    ],
+}
+
+
+def _commands_with_rank_tol():
+    found = []
+
+    def walk(parser, prefix):
+        for action in parser._actions:
+            if "--rank-tol" in action.option_strings:
+                found.append(" ".join(prefix))
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, prefix + [name])
+
+    walk(build_parser(), [])
+    return sorted(found)
+
+
+def test_rank_tol_cases_cover_every_command_that_accepts_the_flag():
+    assert _commands_with_rank_tol() == sorted(RANK_TOL_CASES)
+
+
+@pytest.mark.parametrize("command", sorted(RANK_TOL_CASES))
+def test_every_accepted_rank_tol_has_an_effect(tmp_path, capsys, command):
+    argv = RANK_TOL_CASES[command](tmp_path)
+
+    def outcome(*flag):
+        code, out, _ = run_cli(capsys, *argv, *flag)
+        doc = json.loads(out) if out else {}
+        # Echoed input fields do not count as an effect.
+        doc.pop("inputs", None)
+        doc.get("diagnostics", {}).pop("rank_tol", None)
+        written = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").glob("*"))}
+        return code, doc, written
+
+    default = outcome()
+    assert default[0] == 0 and default != outcome("--rank-tol", "1e-10")
 
 
 def test_geodesic_step_off_the_cone_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,10 +18,12 @@ from bwgeom import (
     reconstruct,
     reconstruction_errors,
     tangent_inner,
+    tangent_norm,
     tangent_pca,
 )
+from bwgeom.geometry import _tangent_gram
 from bwgeom.simulate import RngSpec, deformation_family
-from bwgeom.spectral import EPS, SymMatrix, numerical_rank, validate_psd
+from bwgeom.spectral import EPS, SymMatrix, cov_from_product, numerical_rank, rank_cutoff, validate_psd
 from bwgeom.tpca import PcaResult
 from conftest import make_spd
 
@@ -142,6 +145,80 @@ def test_stacked_inner_products_match_pairwise_trace_loop(rng):
         comps = [m.mat for m in pca.components]
         scores = np.array([[np.trace(x @ s @ m) for m in comps] for x in centred])
         np.testing.assert_allclose(pca.scores, scores, rtol=0.0, atol=1e-12 * np.max(np.abs(scores)))
+
+
+def _gram_schmidt_loop_components(base, dirs):
+    """Reference: the pair-by-pair Gram-Schmidt loop the Cholesky step replaced,
+    on the same raw components; also returns the smallest kept Gram eigenvalue
+    over the rank cutoff (None when nothing is kept)."""
+    stack = np.array(dirs)
+    centred = stack - stack.mean(axis=0)
+    gcov = cov_from_product(_tangent_gram(base, centred, centred))
+    gvals, gvecs = gcov.spectrum.values, gcov.spectrum.vectors
+    k = numerical_rank(gcov)
+    raw = np.einsum("ia,ijk->ajk", gvecs[:, :k], centred) / np.sqrt(gvals[:k])[:, None, None]
+    comps = []
+    for m in raw:
+        for prev in comps:
+            m = m - tangent_inner(base, m, prev) * prev
+        nrm = tangent_norm(base, m)
+        if nrm <= 0.0:
+            break
+        comps.append(m / nrm)
+    return comps, (gvals[k - 1] / rank_cutoff(gvals) if k else None)
+
+
+def _near_cutoff_family(d, n, rng):
+    """Base and n lifted directions whose centred Gram eigenvalues spread over
+    eight decades below the largest, down to and past the rank cutoff."""
+    base = make_spd(d, rng)
+    m = min(n - 1, d * (d + 1) // 2)
+    x = rng.standard_normal((m, d, d))
+    x = x + x.transpose(0, 2, 1)
+    # Orthonormal columns orthogonal to the ones vector: the weights are centred.
+    u, _ = np.linalg.qr(np.concatenate([np.ones((n, 1)), rng.standard_normal((n, m))], axis=1))
+    scales = 10.0 ** -rng.uniform(0.0, 8.5, size=m)
+    return base, list(np.einsum("ia,a,ajk->ijk", u[:, 1:], scales, x) + x[0])
+
+
+def test_cholesky_orthonormalisation_matches_the_gram_schmidt_loop(rng):
+    ratios = []
+    for _ in range(100):
+        d, n = int(rng.integers(2, 6)), int(rng.integers(2, 16))
+        base, dirs = _near_cutoff_family(d, n, rng)
+        want, ratio = _gram_schmidt_loop_components(base, dirs)
+        pca = tangent_pca(dirs, base, k=min(n, d * (d + 1) // 2))
+        got = np.array([m.mat for m in pca.components]).reshape(-1, d, d)
+        assert len(got) == len(want)
+        if want:
+            ratios.append(ratio)
+            np.testing.assert_allclose(got, np.array(want), rtol=0.0, atol=1e-14)
+            gram = _tangent_gram(validate_psd(base), got, got)
+            np.testing.assert_allclose(gram, np.eye(len(got)), rtol=0.0, atol=1e-14)
+    # The draw reaches kept Gram eigenvalues within a factor 10 of the cutoff.
+    assert sum(r < 10.0 for r in ratios) >= 5
+    # One member: nothing to orthonormalise, for the loop and the Cholesky step.
+    s = make_spd(3, rng)
+    assert _gram_schmidt_loop_components(s, [s.mat])[0] == []
+    pca = tangent_pca([s.mat], s, k=1)
+    assert pca.components == [] and pca.scores.shape == (1, 0)
+
+
+def test_tangent_pca_makes_no_tangent_inner_call(rng, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return tangent_inner(*args)
+
+    # Rebind the name in every module that holds it, so no call escapes the count.
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("bwgeom") and hasattr(module, "tangent_inner"):
+            monkeypatch.setattr(module, "tangent_inner", counting)
+    fam = [make_spd(4, rng) for _ in range(8)]
+    mean = mean_fixed_point(fam).mean
+    pca = tangent_pca(lift(fam, mean), mean, k=8)
+    assert len(pca.components) == 7 and calls == []
 
 
 def test_full_rank_reconstruction_recovers_members(rng):
