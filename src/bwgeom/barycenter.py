@@ -21,7 +21,6 @@ from .bures import (
     kernel_leaks,
     optimal_map,
     pairwise_alignment,
-    procrustes_distance_squared,
     product_root,
     transport_matrix,
 )
@@ -165,10 +164,10 @@ def coerce_point_and_family(point, family, role: str) -> tuple[Covariance, list[
 
 
 def frechet_functional(s, family) -> float:
-    """F(S) = (1/2N) sum_i d^2(S, S_i) for the Procrustes distance d."""
+    """F(S) = (1/2N) sum_i d^2(S, S_i) for the Procrustes distance d, read
+    from the one ``_Evaluation`` of S like ``fixed_point_residual``."""
     c, members = coerce_point_and_family(s, family, "candidate")
-    total = sum(procrustes_distance_squared(c, m) for m in members)
-    return total / (2.0 * len(members))
+    return _Evaluation(c, members).functional
 
 
 def fixed_point_residual(s, family) -> float:
@@ -320,7 +319,7 @@ def multicoupling(mean, family, rank_tol: float | None = None) -> JointCovarianc
     maps = np.empty((len(members), c.dim, c.dim))
     for i, m in enumerate(members):
         try:
-            maps[i] = optimal_map(c, m, rank_tol).map.mat
+            maps[i] = optimal_map(c, m, rank_tol).mat
         except KernelConditionError as e:
             raise KernelConditionError(
                 "no transport map from the mean to a family member", index=i

@@ -6,13 +6,13 @@ The squared distance between PSD matrices S1, S2 is
 
 which equals the squared 2-Wasserstein distance between the centred Gaussians
 with these covariances, and also the minimum of ||S1^{1/2} - U S2^{1/2}||_HS
-over orthogonal U.
+over orthogonal U.  The optimal transport map from S1 to S2 is itself a PSD
+operator, and ``optimal_map`` returns it as a ``SymMatrix``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,44 +25,12 @@ from .spectral import (
     numerical_rank,
     operator_norm,
     pinv_sqrt,
-    rank_cutoff,
     rank_rel,
     sqrt_psd,
     sym_eigen,
     symmetrize,
     validate_psd,
 )
-
-
-@dataclass(frozen=True)
-class TransportMap:
-    """Symmetric PSD matrix t with t @ S1 @ t = S2 (acting as identity on ker S1).
-
-    Only the map is stored: the caller knows the ``rank_tol`` it was built
-    at, and ``condition`` reads the positive spectrum at the default cutoff.
-    """
-
-    map: SymMatrix
-
-    def condition(self) -> float:
-        """Ratio of the largest to the smallest positive eigenvalue (diagnostic)."""
-        w = np.linalg.eigvalsh(self.map.mat)
-        pos = w[w > rank_cutoff(w[::-1])]
-        if pos.size == 0:
-            return math.inf
-        return float(pos.max() / pos.min())
-
-
-@dataclass(frozen=True)
-class AlignmentResult:
-    """Optimal orthogonal alignment of matrix roots.
-
-    ``distance`` equals ``||sqrt(S1) - rotation @ sqrt(S2)||_HS`` evaluated at
-    the returned rotation.
-    """
-
-    distance: float
-    rotation: np.ndarray
 
 
 def _check_pair(s1, s2) -> tuple[Covariance, Covariance]:
@@ -104,18 +72,19 @@ def procrustes_distance(s1, s2) -> float:
     return math.sqrt(procrustes_distance_squared(s1, s2))
 
 
-def procrustes_distance_via_alignment(s1, s2) -> AlignmentResult:
-    """Distance through the explicit orthogonal alignment of matrix roots.
+def procrustes_distance_via_alignment(s1, s2) -> tuple[float, np.ndarray]:
+    """``(distance, rotation)`` through the explicit orthogonal alignment of
+    matrix roots.
 
-    The optimal rotation is the transpose of ``pairwise_alignment(sqrt(S1),
-    sqrt(S2))``; the distance is evaluated literally at that rotation.
+    The optimal rotation U is the transpose of ``pairwise_alignment(sqrt(S1),
+    sqrt(S2))``; the distance is ``||sqrt(S1) - U sqrt(S2)||_HS`` evaluated
+    literally at that rotation.
     """
     a, b = _check_pair(s1, s2)
     r1 = sqrt_psd(a).mat
     r2 = sqrt_psd(b).mat
     u = pairwise_alignment(r1, r2).T
-    dist = float(np.linalg.norm(r1 - u @ r2))
-    return AlignmentResult(distance=dist, rotation=u)
+    return float(np.linalg.norm(r1 - u @ r2)), u
 
 
 def pairwise_alignment(l1, l2) -> np.ndarray:
@@ -199,8 +168,9 @@ def transport_matrix(source: Covariance, mid: np.ndarray, rank_tol: float | None
     return t + kernel @ kernel.T if kernel.size else t
 
 
-def optimal_map(s1, s2, rank_tol: float | None = None) -> TransportMap:
-    """Optimal transport map from S1 to S2.
+def optimal_map(s1, s2, rank_tol: float | None = None) -> SymMatrix:
+    """Optimal transport map from S1 to S2: the symmetric PSD t with
+    ``t S1 t = S2``.
 
     Computes ``S1^{-1/2} (S1^{1/2} S2 S1^{1/2})^{1/2} S1^{-1/2}`` with
     pseudo-inverse roots, extended as the identity on the numerical kernel of
@@ -213,5 +183,4 @@ def optimal_map(s1, s2, rank_tol: float | None = None) -> TransportMap:
             "kernel of the source covariance is not contained in the kernel of the target"
         )
     mid = product_root(sqrt_psd(a).mat, b, rank_tol)
-    t = transport_matrix(a, mid, rank_tol)
-    return TransportMap(map=SymMatrix(t))
+    return SymMatrix(transport_matrix(a, mid, rank_tol))

@@ -64,7 +64,7 @@ from .simulate import (
     projection_error,
     projection_stability_experiment,
 )
-from .spectral import Covariance, cov_from_product, from_spectrum, validate_psd
+from .spectral import Covariance, _condition, cov_from_product, from_spectrum, validate_psd
 from .tpca import lift, reconstruction_errors, tangent_pca
 
 
@@ -168,12 +168,11 @@ def _report(command: str, inputs: dict, results: dict, diagnostics: dict) -> Rep
 def cmd_distance(args):
     a, b = _load_pair(args.a, args.b)
     pi, root_hs, tdist = convergence_equivalence(a, b)
-    alignment = procrustes_distance_via_alignment(a, b)
-    u = alignment.rotation
+    alignment_distance, u = procrustes_distance_via_alignment(a, b)
     results = {
         "procrustes": pi,
         "procrustes_squared": pi * pi,
-        "alignment_distance": alignment.distance,
+        "alignment_distance": alignment_distance,
         "root_hs_distance": root_hs,
         "trace_distance": tdist,
     }
@@ -212,7 +211,7 @@ def cmd_geodesic(args):
         raise OutOfRangeError(f"steps={args.steps} must be at least 2")
     a, b = _load_pair(args.a, args.b)
     grid = np.linspace(0.0, 1.0, args.steps)
-    direction = log_map(a, b, args.rank_tol).direction.mat
+    direction = log_map(a, b, args.rank_tol).mat
     points = [exp_map(a, float(t) * direction, args.rank_tol) for t in grid]
     dist = procrustes_distance(a, b)
     speed_table = []
@@ -281,7 +280,9 @@ def cmd_multicouple(args):
         res,
         min_eigenvalue=joint.min_eigenvalue(),
         diagonal_block_gap=block_gap,
-        map_conditioning=[optimal_map(res.mean, c, args.rank_tol).condition() for c in covs],
+        map_conditioning=[
+            _condition(np.linalg.eigvalsh(optimal_map(res.mean, c, args.rank_tol).mat)[::-1]) for c in covs
+        ],
         rank_tol=args.rank_tol,
     )
     return _report("multicouple", _family_inputs(args, manifest), results, diagnostics), code

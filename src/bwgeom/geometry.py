@@ -1,10 +1,11 @@
 """Tangent-space calculus on the cone of PSD matrices.
 
 The tangent space at a covariance S consists of symmetric matrices A with
-inner product tr(A S B).  The exponential map sends A to (I + A) S (I + A);
-its inverse at injective base points is the optimal transport map minus the
-identity.  Geodesics are McCann interpolations: the point at time t is the
-exponential of t times the logarithm, which stays in the cone because
+inner product tr(A S B); a direction is a plain ``SymMatrix`` and the base is
+passed alongside it.  The exponential map sends A to (I + A) S (I + A); its
+inverse at injective base points, ``log_map``, is the optimal transport map
+minus the identity.  Geodesics are McCann interpolations: the point at time t
+is ``exp_map(S0, t log_map(S0, S1))``, which stays in the cone because
 (1 - t) I + t T is PSD for t in [0, 1].  ``_cone_test`` is the one test of
 whether a retraction stays in the cone: ``exp_map`` applies it to one point,
 ``tpca.reconstruction_errors`` to a stack.  ``_tangent_gram`` is the one place
@@ -14,7 +15,6 @@ that evaluates the inner product, for whole stacks of directions at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,18 +24,11 @@ from .spectral import (
     EPS,
     Covariance,
     SymMatrix,
+    _condition,
     cov_from_product,
     numerical_rank,
     validate_psd,
 )
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Symmetric direction attached to a base covariance."""
-
-    base: Covariance
-    direction: SymMatrix
 
 
 def _direction(base: Covariance, a) -> np.ndarray:
@@ -73,14 +66,13 @@ def _cone_test(base: Covariance, b: np.ndarray, rank_tol: float | None = None):
     """Whether ``lambda_min`` of ``I + A``, or of each of a stack (..., d, d), at
     the base S lies below ``-min(d eps kappa, 1e-3) max|lambda(I + A)|``.
 
-    kappa is the condition number of S on its range at ``rank_tol``: a
-    logarithm at S is known to a relative accuracy of about eps kappa (its folds
-    stay below 3e-6 max|lambda| up to kappa = 1e12), and the cap keeps every
-    deeper fold a rejection.
+    kappa is the condition number of S on its range at ``rank_tol``, and 1 at
+    a zero base: a logarithm at S is known to a relative accuracy of about
+    eps kappa (its folds stay below 3e-6 max|lambda| up to kappa = 1e12), and
+    the cap keeps every deeper fold a rejection.
     """
     w = np.linalg.eigvalsh(b)
-    pos = base.spectrum.values[: numerical_rank(base, rank_tol)]
-    kappa = float(pos[0] / pos[-1]) if pos.size else 1.0
+    kappa = _condition(base.spectrum.values, rank_tol) if numerical_rank(base, rank_tol) else 1.0
     return w[..., 0] < -min(base.dim * EPS * kappa, 1e-3) * np.max(np.abs(w), axis=-1)
 
 
@@ -94,11 +86,10 @@ def exp_map(base, a, rank_tol: float | None = None) -> Covariance:
     return cov_from_product(b @ s.mat @ b)
 
 
-def log_map(base, target, rank_tol: float | None = None) -> TangentVector:
+def log_map(base, target, rank_tol: float | None = None) -> SymMatrix:
     """Logarithm of ``target`` at ``base``: the transport map minus the identity."""
     s = validate_psd(base)
-    t = optimal_map(s, target, rank_tol)
-    return TangentVector(base=s, direction=SymMatrix(t.map.mat - np.eye(s.dim)))
+    return SymMatrix(optimal_map(s, target, rank_tol).mat - np.eye(s.dim))
 
 
 def geodesic(s0, s1, t: float, rank_tol: float | None = None) -> Covariance:
@@ -111,4 +102,4 @@ def geodesic(s0, s1, t: float, rank_tol: float | None = None) -> Covariance:
     if not 0.0 <= float(t) <= 1.0:
         raise OutOfRangeError(f"geodesic parameter t={t} outside [0, 1]")
     a = validate_psd(s0)
-    return exp_map(a, float(t) * log_map(a, s1, rank_tol).direction.mat, rank_tol)
+    return exp_map(a, float(t) * log_map(a, s1, rank_tol).mat, rank_tol)

@@ -15,6 +15,7 @@ onto that kernel has operator norm at most ``rank_tol * tr target``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,6 +179,13 @@ def numerical_rank(c: Covariance, rank_tol: float | None = None) -> int:
     """
     values = c.spectrum.values
     return int(np.count_nonzero(values > rank_cutoff(values, rank_tol)))
+
+
+def _condition(values: np.ndarray, rank_tol: float | None = None) -> float:
+    """Largest over smallest eigenvalue above ``rank_cutoff`` of a descending
+    spectrum; ``inf`` when none is above it."""
+    pos = values[values > rank_cutoff(values, rank_tol)]
+    return float(pos[0] / pos[-1]) if pos.size else math.inf
 
 
 def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Principal component analysis in the tangent space at a Frechet mean.
 
-Family members are lifted through the logarithm map, centred, and
-eigendecomposed through their N x N Gram matrix under the tangent metric.
-Components are pushed back to matrix space, orthonormalized in that metric,
-and can be retracted to covariances along principal geodesics.  The Gram
-matrix, the orthonormalization, the scores and each member's row of
-reconstruction errors are one stacked evaluation each; the rows apply
-``exp_map``'s cone test.
+Family members are lifted through the logarithm map to the symmetric matrices
+``T_i - I``, centred, and eigendecomposed through their N x N Gram matrix
+under the tangent metric.  Components are pushed back to matrix space,
+orthonormalized in that metric, and can be retracted to covariances along
+principal geodesics.  The Gram matrix, the orthonormalization, the scores and
+each member's row of reconstruction errors are one stacked evaluation each;
+the rows apply ``exp_map``'s cone test.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     LeavesConeError,
     OutOfRangeError,
 )
-from .geometry import TangentVector, _cone_test, _tangent_gram, exp_map, log_map
+from .geometry import _cone_test, _tangent_gram, exp_map, log_map
 from .spectral import Covariance, SymMatrix, cov_from_product, numerical_rank, validate_psd
 
 
@@ -39,7 +39,6 @@ class PcaResult:
     variance of score column a equals ``variances[a]``.
     """
 
-    base: Covariance
     mean_direction: SymMatrix
     components: list[SymMatrix]
     variances: np.ndarray
@@ -47,8 +46,8 @@ class PcaResult:
     lifted_mean_norm: float
 
 
-def lift(family, mean, rank_tol: float | None = None) -> list[TangentVector]:
-    """Logarithms of all family members at the mean."""
+def lift(family, mean, rank_tol: float | None = None) -> list[SymMatrix]:
+    """Logarithms ``T_i - I`` of all family members at the mean."""
     c, members = coerce_point_and_family(mean, family, "mean")
     out = []
     for i, m in enumerate(members):
@@ -67,10 +66,11 @@ def tangent_pca(lifted, mean, k: int) -> PcaResult:
     Eigenvalues of the centred Gram matrix divided by N give the component
     variances, so their sum equals the total tangent variance of the centred
     lifts.  Duplicate or geodesic families simply produce fewer positive
-    variances; rank deficiency is not an error.
+    variances; rank deficiency is not an error.  ``lifted`` is any sequence
+    of symmetric matrices, such as the output of ``lift``.
     """
     c = validate_psd(mean)
-    dirs = [tv.direction.mat if isinstance(tv, TangentVector) else SymMatrix(tv).mat for tv in lifted]
+    dirs = [SymMatrix(a).mat for a in lifted]
     n = len(dirs)
     if n == 0:
         raise EmptyFamilyError("no lifted directions")
@@ -103,7 +103,6 @@ def tangent_pca(lifted, mean, k: int) -> PcaResult:
     variances.flags.writeable = False
     scores.flags.writeable = False
     return PcaResult(
-        base=c,
         mean_direction=SymMatrix(abar),
         components=[SymMatrix(m) for m in comps],
         variances=variances,

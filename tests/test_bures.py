@@ -14,6 +14,7 @@ from bwgeom import (
     procrustes_distance_via_alignment,
     sqrt_psd,
 )
+from bwgeom.spectral import _condition, rank_cutoff
 
 from conftest import commuting_pair, make_psd_rank, make_spd
 
@@ -43,18 +44,18 @@ def test_distance_dim_mismatch():
 
 
 def test_alignment_matches_formula_on_examples():
-    r = procrustes_distance_via_alignment(A41, B14)
-    assert r.distance == pytest.approx(math.sqrt(2.0), abs=1e-10)
-    assert np.max(np.abs(r.rotation.T @ r.rotation - np.eye(2))) <= 1e-10
-    r = procrustes_distance_via_alignment(A41, C21)
-    assert r.distance == pytest.approx(DIST_A41_C21, abs=1e-10)
+    dist, rot = procrustes_distance_via_alignment(A41, B14)
+    assert dist == pytest.approx(math.sqrt(2.0), abs=1e-10)
+    assert np.max(np.abs(rot.T @ rot - np.eye(2))) <= 1e-10
+    dist, rot = procrustes_distance_via_alignment(A41, C21)
+    assert dist == pytest.approx(DIST_A41_C21, abs=1e-10)
 
 
 def test_alignment_distance_is_evaluated_at_rotation(rng):
     s1, s2 = make_spd(5, rng), make_spd(5, rng)
-    r = procrustes_distance_via_alignment(s1, s2)
-    achieved = np.linalg.norm(np.asarray(sqrt_psd(s1)) - r.rotation @ np.asarray(sqrt_psd(s2)))
-    assert r.distance == pytest.approx(achieved, abs=1e-10)
+    dist, rot = procrustes_distance_via_alignment(s1, s2)
+    achieved = np.linalg.norm(np.asarray(sqrt_psd(s1)) - rot @ np.asarray(sqrt_psd(s2)))
+    assert dist == pytest.approx(achieved, abs=1e-10)
 
 
 def test_formula_alignment_agreement_batch(rng):
@@ -62,7 +63,7 @@ def test_formula_alignment_agreement_batch(rng):
         d = int(rng.integers(2, 13))
         s1, s2 = make_spd(d, rng), make_spd(d, rng)
         da = procrustes_distance(s1, s2)
-        db = procrustes_distance_via_alignment(s1, s2).distance
+        db, _ = procrustes_distance_via_alignment(s1, s2)
         assert abs(da - db) <= 1e-8 * (1.0 + da)
 
 
@@ -103,12 +104,12 @@ def test_kernel_condition_examples(rng):
 
 def test_optimal_map_commuting_oracle():
     t = optimal_map(A41, B14)
-    assert np.allclose(t.map.mat, np.diag([0.5, 2.0]), atol=1e-12)
+    assert np.allclose(t.mat, np.diag([0.5, 2.0]), atol=1e-12)
 
 
 def test_optimal_map_identity(rng):
     s = make_spd(4, rng)
-    assert np.max(np.abs(optimal_map(s, s).map.mat - np.eye(4))) <= 1e-8
+    assert np.max(np.abs(optimal_map(s, s).mat - np.eye(4))) <= 1e-8
 
 
 def test_optimal_map_forbidden_direction():
@@ -122,29 +123,45 @@ def test_pushforward_batch(rng):
         s1 = make_spd(d, rng)
         # arbitrary PSD target, often rank-deficient
         s2 = make_psd_rank(d, int(rng.integers(1, d + 1)), rng)
-        t = optimal_map(s1, s2).map.mat
+        t = optimal_map(s1, s2).mat
         push = t @ s1.mat @ t
         assert np.max(np.abs(push - s2.mat)) <= 1e-8 * (1.0 + s2.trace)
 
 
 def test_pushforward_kernel_extension_is_identity():
     # source kernel contains the target kernel; map acts as identity there
-    t = optimal_map(np.diag([4.0, 0.0]), np.diag([1.0, 0.0])).map.mat
+    t = optimal_map(np.diag([4.0, 0.0]), np.diag([1.0, 0.0])).mat
     assert np.allclose(t, np.diag([0.5, 1.0]), atol=1e-10)
 
 
 def test_composition_along_common_eigenbasis(rng):
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     mats = [(q * rng.uniform(0.3, 2.0, 4)) @ q.T for _ in range(3)]
-    t12 = optimal_map(mats[0], mats[1]).map.mat
-    t23 = optimal_map(mats[1], mats[2]).map.mat
-    t13 = optimal_map(mats[0], mats[2]).map.mat
+    t12 = optimal_map(mats[0], mats[1]).mat
+    t23 = optimal_map(mats[1], mats[2]).mat
+    t13 = optimal_map(mats[0], mats[2]).mat
     assert np.max(np.abs(t12 @ t23 - t13)) <= 1e-8
 
 
 def test_transport_map_conditioning_diagnostic(rng):
     t = optimal_map(A41, B14)
-    assert t.condition() == pytest.approx(4.0, abs=1e-10)
+    assert _condition(np.linalg.eigvalsh(t.mat)[::-1]) == pytest.approx(4.0, abs=1e-10)
+
+
+def test_condition_matches_the_ascending_formula_on_rank_deficient_maps(rng):
+    # Reference: largest over smallest eigenvalue above the cutoff, read from
+    # the ascending spectrum; inf if none is above it.
+    def ascending(m):
+        w = np.linalg.eigvalsh(m)
+        pos = w[w > rank_cutoff(w[::-1])]
+        return math.inf if pos.size == 0 else float(pos.max() / pos.min())
+
+    for r in (1, 2, 4):
+        t = optimal_map(make_spd(5, rng), make_psd_rank(5, r, rng)).mat
+        assert np.linalg.matrix_rank(t) == r
+        assert _condition(np.linalg.eigvalsh(t)[::-1]) == ascending(t)
+    zero = optimal_map(np.eye(3), np.zeros((3, 3))).mat
+    assert _condition(np.linalg.eigvalsh(zero)[::-1]) == ascending(zero) == math.inf
 
 
 def test_distance_squared_clamped_at_zero(rng):

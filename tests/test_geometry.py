@@ -80,11 +80,18 @@ def test_exp_map_cone_tolerance_follows_the_callers_rank_tol():
     np.testing.assert_allclose(exp_map(base, fold, rank_tol=1e-22).mat, np.diag([1.0, 1e-30]))
 
 
+def test_exp_map_at_the_zero_base_rejects_a_small_fold():
+    # The zero base has no range, so kappa = 1 and the tolerance stays at
+    # d eps max|lambda(I + A)|: a fold of -1e-6 max|lambda| is a rejection.
+    with pytest.raises(LeavesConeError):
+        exp_map(np.zeros((3, 3)), np.diag([0.0, 0.0, -1.0 - 1e-6]))
+
+
 def test_log_map_examples(rng):
     s = make_spd(3, rng)
-    assert tangent_norm(s, log_map(s, s).direction) <= 1e-7
+    assert tangent_norm(s, log_map(s, s)) <= 1e-7
     v = log_map(A41, B14)
-    assert np.allclose(v.direction.mat, np.diag([-0.5, 1.0]), atol=1e-12)
+    assert np.allclose(v.mat, np.diag([-0.5, 1.0]), atol=1e-12)
     with pytest.raises(KernelConditionError):
         log_map(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
 
@@ -93,15 +100,15 @@ def test_exp_log_inversion_batch(rng):
     for _ in range(100):
         d = int(rng.integers(2, 9))
         s0, s1 = make_spd(d, rng), make_spd(d, rng)
-        back = exp_map(s0, log_map(s0, s1).direction)
+        back = exp_map(s0, log_map(s0, s1))
         assert np.max(np.abs(back.mat - s1.mat)) <= 1e-8 * (1.0 + s1.trace)
 
 
 def test_log_exp_along_segments(rng):
     s0, s1 = make_spd(4, rng), make_spd(4, rng)
-    a = log_map(s0, s1).direction.mat
+    a = log_map(s0, s1).mat
     for t in np.linspace(0.0, 1.0, 11):
-        back = log_map(s0, exp_map(s0, t * a)).direction.mat
+        back = log_map(s0, exp_map(s0, t * a)).mat
         assert np.max(np.abs(back - t * a)) <= 1e-7
 
 
@@ -138,7 +145,7 @@ def test_geodesic_constant_speed_batch(rng):
 def test_geodesic_matches_expanded_formula(rng):
     # quadratic-form oracle: S_t = t^2 S1 + (1-t)^2 S0 + t(1-t) (t01 S0 + S0 t01)
     s0, s1 = make_spd(5, rng), make_spd(5, rng)
-    t01 = optimal_map(s0, s1).map.mat
+    t01 = optimal_map(s0, s1).mat
     for t in (0.25, 0.5, 0.9):
         expanded = (
             t * t * s1.mat
@@ -157,5 +164,5 @@ def test_exp_map_reaches_geodesic_point_from_ill_conditioned_source():
     t = 1.0
     g = geodesic(a, b, t)
     assert g.spectrum.values[-1] >= 0.0
-    p = exp_map(a, t * log_map(a, b).direction.mat)
+    p = exp_map(a, t * log_map(a, b).mat)
     assert np.max(np.abs(p.mat - g.mat)) <= 1e-12 * np.max(np.abs(g.mat))

@@ -13,6 +13,7 @@ from bwgeom import (
     lift,
     log_map,
     mean_fixed_point,
+    optimal_map,
     principal_geodesic,
     procrustes_distance,
     reconstruct,
@@ -29,7 +30,7 @@ from conftest import make_spd
 
 
 def total_centred_variance(base, lifted):
-    dirs = [tv.direction.mat for tv in lifted]
+    dirs = [tv.mat for tv in lifted]
     abar = sum(dirs) / len(dirs)
     return sum(tangent_inner(base, a - abar, a - abar) for a in dirs) / len(dirs)
 
@@ -38,8 +39,8 @@ def test_lift_two_point_directions_are_opposite():
     fam = [np.diag([4.0, 1.0]), np.diag([1.0, 4.0])]
     mean = 2.25 * np.eye(2)
     lifted = lift(fam, mean)
-    v0 = lifted[0].direction.mat
-    v1 = lifted[1].direction.mat
+    v0 = lifted[0].mat
+    v1 = lifted[1].mat
     np.testing.assert_allclose(v0, np.diag([1.0 / 3.0, -1.0 / 3.0]), atol=1e-12)
     np.testing.assert_allclose(v0 + v1, 0.0, atol=1e-12)
 
@@ -92,7 +93,7 @@ def test_geodesic_family_concentrates_on_one_component(rng):
     fam = [geodesic(s0, s1, t) for t in ts]
     lifted = lift(fam, s0)
     res = tangent_pca(lifted, s0, k=5)
-    v = log_map(s0, s1).direction.mat
+    v = log_map(s0, s1).mat
     var = float(ts.var()) * tangent_inner(s0, v, v)
     assert res.variances[0] == pytest.approx(var, rel=1e-8)
     assert np.all(res.variances[1:] <= 1e-9 * res.variances[0])
@@ -135,7 +136,7 @@ def test_stacked_inner_products_match_pairwise_trace_loop(rng):
         fam = [make_spd(d, rng) for _ in range(n)]
         res = mean_fixed_point(fam)
         s = res.mean.mat
-        dirs = [tv.direction.mat for tv in lift(fam, res.mean)]
+        dirs = [tv.mat for tv in lift(fam, res.mean)]
         pca = tangent_pca(dirs, res.mean, k=n)
         abar = sum(dirs) / n
         centred = [a - abar for a in dirs]
@@ -273,6 +274,22 @@ def test_principal_geodesic_reports_admissible_interval():
     assert exc.value.lambda_min == pytest.approx(1.0 - math.sqrt(2.0))
 
 
+def test_maps_and_lifts_are_plain_symmetric_matrices(rng):
+    fam = [make_spd(3, rng) for _ in range(4)]
+    mean = mean_fixed_point(fam).mean
+    assert isinstance(optimal_map(mean, fam[0]), SymMatrix)
+    assert isinstance(log_map(mean, fam[0]), SymMatrix)
+    lifted = lift(fam, mean)
+    assert all(isinstance(v, SymMatrix) for v in lifted)
+    a = tangent_pca(lifted, mean, k=3)
+    b = tangent_pca([np.array(v.mat) for v in lifted], mean, k=3)
+    for x, y in zip([a.mean_direction, *a.components], [b.mean_direction, *b.components]):
+        np.testing.assert_array_equal(x.mat, y.mat)
+    np.testing.assert_array_equal(a.variances, b.variances)
+    np.testing.assert_array_equal(a.scores, b.scores)
+    assert a.lifted_mean_norm == b.lifted_mean_norm
+
+
 def test_tangent_pca_rejects_bad_k(rng):
     fam = [make_spd(3, rng) for _ in range(4)]
     mean = mean_fixed_point(fam).mean
@@ -334,7 +351,7 @@ def test_reconstruction_errors_cone_test_follows_the_callers_rank_tol():
     # I + v is rejected; at 1e-22 it is range, kappa = 1e18 and the tolerance
     # reaches its cap.
     mean, member = validate_psd(np.diag([1.0, 1e-18])), validate_psd(np.diag([1.0, 1e-30]))
-    pca = PcaResult(mean, SymMatrix(np.diag([0.0, -1.0 - 1e-6])), [], np.zeros(1), np.empty((1, 0)), 0.0)
+    pca = PcaResult(SymMatrix(np.diag([0.0, -1.0 - 1e-6])), [], np.zeros(1), np.empty((1, 0)), 0.0)
     assert np.isnan(reconstruction_errors(mean, pca, [member])).all()
     with pytest.raises(LeavesConeError):
         reconstruct(mean, pca, 0, 0)
