@@ -186,17 +186,30 @@ class _Evaluation:
     The product roots ``G_i = (S^{1/2} S_i S^{1/2})^{1/2}`` give the Frechet
     functional from their traces, ``(1/2N) sum_i (tr S + tr S_i - 2 tr G_i)``,
     their average ``gbar`` and the trace-norm residual ``||S - gbar||_1``.
+    S is rooted on its numerical range at ``rank_tol``.  When that range is
+    not the whole space, with Q its orthonormal basis and D the roots of the
+    eigenvalues kept, ``G_i = Q (D C_i D)^{1/2} Q^T`` for ``C_i = Q^T S_i Q``:
+    no root of a rounding-level eigenvalue of S or of the product enters.
     """
 
     __slots__ = ("point", "functional", "gbar", "residual")
 
     def __init__(self, point: Covariance, members: list[Covariance], rank_tol=None):
-        root = sqrt_psd(point).mat
+        r = numerical_rank(point, rank_tol)
+        if r == point.dim:
+            root = sqrt_psd(point).mat
+            product = lambda m: product_root(root, m, rank_tol)
+        elif r == 0:
+            product = lambda m: np.zeros_like(point.mat)
+        else:
+            q = point.spectrum.vectors[:, :r]
+            root = np.diag(np.sqrt(point.spectrum.values[:r]))
+            product = lambda m: q @ product_root(root, cov_from_product(q.T @ m.mat @ q), rank_tol) @ q.T
         tr = point.trace
         f = 0.0
-        gsum = np.zeros_like(root)
+        gsum = np.zeros_like(point.mat)
         for m in members:
-            g = product_root(root, m, rank_tol)
+            g = product(m)
             f += max(0.0, tr + m.trace - 2.0 * float(np.trace(g)))
             gsum += g
         self.point = point

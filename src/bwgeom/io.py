@@ -4,16 +4,28 @@ Matrix files are plain text: one row per line, comma-separated decimals,
 ``#`` starts a comment.  Files written here use 17 significant digits, so
 every matrix the tool writes re-parses to bit-identical doubles.  The writer
 accepts only what the reader accepts back: a nonempty, finite, square matrix,
-symmetric to within ``SYMMETRY_RTOL``.  It streams the file one row at a
-time, formats each row's upper triangle with one C-level ``%`` and mirrors
-those strings into the rows below, so each symmetric entry is formatted once.
+symmetric to within ``SYMMETRY_RTOL``.  It formats the upper triangle once,
+in pieces of whole rows, into a table of fixed-width cells, and builds each
+line by gathering the cells of its entries, mirrored below the diagonal.
 Reports are JSON documents with sorted keys and the same fixed float
-formatting, making byte-identical output a function of the inputs alone;
-float vectors are formatted with one ``%`` per vector.
+formatting, making byte-identical output a function of the inputs alone.
+
+Float arrays in files and reports are formatted by one numpy kernel that gives
+exactly the text of ``FLOAT_FORMAT % x`` for each entry.  In its fast range,
+``1e-4 <= |x| < 1e17`` and zero, that text is fixed-point, and the kernel
+finds the decimal exponent k and the 17 significant digits in exact
+arithmetic: ``10**(16 - k)`` is an exact double, Dekker's two-product gives
+``|x| * 10**(16 - k)`` as an exact sum of two doubles, and the digits round
+half to even as in correctly rounded ``dtoa``.  Each entry's characters are
+laid out in a fixed-width cell padded with NUL bytes, and one
+``bytes.translate`` deletes the padding.  Entries outside the fast range, and
+arrays of fewer than ``_CROSSOVER`` entries, go through one ``FLOAT_FORMAT %``
+call instead.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -30,6 +42,24 @@ SYMMETRY_RTOL = 1e-9
 # Fixed 17-significant-digit decimal form; round-trips every double and gives
 # the same text as ``format(x, ".17g")``.
 FLOAT_FORMAT = "%.17g"
+
+# FLOAT_FORMAT left-justified in 24 columns, the longest text it gives
+# ("-1.2345678901234567e-308"); the kernel's fallback.
+_PADDED_FORMAT = "%-24.17g"
+# A formatted cell: 24 text bytes padded with NUL or space, then a separator.
+_CELL = 25
+_PADDING = b"\0 "
+# Below this many entries one FLOAT_FORMAT % call is faster than the kernel,
+# whose hundred-odd numpy calls cost about 130 us per call (measured
+# crossover: 256 to 320 entries).
+_CROSSOVER = 300
+# Entries per kernel call, and cells per written block of lines.  It bounds
+# their temporaries, about 130 bytes per entry in the kernel.
+_BLOCK = 4096
+# Veltkamp's splitting constant 2**27 + 1 for Dekker's two-product.
+_SPLIT = 134217729.0
+_U64 = np.uint64
+_ASCII_ZEROS = _U64(0x3030303030303030)
 
 
 def _asymmetric_entry(a: np.ndarray) -> tuple[int, int] | None:
@@ -114,21 +144,209 @@ def _atomic_write(path, chunks) -> None:
         raise
 
 
-def _symmetric_rows(m: np.ndarray):
-    """Yield the text lines of a symmetric matrix, formatting each entry once.
+@functools.cache
+def _tables():
+    """The kernel's lookup tables, built on first use.
 
-    Line i formats ``m[i, i:]`` with one ``%``.  The strings right of its
-    diagonal are kept in reverse, so that line j pops entry (i, j) as its
-    column-i entry; at most about n²/4 strings are held at once.
+    ``digits[v]`` holds the four ASCII digits of ``v < 10**4`` in its four low
+    bytes, first digit lowest.  Column ``(k + 4) * 17 + last`` of ``whole``,
+    ``frac`` and ``fixed`` (each 3 x 357) describes the cell of an entry with
+    decimal exponent k in [-4, 16] whose last nonzero digit has index ``last``
+    in [0, 16], as three little-endian words (``_cells`` gives the layout): the
+    bytes that take integer digits, the bytes that take fraction digits, and
+    the fixed bytes, "0." and leading zeros or the decimal point.
     """
-    pending: list[list[str]] = []
-    for i in range(m.shape[0]):
-        upper = m[i, i:].tolist()
-        text = ",".join([FLOAT_FORMAT] * len(upper)) % tuple(upper)
-        line = [p.pop() for p in pending]
-        pending.append(text.split(",")[:0:-1])
-        line.append(text)
-        yield ",".join(line) + "\n"
+    v = np.arange(10**4)
+    digits = sum(((v // 10 ** (3 - i) % 10) + 48).astype(_U64) << _U64(8 * i) for i in range(4))
+    k = np.repeat(np.arange(-4, 17), 17)[:, None]
+    last = np.tile(np.arange(17), 21)[:, None]
+    b = np.arange(24)
+    whole = (k >= 0) & (1 <= b) & (b <= k + 1)
+    frac = (np.where(k >= 0, k + 7, 6) <= b) & (b <= last + 6)
+    fixed = np.where((k >= 0) & (last > k) & (b == k + 2), ord("."), 0)
+    for e in range(-4, 0):
+        text = np.frombuffer(b"0." + b"0" * (-e - 1), np.uint8)
+        fixed[(k[:, 0] == e), 6 - text.size : 6] = text
+    words = lambda mask: np.ascontiguousarray(mask.astype(np.uint8).view(_U64).T)
+    return digits, words(whole * 255), words(frac * 255), words(fixed)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of doubles into halves of at most 26 bits, ``a = hi + lo``."""
+    hi = a * _SPLIT
+    hi -= hi - a
+    return hi, a - hi
+
+
+# 10**p for 0 <= p <= 20, exact doubles, and their halves.
+_POW10 = np.array([float(10**p) for p in range(21)])
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _times_pow10(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(y, e)`` with ``y = fl(a * 10**p)`` and ``a * 10**p = y + e`` exactly,
+    for ``0 <= p <= 20`` (Dekker's two-product; ``10**p`` is an exact double)."""
+    y = a * np.take(_POW10, p)
+    ah, al = _split(a)
+    bh, bl = np.take(_POW10_HI, p), np.take(_POW10_LO, p)
+    e = ah * bh
+    e -= y
+    e += ah * bl
+    e += al * bh
+    e += al * bl
+    return y, e
+
+
+def _shift_right(w: np.ndarray, i: int, s: int) -> np.ndarray:
+    """Word i of the 192-bit little-endian numbers in the columns of ``w``
+    (3 x n words) shifted right by ``0 < s < 64`` bits."""
+    word = w[i] >> _U64(s)
+    if i < 2:
+        word |= w[i + 1] << _U64(64 - s)
+    return word
+
+
+def _fixed_point_words(a: np.ndarray, negative: np.ndarray) -> np.ndarray:
+    """The cell words (3 x n) of magnitudes in the fast range or zero."""
+    digits, whole, frac, fixed = _tables()
+    # A zero takes k = 0 and seventeen zero digits, which make the text "0".
+    zero = a == 0.0
+    k = np.clip(np.floor(np.log10(np.where(zero, 1.0, a))), -4, 16).astype(np.intp)
+    # y = a * 10**(16 - k) = ph + err exactly.  log10 may put k one off near a
+    # power of ten; the exact test 1e16 <= y < 1e17 finds those entries (the
+    # differences to 1e16 and 1e17 are exact where they decide the sign).
+    ph, err = _times_pow10(a, 16 - k)
+    while True:
+        low = (ph - 1e16) + err < 0.0
+        off = np.flatnonzero((low & ~zero) | ((ph - 1e17) + err >= 0.0))
+        if not off.size:
+            break
+        k[off] += np.where(low[off], -1, 1)
+        ph[off], err[off] = _times_pow10(a[off], 16 - k[off])
+    # ph >= 2**53 is an even integer and |err| <= 8, so rounding err half to
+    # even rounds y half to even: m holds the 17 significant digits.  It
+    # stays below 10**17: the largest double under each power of ten in the
+    # range lies at least 8 units of the 17th digit below it.
+    m = ph.astype(np.int64) + np.rint(err).astype(np.int64)
+    del ph, err
+    # The digits d0..d16 as 192-bit strings, d0 in byte 7 of the first word
+    # and eight digits in each of the other two.
+    lead = m // 10**16
+    m -= lead * 10**16
+    g = np.empty((2, m.size), np.int64)
+    np.floor_divide(m, 10**8, out=g[0])
+    np.subtract(m, g[0] * 10**8, out=g[1])
+    del m
+    q = g // 10**4
+    g -= q * 10**4
+    w = np.empty((3, g.shape[1]), _U64)
+    w[0] = (lead + 48).astype(_U64) << _U64(56)
+    w[1:] = np.take(digits, g)
+    w[1:] <<= _U64(32)
+    w[1:] |= np.take(digits, q)
+    del lead, g, q
+    # Byte index of the highest nonzero digit of each word, read from the
+    # exponent of the word of digit values as a float (every byte is below 16,
+    # so rounding to 53 bits cannot carry into the next byte); -128 for none.
+    top = ((((w[1:] ^ _ASCII_ZEROS).astype(np.float64).view(np.int64) >> 52) + 1) >> 3) - 128
+    column = (k + 4) * 17 + np.maximum(np.maximum(top[1] + 9, top[0] + 1), 0)
+    del k, top
+    cell = np.take(fixed, column, axis=1)
+    cell[0] |= negative.astype(_U64) * _U64(ord("-"))
+    for i in range(3):
+        cell[i] |= _shift_right(w, i, 48) & np.take(whole[i], column)
+        cell[i] |= _shift_right(w, i, 8) & np.take(frac[i], column)
+    return cell
+
+
+def _cells(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the ``FLOAT_FORMAT`` text of each entry of a float64 vector into
+    the first 24 bytes of the matching row of ``out`` (shape ``(n, _CELL)``).
+
+    A cell's text reads in byte order once ``_PADDING`` is deleted.  In the
+    fast range, byte 0 holds the sign; digit d_j of the 17 sits in byte 1 + j
+    when it belongs to the integer part (j <= k) and in byte 6 + j when it
+    belongs to the fraction; the decimal point sits in byte k + 2, or, for
+    k < 0, "0." and -k - 1 zeros end at byte 5.  Trailing zeros of the
+    fraction, and a point with no fraction after it, are left out.
+    """
+    rest = slice(None)
+    if x.size >= _CROSSOVER:
+        a = np.abs(x)
+        slow = (a >= 1e17) | ((a < 1e-4) & (a != 0.0))
+        if not slow.all():
+            # Entries outside the fast range are formatted as zeros here and
+            # overwritten below.
+            a[slow] = 0.0
+            out[:, :24].view(_U64)[...] = _fixed_point_words(a, np.signbit(x)).T
+            rest = np.flatnonzero(slow)
+    values = x[rest].tolist()
+    if values:
+        text = (_PADDED_FORMAT * len(values)) % tuple(values)
+        out[rest, :24] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(len(values), 24)
+
+
+def _format_cells(x: np.ndarray, out: np.ndarray) -> None:
+    """``_cells`` over a vector of any length, ``_BLOCK`` entries at a time."""
+    for s in range(0, x.size, _BLOCK):
+        _cells(x[s : s + _BLOCK], out[s : s + _BLOCK])
+
+
+def _texts(a: np.ndarray) -> list[str]:
+    """The ``FLOAT_FORMAT`` text of each entry of a finite float array, in C order."""
+    x = a.astype(np.float64).ravel()
+    out = np.empty((x.size, _CELL), np.uint8)
+    out[:, -1] = ord(",")
+    _format_cells(x, out)
+    return out.tobytes().translate(None, _PADDING).decode("ascii").split(",")[:-1]
+
+
+def _upper_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Position of entry ``(min(i, j), max(i, j))`` of an n x n matrix in its
+    upper triangle in ``np.triu_indices`` order."""
+    lo = np.minimum(i, j)
+    return lo * n - lo * (lo + 1) // 2 + np.maximum(i, j)
+
+
+def _upper_triangle(m: np.ndarray):
+    """The upper triangle of a square array in ``np.triu_indices`` order, in
+    pieces of whole rows holding at most ``_BLOCK`` entries (or one row)."""
+    n = m.shape[0]
+    i = 0
+    while i < n:
+        j, size = i + 1, n - i
+        while j < n and size + n - j <= _BLOCK:
+            size += n - j
+            j += 1
+        yield m[i:j][np.arange(i, j)[:, None] <= np.arange(n)]
+        i = j
+
+
+def _symmetric_rows(m: np.ndarray):
+    """Yield the text of a symmetric matrix file in blocks of whole lines.
+
+    The upper triangle is formatted once into a table of cells in
+    ``np.triu_indices`` order.  Line i gathers the cells of entries
+    ``(min(i, j), max(i, j))``, so entry (j, i) below the diagonal repeats the
+    text of (i, j).
+    """
+    n = m.shape[0]
+    table = np.empty((n * (n + 1) // 2, _CELL), np.uint8)
+    table[:, -1] = ord(",")
+    start = 0
+    for values in _upper_triangle(m):
+        _format_cells(values, table[start : start + values.size])
+        start += values.size
+    cells = table.view(f"V{_CELL}").ravel()
+    cols = np.arange(n)
+    step = max(1, _BLOCK // n)
+    for r0 in range(0, n, step):
+        lines = np.take(cells, _upper_index(cols[r0 : r0 + step, None], cols, n))
+        lines = lines.view(np.uint8).reshape(-1, n, _CELL)
+        lines[:, -1, -1] = ord("\n")
+        text = lines.tobytes()
+        del lines
+        yield text.translate(None, _PADDING).decode("ascii")
 
 
 def write_matrix(path, a) -> None:
@@ -245,17 +463,10 @@ def _render(obj, indent: int) -> str:
             for k in sorted(obj, key=str)
         ]
         return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if (
-        isinstance(obj, np.ndarray)
-        and obj.ndim == 1
-        and obj.dtype.kind == "f"
-        and obj.size
-        and np.isfinite(obj).all()
-    ):
-        # One % over the whole vector; non-finite entries take the per-item
-        # path below, which renders them as null.
-        body = (",\n" + inner).join([FLOAT_FORMAT] * obj.size) % tuple(obj.tolist())
-        return "[\n" + inner + body + "\n" + pad + "]"
+    if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f" and obj.size and np.isfinite(obj).all():
+        # One kernel call over the whole array; non-finite entries take the
+        # per-item path below, which renders them as null.
+        return _render_floats(_texts(obj), obj.shape, indent)
     if isinstance(obj, (list, tuple, np.ndarray)):
         seq = list(obj)
         if not seq:
@@ -274,6 +485,16 @@ def _render(obj, indent: int) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
+
+
+def _render_floats(texts: list[str], shape: tuple[int, ...], indent: int) -> str:
+    """Nested JSON lists of the formatted entries of an array of ``shape``."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if len(shape) > 1:
+        w = len(texts) // shape[0]
+        texts = [_render_floats(texts[i * w : (i + 1) * w], shape[1:], indent + 1) for i in range(shape[0])]
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
 
 
 def render_report(report: Report) -> str:

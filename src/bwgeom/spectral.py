@@ -26,7 +26,10 @@ EPS = float(np.finfo(np.float64).eps)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """``(a + a.T) / 2`` as a new float64 array, with one temporary."""
+    s = np.add(a, a.T, dtype=np.float64)
+    s *= 0.5
+    return s
 
 
 def as_matrix(m) -> np.ndarray:
@@ -83,14 +86,17 @@ class Covariance:
     """Symmetric PSD matrix carrying its eigendecomposition.
 
     Instances come from ``validate_psd``; ``spectrum.values`` is descending and
-    nonnegative (tolerated negative noise is clamped at validation).
+    nonnegative (tolerated negative noise is clamped at validation).  The
+    square root is built from the spectrum on the first ``sqrt_psd`` call and
+    kept.
     """
 
-    __slots__ = ("mat", "spectrum")
+    __slots__ = ("mat", "spectrum", "_root")
 
     def __init__(self, mat: np.ndarray, spectrum: Spectrum):
         self.mat = mat
         self.spectrum = spectrum
+        self._root = None
 
     @property
     def dim(self) -> int:
@@ -194,9 +200,12 @@ def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def sqrt_psd(s) -> SymMatrix:
-    """Unique PSD square root, by mapping eigenvalues to their roots."""
+    """Unique PSD square root, by mapping eigenvalues to their roots; a
+    ``Covariance`` builds it once and returns the same root afterwards."""
     c = validate_psd(s)
-    return SymMatrix(from_spectrum(c.spectrum.vectors, np.sqrt(c.spectrum.values)))
+    if c._root is None:
+        c._root = SymMatrix(from_spectrum(c.spectrum.vectors, np.sqrt(c.spectrum.values)))
+    return c._root
 
 
 def pinv_sqrt(s, rank_tol: float | None = None) -> SymMatrix:

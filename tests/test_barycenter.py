@@ -18,8 +18,13 @@ from bwgeom import (
     optimal_map,
     pairwise_alignment,
     procrustes_distance,
+    procrustes_distance_squared,
+    sqrt_psd,
     tangent_norm,
+    validate_psd,
 )
+from bwgeom.bures import product_root
+from bwgeom.spectral import trace_norm
 
 from conftest import make_psd_rank, make_spd
 
@@ -343,3 +348,63 @@ def test_joint_min_eigenvalue_matches_the_full_spectrum(rng, n, d):
         assert joint.min_eigenvalue() == pytest.approx(float(np.linalg.eigvalsh(fam[0].mat)[0]), rel=1e-12)
     else:
         assert joint.min_eigenvalue() == 0.0
+
+
+def old_evaluation(s, family):
+    """Functional and residual from the product roots of the full PSD root of
+    S, the evaluation used before S was rooted on its numerical range."""
+    root = sqrt_psd(s).mat
+    gs = [product_root(root, m) for m in family]
+    f = sum(max(0.0, s.trace + m.trace - 2.0 * float(np.trace(g))) for m, g in zip(family, gs))
+    gbar = sum(gs) / len(gs)
+    return f / (2.0 * len(family)), trace_norm(s.mat - gbar)
+
+
+def test_evaluation_at_full_rank_points_is_unchanged(rng):
+    for d in (2, 5, 9):
+        family = [make_spd(d, rng) for _ in range(4)] + [make_psd_rank(d, d - 1, rng)]
+        for s in (make_spd(d, rng), family[0], validate_psd(sum(m.mat for m in family) / 5.0)):
+            assert (frechet_functional(s, family), fixed_point_residual(s, family)) == old_evaluation(s, family)
+
+
+def mp_evaluation(s, family):
+    """40-digit functional, residual and squared distances at the exact float matrices."""
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+
+    def root(a):
+        w, q = mpmath.eigsy(a)
+        return q * mpmath.diag([mpmath.sqrt(max(x, 0)) for x in w]) * q.T
+
+    tr = lambda a: sum(a[i, i] for i in range(a.rows))
+    sm = mpmath.matrix(s.tolist())
+    r = root(sm)
+    d2, gsum = [], mpmath.zeros(sm.rows, sm.rows)
+    for m in family:
+        mm = mpmath.matrix(m.tolist())
+        g = root(r * mm * r)
+        d2.append(tr(sm) + tr(mm) - 2 * tr(g))
+        gsum += g
+    diff = sm - gsum / len(family)
+    residual = sum(abs(x) for x in mpmath.eigsy((diff + diff.T) / 2, eigvals_only=True))
+    return float(sum(d2) / (2 * len(family))), float(residual), [float(x) for x in d2]
+
+
+def test_evaluation_at_rank_deficient_points_is_as_accurate_as_the_distance(rng):
+    # Integer factors make S = L L^T exactly rank r in floating point, so the
+    # 40-digit reference evaluates the same matrices the code receives.
+    rel = lambda got, ref: abs(got - ref) / ref
+    errors = {"functional": [], "residual": [], "distance": []}
+    for d, r in [(3, 1), (3, 2), (4, 2), (5, 3), (6, 4), (6, 5)]:
+        lf = rng.integers(-3, 4, size=(d, r)).astype(float)
+        s = lf @ lf.T
+        assert np.linalg.matrix_rank(s) == r
+        lm = rng.integers(-3, 4, size=(d, d - 1)).astype(float)
+        family = [make_spd(d, rng).mat for _ in range(3)] + [lm @ lm.T]
+        f_ref, res_ref, d2_ref = mp_evaluation(s, family)
+        errors["functional"].append(rel(frechet_functional(s, family), f_ref))
+        errors["residual"].append(rel(fixed_point_residual(s, family), res_ref))
+        errors["distance"] += [rel(procrustes_distance_squared(s, m), x) for m, x in zip(family, d2_ref)]
+    floor = max(max(errors["distance"]), 16 * np.finfo(float).eps)
+    assert max(errors["functional"]) <= floor
+    assert max(errors["residual"]) <= floor

@@ -180,6 +180,30 @@ def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monk
     assert len(calls) == 1
 
 
+def test_distance_command_builds_each_root_once(tmp_path, capsys, monkeypatch):
+    import bwgeom.spectral
+
+    from_spectrum = bwgeom.spectral.from_spectrum
+    built = []
+
+    def counted(vectors, values):
+        built.append(values.size)
+        return from_spectrum(vectors, values)
+
+    # sqrt_psd builds a root through spectral.from_spectrum; the positive
+    # definite inputs need no clamping, which would rebuild a matrix there too.
+    monkeypatch.setattr(bwgeom.spectral, "from_spectrum", counted)
+    rng = np.random.default_rng(5)
+    for name in ("a.txt", "b.txt"):
+        x = rng.standard_normal((4, 4))
+        write_matrix(tmp_path / name, x @ x.T + np.eye(4))
+    code, out, _ = run_cli(capsys, "distance", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"))
+    assert code == 0
+    assert built == [4, 4]
+    results = json.loads(out)["results"]
+    assert results["alignment_distance"] == pytest.approx(results["procrustes"], rel=1e-9)
+
+
 def test_pca_command_evaluates_no_reconstruction_entry_by_entry(tmp_path, capsys, monkeypatch):
     from bwgeom.bures import procrustes_distance
     from bwgeom.geometry import exp_map

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import bwgeom.io as bwgeom_io
 from bwgeom import DimMismatchError, MatrixParseError
 from bwgeom.io import (
     FLOAT_FORMAT,
@@ -276,3 +278,145 @@ def test_render_report_arrays_match_their_lists(rng):
         )
 
     assert render_report(report(lambda v: v)) == render_report(report(lambda v: v.tolist()))
+
+
+# The numpy kernel behind write_matrix and render_report must give, entry for
+# entry, the text of FLOAT_FORMAT %; these tests compare the two byte for byte.
+
+
+def kernel_texts(x):
+    return bwgeom_io._texts(np.asarray(x, dtype=np.float64))
+
+
+def percent_texts(x):
+    return [FLOAT_FORMAT % v for v in np.asarray(x, dtype=np.float64).tolist()]
+
+
+def test_kernel_matches_percent_on_random_bit_patterns(rng):
+    x = np.frombuffer(rng.bytes(8 * 200_000), dtype=np.float64)
+    x = x[np.isfinite(x)]
+    assert kernel_texts(x) == percent_texts(x)
+
+
+def test_kernel_matches_percent_log_uniformly_in_and_around_the_fast_range(rng):
+    x = np.exp(rng.uniform(math.log(1e-7), math.log(1e20), 200_000))
+    x *= rng.choice([-1.0, 1.0], size=x.size)
+    assert np.count_nonzero((1e-4 <= np.abs(x)) & (np.abs(x) < 1e17)) > 150_000
+    edges = np.array([1e-4, 1e17, 0.0001, 99999999999999999.0, 1e16, 1e-3])
+    near = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    near = np.concatenate([near, -near])
+    assert kernel_texts(np.concatenate([x, near])) == percent_texts(np.concatenate([x, near]))
+    # The entries at the edges alone, too few for the kernel, and inside a long vector.
+    assert kernel_texts(near) == percent_texts(near)
+    assert kernel_texts(np.tile(near, 50)) == percent_texts(np.tile(near, 50))
+
+
+def test_kernel_matches_percent_on_powers_of_ten_and_their_neighbours():
+    p = np.array([10.0**e for e in range(-8, 23)] + [float(10**e) for e in range(23)])
+    x = np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+    x = np.concatenate([x, -x, 9.0 * x, 9.999999999999999 * x])
+    assert kernel_texts(x) == percent_texts(x)
+
+
+def test_kernel_rounds_exact_seventeen_digit_ties_half_to_even(rng):
+    # In [2**49, 10**15) doubles are multiples of 1/8: x.125, x.375, x.625 and
+    # x.875 have 18 significant digits ending in 5, an exact tie at the 17th.
+    x = rng.integers(2**49, 10**15, size=20_000).astype(np.float64)
+    x += rng.choice([0.125, 0.375, 0.625, 0.875], size=x.size)
+    x = np.concatenate([x, x * 2.0**-30, -x * 2.0**-45])
+    ties = [v for v in x[:1000].tolist() if len(str(Decimal(v)).replace(".", "").lstrip("0")) == 18]
+    assert len(ties) == 1000 and all(str(Decimal(v)).endswith("5") for v in ties)
+    assert kernel_texts(x) == percent_texts(x)
+    # Half to even both ways: ...12|5 keeps 2, ...13|5 rounds up to 4.
+    assert kernel_texts(np.array([562949953421312.125, 562949953421313.375] * 200))[:2] == [
+        "562949953421312.12",
+        "562949953421313.38",
+    ]
+
+
+def test_kernel_drops_trailing_zeros_and_bare_points(rng):
+    x = np.concatenate(
+        [
+            rng.integers(-10**6, 10**6, size=5000) / 4.0,
+            rng.integers(-10**16, 10**16, size=5000).astype(np.float64),
+            rng.integers(1, 10**4, size=5000) * 1e-4,
+            [0.5, 100.0, 1e16, 1234.5, 0.0001, 0.25, 1.0, 10.0, 12345678901234567.0],
+        ]
+    )
+    texts = kernel_texts(x)
+    assert texts == percent_texts(x)
+    assert "1234.5" in texts and "100" in texts and "0.0001" in texts and "1" in texts
+
+
+def test_kernel_matches_percent_on_zeros_and_subnormals(rng):
+    tiny = np.float64(5e-324) * rng.integers(1, 2**52, size=2000)
+    x = np.concatenate([[0.0, -0.0] * 500, tiny, -tiny, [2.2250738585072014e-308, 5e-324]])
+    rng.shuffle(x)
+    texts = kernel_texts(x)
+    assert texts == percent_texts(x)
+    assert texts.count("0") + texts.count("-0") == 1000
+    # A vector of zeros alone goes through the kernel's fast path.
+    zeros = np.zeros(1000) * rng.choice([-1.0, 1.0], size=1000)
+    assert kernel_texts(zeros) == percent_texts(zeros)
+
+
+def test_render_report_formats_float32_arrays_like_their_lists(rng):
+    arrays = {
+        "small": rng.standard_normal(7).astype(np.float32),
+        "large": (rng.standard_normal((40, 30)) * 10.0 ** rng.integers(-6, 6, size=(40, 30))).astype(np.float32),
+        "half": rng.standard_normal((20, 20)).astype(np.float16),
+    }
+    as_report = lambda values: Report(command="demo", inputs={}, results=values, diagnostics={}, version="0")
+    expected = render_report(as_report({k: v.tolist() for k, v in arrays.items()}))
+    assert render_report(as_report(arrays)) == expected
+
+
+def test_render_report_floats_on_both_sides_of_the_crossover_and_block_edge(rng):
+    sizes = [bwgeom_io._CROSSOVER + k for k in (-1, 0, 1)] + [bwgeom_io._BLOCK + k for k in (-1, 0, 1)]
+    for n in sizes:
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, size=n)
+        assert kernel_texts(x) == percent_texts(x)
+        m = x[: n - n % 3].reshape(3, -1)
+        report = Report(command="demo", inputs={}, results={"m": m}, diagnostics={}, version="0")
+        listed = Report(command="demo", inputs={}, results={"m": m.tolist()}, diagnostics={}, version="0")
+        assert render_report(report) == render_report(listed)
+
+
+def symmetric_fast_range(n, rng):
+    a = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 5, size=(n, n))
+    a = (a + a.T) / 2.0
+    a[rng.random((n, n)) < 0.05] = 0.0
+    a[0, 0] = 1e-5  # one entry outside the fast range
+    return np.triu(a) + np.triu(a, 1).T
+
+
+# 24 * 25 / 2 == _CROSSOVER upper entries; 64 rows of 64 are one block.
+@pytest.mark.parametrize("n", [23, 24, 25, 63, 64, 65])
+def test_write_matrix_bytes_around_the_crossover_and_the_row_block(tmp_path, rng, n):
+    assert 24 * 25 // 2 == bwgeom_io._CROSSOVER and 64 * 64 == bwgeom_io._BLOCK
+    a = symmetric_fast_range(n, rng)
+    p = tmp_path / "m.txt"
+    write_matrix(p, a)
+    assert p.read_bytes() == reference_matrix_text(a).encode("utf-8")
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 15, 16, 17, 40])
+def test_write_matrix_bytes_with_small_blocks(tmp_path, rng, monkeypatch, n):
+    # Blocks of 16 entries and a crossover of 4 put row-block edges, partial
+    # blocks and lines longer than a block (n > 16) into small matrices.
+    monkeypatch.setattr(bwgeom_io, "_BLOCK", 16)
+    monkeypatch.setattr(bwgeom_io, "_CROSSOVER", 4)
+    for a in (symmetric_fast_range(n, rng), -symmetric_fast_range(n, rng) * 1e-9):
+        p = tmp_path / "m.txt"
+        write_matrix(p, a)
+        assert p.read_bytes() == reference_matrix_text(a).encode("utf-8")
+        assert kernel_texts(a.ravel()) == percent_texts(a.ravel())
+
+
+def test_write_matrix_mirrors_the_upper_triangle_text(tmp_path):
+    # Within SYMMETRY_RTOL the lower triangle is written as the upper one.
+    a = np.full((30, 30), 0.5)
+    a[np.tril_indices(30, -1)] = 0.5 + 1e-12
+    p = tmp_path / "m.txt"
+    write_matrix(p, a)
+    assert p.read_bytes() == ((",".join(["0.5"] * 30) + "\n") * 30).encode("utf-8")
