@@ -1,14 +1,12 @@
 """Frechet means of covariance families and the induced multicoupling.
 
-Two solvers are provided.  ``mean_fixed_point`` iterates
-
-    S_{k+1} = T_k S_k T_k,   T_k = (1/N) sum_i optimal_map(S_k, S_i),
-
-a steepest-descent scheme whose functional values are non-increasing and whose
-iterate traces are non-decreasing.  ``mean_procrustes_averaging`` alternates
-orthogonal alignment of the matrix roots with averaging of the aligned roots.
-Both evaluate a candidate point through one ``_Evaluation`` and expose the
-same diagnostics through ``MeanResult``.
+Both solvers iterate ``S <- T S T``, T the average optimal map from S to the
+members, deflate a common kernel and check the kernel of every iterate.
+``mean_fixed_point`` is this steepest descent from the euclidean mean.
+``mean_procrustes_averaging`` is generalized Procrustes averaging of the
+matrix roots: rotating root ``L_i`` toward the average root L gives
+``L_i polar(L_i^T L) = T_i L``, so averaging and squaring is the same step.
+Both evaluate each point once and report through ``MeanResult``.
 """
 
 from __future__ import annotations
@@ -17,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bures import (
-    kernel_leaks,
-    optimal_map,
-    pairwise_alignment,
-    product_root,
-    transport_matrix,
-)
+from .bures import kernel_leaks, optimal_map, product_root, transport_matrix
 from .errors import (
     DimMismatchError,
     EmptyFamilyError,
@@ -50,10 +42,10 @@ class MeanConfig:
     """Solver configuration.
 
     ``rel_tol`` applies to the relative change of the Frechet functional in the
-    descent solver and to the Hilbert-Schmidt change of the average root in the
-    averaging solver.  ``max_iter`` caps the iterations of either.  The
-    starting points are fixed: the descent starts from the euclidean mean of
-    the (deflated) members, the averaging from the average of their roots.
+    descent solver and to the Procrustes length of the step,
+    ``tr((T - I) S (T - I))^{1/2}``, in the averaging solver: the
+    Hilbert-Schmidt change of the average root.  ``max_iter`` caps the
+    iterations of either; each solver fixes its own starting point.
     """
 
     max_iter: int = 200
@@ -235,28 +227,16 @@ def _result(evals: list[_Evaluation], finish, converged: bool, algorithm: str) -
     )
 
 
-def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | None = None) -> MeanResult:
-    """Frechet mean by the transport-map descent iteration.
-
-    Families with a common numerical kernel are deflated to its orthogonal
-    complement before solving and the mean is embedded back afterwards.  The
-    descent starts from the euclidean mean of the (deflated) members.  The
-    solver stops once the relative change of the functional falls below
-    ``cfg.rel_tol`` and the fixed-point residual certifies optimality within
-    ``max(cfg.rel_tol, 1e-6) * trace``; hitting ``cfg.max_iter`` first
-    raises ``MaxIterExceeded`` carrying the best iterate.
-    """
-    cfg = cfg or MeanConfig()
+def _solve(family, cfg: MeanConfig, rank_tol, start, stop, algorithm: str) -> MeanResult:
+    """Iterate ``S <- T S T`` from ``start(members)`` on the complement of the
+    members' common kernel until ``stop(prev, step, cand)`` returns the
+    evaluation to end at, ``cand`` or ``prev`` (None goes on; at the start
+    ``prev`` and ``step`` are None), or ``cfg.max_iter`` steps raise."""
     members = coerce_family(family)
-    d = members[0].dim
-
-    # Deflate the common kernel, read off the euclidean mean's null space.
+    # The common kernel is read off the euclidean mean's null space.
     esum = cov_from_product(sum(m.mat for m in members) / len(members))
     rank = numerical_rank(esum, rank_tol)
-    if rank == 0:
-        zero = _Evaluation(cov_from_product(np.zeros((d, d))), members, rank_tol)
-        return _result([zero], lambda p: p, True, "fixed_point")
-    if rank < d:
+    if 0 < rank < members[0].dim:
         q = esum.spectrum.vectors[:, :rank]
         members = [cov_from_product(q.T @ m.mat @ q) for m in members]
         finish = lambda p: cov_from_product(q @ p.mat @ q.T)
@@ -270,55 +250,73 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
                 raise KernelConditionError(f"iterate {k} lost range inclusion for member {i}", index=k)
         return _Evaluation(point, members, rank_tol)
 
-    def certified(e, scale):
-        return e.residual <= scale * e.point.trace
-
-    evals = [evaluate(cov_from_product(sum(m.mat for m in members) / len(members)), 0)]
-    res_cert = max(cfg.rel_tol, RESIDUAL_CERT)
-    if certified(evals[0], cfg.rel_tol):
-        return _result(evals, finish, True, "fixed_point")
+    evals = [evaluate(cov_from_product(start(members)), 0)]
+    if stop(None, None, evals[0]) is not None:
+        return _result(evals, finish, True, algorithm)
     for k in range(1, cfg.max_iter + 1):
         ev = evals[-1]
         step = transport_matrix(ev.point, ev.gbar, rank_tol)
         cand = evaluate(cov_from_product(step @ ev.point.mat @ step), k)
-        improvement = ev.functional - cand.functional
-        if improvement < 0.0 and certified(ev, res_cert):
+        end = stop(ev, step, cand)
+        if end is not ev:
+            evals.append(cand)
+        if end is not None:
+            return _result(evals, finish, True, algorithm)
+    raise MaxIterExceeded(_result(evals, finish, False, algorithm))
+
+
+def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | None = None) -> MeanResult:
+    """Frechet mean by the transport-map descent iteration.
+
+    The descent starts from the euclidean mean of the members, deflated to
+    the complement of their common kernel.  The solver stops once the
+    relative change of the functional falls below ``cfg.rel_tol`` and the
+    fixed-point residual certifies optimality within
+    ``max(cfg.rel_tol, 1e-6) * trace``; hitting ``cfg.max_iter`` first raises
+    ``MaxIterExceeded`` carrying the best iterate.
+    """
+    cfg = cfg or MeanConfig()
+    res_cert = max(cfg.rel_tol, RESIDUAL_CERT)
+    certified = lambda e, scale: e.residual <= scale * e.point.trace
+
+    def stop(prev, step, cand):
+        if prev is None:
+            return cand if certified(cand, cfg.rel_tol) else None
+        improvement = prev.functional - cand.functional
+        if improvement < 0.0 and certified(prev, res_cert):
             # The step no longer lowers the functional: evaluation roundoff
             # dominates and the residual already certifies the current iterate.
-            return _result(evals, finish, True, "fixed_point")
-        evals.append(cand)
-        settled = 0.0 <= improvement <= cfg.rel_tol * max(ev.functional, cand.functional, 1e-30)
-        if certified(cand, cfg.rel_tol) or (settled and certified(cand, res_cert)):
-            return _result(evals, finish, True, "fixed_point")
-    raise MaxIterExceeded(_result(evals, finish, False, "fixed_point"))
+            return prev
+        settled = 0.0 <= improvement <= cfg.rel_tol * max(prev.functional, cand.functional, 1e-30)
+        return cand if certified(cand, cfg.rel_tol) or (settled and certified(cand, res_cert)) else None
+
+    euclidean = lambda members: sum(m.mat for m in members) / len(members)
+    return _solve(family, cfg, rank_tol, euclidean, stop, "fixed_point")
 
 
 def mean_procrustes_averaging(family, cfg: MeanConfig | None = None) -> MeanResult:
     """Frechet mean by generalized Procrustes averaging of matrix roots.
 
-    Each member's root is rotated toward the current average root, the average
-    is recomputed, and the loop stops when the average root moves less than
-    ``cfg.rel_tol * (1 + ||average||_HS)`` in Hilbert-Schmidt norm.  The mean
-    is the squared final average.  The scheme starts from the average of the
-    roots themselves.  Each squared average is evaluated once, like a descent
-    iterate: its functional and fixed-point residual come from the same
-    product roots, and the mean is the last evaluated point itself.
+    Each step is the descent's ``S <- T S T`` (see the module docstring),
+    computed without rotations, from the square of the average of the
+    members' roots.  It stops once the average root moves at most
+    ``cfg.rel_tol * (1 + (tr S_new)^{1/2})``: that move is the Procrustes
+    length of the step, ``tr((T - I) S (T - I))^{1/2}``.  The deflation and
+    kernel check are the descent's, at the default rank cutoff.
     """
     cfg = cfg or MeanConfig()
-    members = coerce_family(family)
-    aligned = [sqrt_psd(m).mat.copy() for m in members]
-    avg = sum(aligned) / len(aligned)
-    square = lambda a: _Evaluation(cov_from_product(a @ a.T), members)
-    evals = [square(avg)]
-    for _ in range(cfg.max_iter):
-        for i, l in enumerate(aligned):
-            aligned[i] = l @ pairwise_alignment(avg, l)
-        prev = avg
-        avg = sum(aligned) / len(aligned)
-        evals.append(square(avg))
-        if float(np.linalg.norm(avg - prev)) <= cfg.rel_tol * (1.0 + float(np.linalg.norm(avg))):
-            return _result(evals, lambda p: p, True, "procrustes_averaging")
-    raise MaxIterExceeded(_result(evals, lambda p: p, False, "procrustes_averaging"))
+
+    def start(members):
+        avg = sum(sqrt_psd(m).mat for m in members) / len(members)
+        return avg @ avg.T
+
+    def stop(prev, step, cand):
+        if prev is None:
+            return None
+        move = float(np.linalg.norm((step - np.eye(len(step))) @ sqrt_psd(prev.point).mat))
+        return cand if move <= cfg.rel_tol * (1.0 + np.sqrt(cand.point.trace)) else None
+
+    return _solve(family, cfg, None, start, stop, "procrustes_averaging")
 
 
 def multicoupling(mean, family, rank_tol: float | None = None) -> JointCovariance:

@@ -180,6 +180,29 @@ def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monk
     assert len(calls) == 1
 
 
+def test_mean_gpa_makes_no_alignment_svd(tmp_path, capsys, monkeypatch):
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    # Every caller looks the function up on numpy.linalg, so this catches them all.
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(4)
+    mats = []
+    for _ in range(5):
+        x = rng.standard_normal((4, 4))
+        mats.append(x @ x.T + np.eye(4))
+    manifest = write_family(tmp_path, mats)
+    code, out, _ = run_cli(capsys, "mean", manifest, "--algorithm", "gpa", "--output", str(tmp_path / "g"))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["converged"] and doc["results"]["iterations"] >= 2
+    assert calls == []
+
+
 def test_distance_command_builds_each_root_once(tmp_path, capsys, monkeypatch):
     import bwgeom.spectral
 
