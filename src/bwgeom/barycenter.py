@@ -27,6 +27,7 @@ from .spectral import (
     Covariance,
     cov_from_product,
     numerical_rank,
+    readonly,
     sqrt_psd,
     symmetrize,
     trace_norm,
@@ -117,7 +118,7 @@ class JointCovariance:
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of ``full()``, whose nonzero spectrum is that of
         the d x d ``mean^{1/2} F^T F mean^{1/2}``; the other (n - 1) d are 0."""
-        f, r = self.maps.reshape(self.n * self.dim, self.dim), sqrt_psd(self.mean).mat
+        f, r = self.maps.reshape(self.n * self.dim, self.dim), sqrt_psd(self.mean)
         w = float(np.linalg.eigvalsh(symmetrize(r @ (f.T @ f) @ r))[0])
         return w if self.n == 1 else min(w, 0.0)
 
@@ -125,9 +126,7 @@ class JointCovariance:
     def blocks(self) -> np.ndarray:
         """Read-only (n, n, d, d) view of ``full()``."""
         n, d = self.n, self.dim
-        view = self.full().reshape(n, d, n, d).transpose(0, 2, 1, 3)
-        view.flags.writeable = False
-        return view
+        return readonly(self.full().reshape(n, d, n, d).transpose(0, 2, 1, 3))
 
 
 def coerce_family(family) -> list[Covariance]:
@@ -189,7 +188,7 @@ class _Evaluation:
     def __init__(self, point: Covariance, members: list[Covariance], rank_tol=None):
         r = numerical_rank(point, rank_tol)
         if r == point.dim:
-            root = sqrt_psd(point).mat
+            root = sqrt_psd(point)
             product = lambda m: product_root(root, m, rank_tol)
         elif r == 0:
             product = lambda m: np.zeros_like(point.mat)
@@ -307,13 +306,13 @@ def mean_procrustes_averaging(family, cfg: MeanConfig | None = None) -> MeanResu
     cfg = cfg or MeanConfig()
 
     def start(members):
-        avg = sum(sqrt_psd(m).mat for m in members) / len(members)
+        avg = sum(sqrt_psd(m) for m in members) / len(members)
         return avg @ avg.T
 
     def stop(prev, step, cand):
         if prev is None:
             return None
-        move = float(np.linalg.norm((step - np.eye(len(step))) @ sqrt_psd(prev.point).mat))
+        move = float(np.linalg.norm((step - np.eye(len(step))) @ sqrt_psd(prev.point)))
         return cand if move <= cfg.rel_tol * (1.0 + np.sqrt(cand.point.trace)) else None
 
     return _solve(family, cfg, None, start, stop, "procrustes_averaging")
@@ -330,13 +329,12 @@ def multicoupling(mean, family, rank_tol: float | None = None) -> JointCovarianc
     maps = np.empty((len(members), c.dim, c.dim))
     for i, m in enumerate(members):
         try:
-            maps[i] = optimal_map(c, m, rank_tol).mat
+            maps[i] = optimal_map(c, m, rank_tol)
         except KernelConditionError as e:
             raise KernelConditionError(
                 "no transport map from the mean to a family member", index=i
             ) from e
-    maps.flags.writeable = False
-    return JointCovariance(mean=c, maps=maps)
+    return JointCovariance(mean=c, maps=readonly(maps))
 
 
 def multicoupling_cost(joint: JointCovariance) -> float:

@@ -7,7 +7,7 @@ The squared distance between PSD matrices S1, S2 is
 which equals the squared 2-Wasserstein distance between the centred Gaussians
 with these covariances, and also the minimum of ||S1^{1/2} - U S2^{1/2}||_HS
 over orthogonal U.  The optimal transport map from S1 to S2 is itself a PSD
-operator, and ``optimal_map`` returns it as a ``SymMatrix``.
+operator, and ``optimal_map`` returns it as a read-only symmetric array.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ import numpy as np
 from .errors import DimMismatchError, KernelConditionError, NonFiniteError
 from .spectral import (
     Covariance,
-    SymMatrix,
     cov_from_product,
     from_spectrum,
     numerical_rank,
     operator_norm,
     pinv_sqrt,
     rank_rel,
+    readonly,
     sqrt_psd,
     sym_eigen,
     symmetrize,
@@ -50,8 +50,7 @@ def _range_factor(c: Covariance, r: int) -> np.ndarray:
 def _cross_trace(l: np.ndarray, hs: np.ndarray) -> np.ndarray:
     """Cross trace ``tr (S^{1/2} H S^{1/2})^{1/2}`` for one H or each of a
     stack (..., d, d), from the spectrum of ``L^T H L`` with ``S = L L^T``."""
-    g = l.T @ hs @ l
-    w = np.linalg.eigvalsh(0.5 * (g + g.swapaxes(-1, -2)))
+    w = np.linalg.eigvalsh(symmetrize(l.T @ hs @ l))
     return np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
 
 
@@ -81,8 +80,7 @@ def procrustes_distance_via_alignment(s1, s2) -> tuple[float, np.ndarray]:
     literally at that rotation.
     """
     a, b = _check_pair(s1, s2)
-    r1 = sqrt_psd(a).mat
-    r2 = sqrt_psd(b).mat
+    r1, r2 = sqrt_psd(a), sqrt_psd(b)
     u = pairwise_alignment(r1, r2).T
     return float(np.linalg.norm(r1 - u @ r2)), u
 
@@ -156,21 +154,21 @@ def product_root(root: np.ndarray, target: Covariance, rank_tol: float | None = 
         spec = sym_eigen(root @ target.mat @ root)
         return from_spectrum(spec.vectors, np.sqrt(np.maximum(spec.values, 0.0)))
     b = root @ _range_factor(target, r)
-    return symmetrize(b @ pinv_sqrt(cov_from_product(b.T @ b), rank_tol).mat @ b.T)
+    return symmetrize(b @ pinv_sqrt(cov_from_product(b.T @ b), rank_tol) @ b.T)
 
 
 def transport_matrix(source: Covariance, mid: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
     """``S^{-1/2} mid S^{-1/2}`` on the numerical range of ``S = source``,
     extended as the identity on its numerical kernel."""
-    rinv = pinv_sqrt(source, rank_tol).mat
+    rinv = pinv_sqrt(source, rank_tol)
     t = symmetrize(rinv @ mid @ rinv)
     kernel = source.spectrum.vectors[:, numerical_rank(source, rank_tol):]
     return t + kernel @ kernel.T if kernel.size else t
 
 
-def optimal_map(s1, s2, rank_tol: float | None = None) -> SymMatrix:
+def optimal_map(s1, s2, rank_tol: float | None = None) -> np.ndarray:
     """Optimal transport map from S1 to S2: the symmetric PSD t with
-    ``t S1 t = S2``.
+    ``t S1 t = S2``, as a read-only array.
 
     Computes ``S1^{-1/2} (S1^{1/2} S2 S1^{1/2})^{1/2} S1^{-1/2}`` with
     pseudo-inverse roots, extended as the identity on the numerical kernel of
@@ -182,5 +180,5 @@ def optimal_map(s1, s2, rank_tol: float | None = None) -> SymMatrix:
         raise KernelConditionError(
             "kernel of the source covariance is not contained in the kernel of the target"
         )
-    mid = product_root(sqrt_psd(a).mat, b, rank_tol)
-    return SymMatrix(transport_matrix(a, mid, rank_tol))
+    mid = product_root(sqrt_psd(a), b, rank_tol)
+    return readonly(transport_matrix(a, mid, rank_tol))

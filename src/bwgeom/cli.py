@@ -45,7 +45,6 @@ from .errors import (
 from .geometry import exp_map, log_map
 from .io import (
     Manifest,
-    Report,
     load_family,
     read_manifest,
     read_matrix,
@@ -155,14 +154,14 @@ def _write_family(args, mats) -> str:
     return path
 
 
-def _report(command: str, inputs: dict, results: dict, diagnostics: dict) -> Report:
-    return Report(
-        command=command,
-        inputs=inputs,
-        results=results,
-        diagnostics=diagnostics,
-        version=__version__,
-    )
+def _report(command: str, inputs: dict, results: dict, diagnostics: dict) -> dict:
+    return {
+        "command": command,
+        "inputs": inputs,
+        "results": results,
+        "diagnostics": diagnostics,
+        "version": __version__,
+    }
 
 
 def cmd_distance(args):
@@ -211,7 +210,7 @@ def cmd_geodesic(args):
         raise OutOfRangeError(f"steps={args.steps} must be at least 2")
     a, b = _load_pair(args.a, args.b)
     grid = np.linspace(0.0, 1.0, args.steps)
-    direction = log_map(a, b, args.rank_tol).mat
+    direction = log_map(a, b, args.rank_tol)
     points = [exp_map(a, float(t) * direction, args.rank_tol) for t in grid]
     dist = procrustes_distance(a, b)
     speed_table = []
@@ -246,7 +245,7 @@ def cmd_pca(args):
     results = {
         "mean_file": _write(args, "mean.txt", res.mean.mat),
         "component_files": [
-            _write(args, f"component_{i + 1:02d}.txt", comp.mat) for i, comp in enumerate(pca.components)
+            _write(args, f"component_{i + 1:02d}.txt", comp) for i, comp in enumerate(pca.components)
         ],
         "variances": list(pca.variances),
         "scores": pca.scores if pca.scores.size else [],
@@ -281,7 +280,7 @@ def cmd_multicouple(args):
         min_eigenvalue=joint.min_eigenvalue(),
         diagonal_block_gap=block_gap,
         map_conditioning=[
-            _condition(np.linalg.eigvalsh(optimal_map(res.mean, c, args.rank_tol).mat)[::-1]) for c in covs
+            _condition(np.linalg.eigvalsh(optimal_map(res.mean, c, args.rank_tol))[::-1]) for c in covs
         ],
         rank_tol=args.rank_tol,
     )
@@ -302,7 +301,7 @@ def cmd_simulate_deform(args):
         template = _random_template(args.dim, args.seed)
     fam = deformation_family(template, args.count, args.eps, RngSpec(args.seed, "deform"))
     res, code = _solve_mean(fam.deformed, args, algorithm="descent")
-    avg_map = sum(t.mat for t in fam.maps) / len(fam.maps)
+    avg_map = sum(fam.maps) / len(fam.maps)
     results = {
         "template_file": _write(args, "template.txt", template.mat),
         "manifest_file": _write_family(args, [m.mat for m in fam.deformed]),

@@ -1,8 +1,8 @@
 """Tangent-space calculus on the cone of PSD matrices.
 
 The tangent space at a covariance S consists of symmetric matrices A with
-inner product tr(A S B); a direction is a plain ``SymMatrix`` and the base is
-passed alongside it.  The exponential map sends A to (I + A) S (I + A); its
+inner product tr(A S B); a direction is a plain symmetric array and the base
+is passed alongside it.  The exponential map sends A to (I + A) S (I + A); its
 inverse at injective base points, ``log_map``, is the optimal transport map
 minus the identity.  Geodesics are McCann interpolations: the point at time t
 is ``exp_map(S0, t log_map(S0, S1))``, which stays in the cone because
@@ -23,21 +23,22 @@ from .errors import DimMismatchError, LeavesConeError, OutOfRangeError
 from .spectral import (
     EPS,
     Covariance,
-    SymMatrix,
     _condition,
+    as_symmetric,
     cov_from_product,
     numerical_rank,
+    readonly,
     validate_psd,
 )
 
 
 def _direction(base: Covariance, a) -> np.ndarray:
-    d = SymMatrix(a)
-    if d.dim != base.dim:
+    d = as_symmetric(a)
+    if len(d) != base.dim:
         raise DimMismatchError(
-            f"tangent direction dimension {d.dim} does not match base dimension {base.dim}"
+            f"tangent direction dimension {len(d)} does not match base dimension {base.dim}"
         )
-    return d.mat
+    return d
 
 
 def _tangent_gram(base: Covariance, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -86,10 +87,11 @@ def exp_map(base, a, rank_tol: float | None = None) -> Covariance:
     return cov_from_product(b @ s.mat @ b)
 
 
-def log_map(base, target, rank_tol: float | None = None) -> SymMatrix:
-    """Logarithm of ``target`` at ``base``: the transport map minus the identity."""
+def log_map(base, target, rank_tol: float | None = None) -> np.ndarray:
+    """Logarithm of ``target`` at ``base``: the transport map minus the
+    identity, as a read-only array."""
     s = validate_psd(base)
-    return SymMatrix(optimal_map(s, target, rank_tol).mat - np.eye(s.dim))
+    return readonly(optimal_map(s, target, rank_tol) - np.eye(s.dim))
 
 
 def geodesic(s0, s1, t: float, rank_tol: float | None = None) -> Covariance:
@@ -102,4 +104,4 @@ def geodesic(s0, s1, t: float, rank_tol: float | None = None) -> Covariance:
     if not 0.0 <= float(t) <= 1.0:
         raise OutOfRangeError(f"geodesic parameter t={t} outside [0, 1]")
     a = validate_psd(s0)
-    return exp_map(a, float(t) * log_map(a, s1, rank_tol).mat, rank_tol)
+    return exp_map(a, float(t) * log_map(a, s1, rank_tol), rank_tol)

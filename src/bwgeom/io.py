@@ -432,26 +432,6 @@ def write_manifest(path, operators: list[str], labels: list[str] | None = None) 
     _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
 
 
-@dataclass
-class Report:
-    """The single structured document every command emits on stdout."""
-
-    command: str
-    inputs: dict
-    results: dict
-    diagnostics: dict
-    version: str
-
-    def to_mapping(self) -> dict:
-        return {
-            "command": self.command,
-            "inputs": self.inputs,
-            "results": self.results,
-            "diagnostics": self.diagnostics,
-            "version": self.version,
-        }
-
-
 def _render(obj, indent: int) -> str:
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -497,6 +477,7 @@ def _render_floats(texts: list[str], shape: tuple[int, ...], indent: int) -> str
     return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
 
 
-def render_report(report: Report) -> str:
-    """Deterministic JSON text: sorted keys, fixed float formatting."""
-    return _render(report.to_mapping(), 0) + "\n"
+def render_report(report: dict) -> str:
+    """Deterministic JSON text of a report mapping: sorted keys, fixed float
+    formatting."""
+    return _render(report, 0) + "\n"

@@ -1,7 +1,10 @@
 """Deterministic symmetric eigendecomposition and PSD matrix calculus.
 
-Public functions accept plain arrays, ``SymMatrix`` or ``Covariance``
-instances; input is coerced to float64 and symmetrized on entry.
+Public functions accept plain arrays or ``Covariance`` instances; input is
+coerced to float64 and symmetrized on entry.  Only a covariance carries more
+than its entries (its cached spectrum): roots, transport maps and tangent
+directions are read-only, exactly symmetric float64 arrays, and a family of
+them is one read-only (n, d, d) stack.
 
 One rank rule serves the whole package: the numerical kernel of a covariance
 is spanned by the eigenvectors whose eigenvalues are at or below
@@ -26,15 +29,22 @@ EPS = float(np.finfo(np.float64).eps)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """``(a + a.T) / 2`` as a new float64 array, with one temporary."""
-    s = np.add(a, a.T, dtype=np.float64)
+    """``(a + a^T) / 2`` of a matrix, or of each of a stack (..., d, d), as a
+    new float64 array with one temporary."""
+    s = np.add(a, np.swapaxes(a, -1, -2), dtype=np.float64)
     s *= 0.5
     return s
 
 
+def readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, with writing through it switched off."""
+    a.flags.writeable = False
+    return a
+
+
 def as_matrix(m) -> np.ndarray:
     """Underlying square float64 array of a matrix-like object."""
-    if isinstance(m, (SymMatrix, Covariance)):
+    if isinstance(m, Covariance):
         return m.mat
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -54,32 +64,13 @@ class Spectrum:
     vectors: np.ndarray
 
 
-class SymMatrix:
-    """Square symmetric matrix with finite entries.
-
-    Construction symmetrizes through ``(M + M.T) / 2`` and rejects NaN or
-    infinite input, so ``mat[i, j] == mat[j, i]`` holds exactly.
-    """
-
-    __slots__ = ("mat",)
-
-    def __init__(self, entries):
-        a = as_matrix(entries)
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteError("matrix entries must be finite")
-        m = symmetrize(a)
-        m.flags.writeable = False
-        self.mat = m
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.mat, dtype=dtype) if copy else np.asarray(self.mat, dtype=dtype)
-
-    def __repr__(self):
-        return f"SymMatrix(dim={self.dim})"
+def as_symmetric(a) -> np.ndarray:
+    """Read-only ``(a + a^T) / 2`` of a square matrix with finite entries, so
+    that ``m[i, j] == m[j, i]`` holds exactly."""
+    m = as_matrix(a)
+    if not np.all(np.isfinite(m)):
+        raise NonFiniteError("matrix entries must be finite")
+    return readonly(symmetrize(m))
 
 
 class Covariance:
@@ -129,9 +120,7 @@ def sym_eigen(m) -> Spectrum:
     values = w[order]
     vectors = v[:, order].copy()
     vectors[:, vectors[dom[order], np.arange(w.size)] < 0.0] *= -1.0
-    values.flags.writeable = False
-    vectors.flags.writeable = False
-    return Spectrum(values, vectors)
+    return Spectrum(readonly(values), readonly(vectors))
 
 
 def default_psd_tol(values: np.ndarray) -> float:
@@ -155,14 +144,12 @@ def validate_psd(m) -> Covariance:
     if lam_min < -default_psd_tol(spec.values):
         raise NotPSDError(lam_min)
     if lam_min < 0.0:
-        clamped = np.maximum(spec.values, 0.0)
-        clamped.flags.writeable = False
+        clamped = readonly(np.maximum(spec.values, 0.0))
         mat = from_spectrum(spec.vectors, clamped)
         spec = Spectrum(clamped, spec.vectors)
     else:
         mat = symmetrize(as_matrix(m))
-    mat.flags.writeable = False
-    return Covariance(mat, spec)
+    return Covariance(readonly(mat), spec)
 
 
 def rank_rel(dim: int, rank_tol: float | None = None) -> float:
@@ -199,28 +186,29 @@ def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
     return symmetrize((vectors * values) @ vectors.T)
 
 
-def sqrt_psd(s) -> SymMatrix:
-    """Unique PSD square root, by mapping eigenvalues to their roots; a
-    ``Covariance`` builds it once and returns the same root afterwards."""
+def sqrt_psd(s) -> np.ndarray:
+    """Unique PSD square root, by mapping eigenvalues to their roots, as a
+    read-only array; a ``Covariance`` builds it once and returns the same root
+    afterwards."""
     c = validate_psd(s)
     if c._root is None:
-        c._root = SymMatrix(from_spectrum(c.spectrum.vectors, np.sqrt(c.spectrum.values)))
+        c._root = readonly(from_spectrum(c.spectrum.vectors, np.sqrt(c.spectrum.values)))
     return c._root
 
 
-def pinv_sqrt(s, rank_tol: float | None = None) -> SymMatrix:
+def pinv_sqrt(s, rank_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose inverse square root.
 
     Eigenvalues above the rank cutoff map to ``1 / sqrt(lambda)``, the rest to
-    zero, so the result inverts the root of ``s`` on its numerical range and
-    vanishes on the numerical kernel.
+    zero, so the read-only result inverts the root of ``s`` on its numerical
+    range and vanishes on the numerical kernel.
     """
     c = validate_psd(s)
     values, vectors = c.spectrum.values, c.spectrum.vectors
     inv = np.zeros_like(values)
     r = numerical_rank(c, rank_tol)
     inv[:r] = 1.0 / np.sqrt(values[:r])
-    return SymMatrix(from_spectrum(vectors, inv))
+    return readonly(from_spectrum(vectors, inv))
 
 
 def cov_from_product(a) -> Covariance:
@@ -232,11 +220,8 @@ def cov_from_product(a) -> Covariance:
     result is PSD by construction.
     """
     spec = sym_eigen(a)
-    w = np.maximum(spec.values, 0.0)
-    mat = from_spectrum(spec.vectors, w)
-    mat.flags.writeable = False
-    w.flags.writeable = False
-    return Covariance(mat, Spectrum(w, spec.vectors))
+    w = readonly(np.maximum(spec.values, 0.0))
+    return Covariance(readonly(from_spectrum(spec.vectors, w)), Spectrum(w, spec.vectors))
 
 
 def trace_norm(a) -> float:

@@ -26,7 +26,15 @@ from .errors import (
     OutOfRangeError,
 )
 from .geometry import _cone_test, _tangent_gram, exp_map, log_map
-from .spectral import Covariance, SymMatrix, cov_from_product, numerical_rank, validate_psd
+from .spectral import (
+    Covariance,
+    as_symmetric,
+    cov_from_product,
+    numerical_rank,
+    readonly,
+    symmetrize,
+    validate_psd,
+)
 
 
 @dataclass(frozen=True)
@@ -34,30 +42,32 @@ class PcaResult:
     """Tangent PCA of a covariance family.
 
     ``variances`` has the requested length with zeros past the Gram rank;
-    ``components`` and the score columns stop at the effective rank.  Scores
-    are inner products of the centred lifts with the components, so the
-    variance of score column a equals ``variances[a]``.
+    ``components``, a read-only (K, d, d) stack, and the score columns stop
+    at the effective rank K.  Scores are inner products of the centred lifts
+    with the components, so the variance of score column a equals
+    ``variances[a]``.
     """
 
-    mean_direction: SymMatrix
-    components: list[SymMatrix]
+    mean_direction: np.ndarray
+    components: np.ndarray
     variances: np.ndarray
     scores: np.ndarray
     lifted_mean_norm: float
 
 
-def lift(family, mean, rank_tol: float | None = None) -> list[SymMatrix]:
-    """Logarithms ``T_i - I`` of all family members at the mean."""
+def lift(family, mean, rank_tol: float | None = None) -> np.ndarray:
+    """Logarithms ``T_i - I`` of all family members at the mean, as a
+    read-only (n, d, d) stack."""
     c, members = coerce_point_and_family(mean, family, "mean")
-    out = []
+    out = np.empty((len(members), c.dim, c.dim))
     for i, m in enumerate(members):
         try:
-            out.append(log_map(c, m, rank_tol))
+            out[i] = log_map(c, m, rank_tol)
         except KernelConditionError as e:
             raise KernelConditionError(
                 "family member cannot be lifted at this mean", index=i
             ) from e
-    return out
+    return readonly(out)
 
 
 def tangent_pca(lifted, mean, k: int) -> PcaResult:
@@ -67,10 +77,10 @@ def tangent_pca(lifted, mean, k: int) -> PcaResult:
     variances, so their sum equals the total tangent variance of the centred
     lifts.  Duplicate or geodesic families simply produce fewer positive
     variances; rank deficiency is not an error.  ``lifted`` is any sequence
-    of symmetric matrices, such as the output of ``lift``.
+    of symmetric matrices, such as the stack ``lift`` returns.
     """
     c = validate_psd(mean)
-    dirs = [SymMatrix(a).mat for a in lifted]
+    dirs = [as_symmetric(a) for a in lifted]
     n = len(dirs)
     if n == 0:
         raise EmptyFamilyError("no lifted directions")
@@ -99,14 +109,12 @@ def tangent_pca(lifted, mean, k: int) -> PcaResult:
     chol = np.linalg.cholesky(_tangent_gram(c, raw, raw))
     comps = np.linalg.solve(chol, raw.reshape(k_eff, d * d)).reshape(k_eff, d, d)
 
-    scores = _tangent_gram(c, centred, comps)
-    variances.flags.writeable = False
-    scores.flags.writeable = False
     return PcaResult(
-        mean_direction=SymMatrix(abar),
-        components=[SymMatrix(m) for m in comps],
-        variances=variances,
-        scores=scores,
+        mean_direction=readonly(abar),
+        # The solve leaves the components symmetric only to rounding.
+        components=readonly(symmetrize(comps)),
+        variances=readonly(variances),
+        scores=readonly(_tangent_gram(c, centred, comps)),
         lifted_mean_norm=math.sqrt(max(0.0, float(_tangent_gram(c, abar[None], abar[None])[0, 0]))),
     )
 
@@ -118,7 +126,7 @@ def principal_geodesic(base, component, s: float) -> Covariance:
     ``exp_map``'s cone test rejects the step, ``LeavesConeError`` reports
     that interval.
     """
-    comp = SymMatrix(component).mat
+    comp = as_symmetric(component)
     try:
         return exp_map(base, float(s) * comp)
     except LeavesConeError as e:
@@ -136,9 +144,9 @@ def reconstruct(mean, pca: PcaResult, index: int, k: int, rank_tol: float | None
         raise OutOfRangeError(f"member index {index} outside 0..{n - 1}")
     if not 0 <= k <= len(pca.variances):
         raise OutOfRangeError(f"component count k={k} outside 0..{len(pca.variances)}")
-    v = pca.mean_direction.mat.copy()
+    v = pca.mean_direction.copy()
     for a in range(min(k, len(pca.components))):
-        v += pca.scores[index, a] * pca.components[a].mat
+        v += pca.scores[index, a] * pca.components[a]
     return exp_map(c, v, rank_tol)
 
 
@@ -151,10 +159,9 @@ def reconstruction_errors(mean, pca: PcaResult, family, rank_tol: float | None =
     c, members = coerce_point_and_family(mean, family, "mean")
     if len(members) != len(pca.scores):
         raise DimMismatchError(f"family of {len(members)} members for a PCA of {len(pca.scores)}")
-    comps = np.array([m.mat for m in pca.components]).reshape(-1, c.dim, c.dim)
-    out = np.empty((len(members), len(comps) + 1))
+    out = np.empty((len(members), len(pca.components) + 1))
     for i, member in enumerate(members):
-        steps = np.concatenate([pca.mean_direction.mat[None], pca.scores[i, :, None, None] * comps])
+        steps = np.concatenate([pca.mean_direction[None], pca.scores[i, :, None, None] * pca.components])
         b = np.cumsum(steps, axis=0) + np.eye(c.dim)
         bm = b @ c.mat
         cross = _cross_trace(_range_factor(member, numerical_rank(member)), bm @ b)

@@ -25,6 +25,7 @@ from bwgeom import (
     tangent_norm,
     validate_psd,
 )
+from bwgeom.barycenter import RESIDUAL_CERT
 from bwgeom.bures import product_root
 from bwgeom.spectral import trace_norm
 
@@ -118,7 +119,7 @@ def test_mean_random_families_certificate(rng):
 def test_mean_first_order_condition(rng):
     fam = [make_spd(5, rng) for _ in range(4)]
     res = mean_fixed_point(fam, MeanConfig(rel_tol=1e-12))
-    avg_dir = sum(log_map(res.mean, m).mat for m in fam) / len(fam)
+    avg_dir = sum(log_map(res.mean, m) for m in fam) / len(fam)
     assert tangent_norm(res.mean, avg_dir) <= 1e-6
 
 
@@ -247,7 +248,7 @@ def test_gpa_diagnostics_contract(rng):
 def svd_alignment_iterates(family, steps):
     """Generalized Procrustes averaging as an explicit loop: rotate each root
     toward the average root by the polar factor of one SVD, average, square."""
-    aligned = [sqrt_psd(m).mat for m in family]
+    aligned = [sqrt_psd(m) for m in family]
     avg = sum(aligned) / len(aligned)
     squares = []
     for _ in range(steps):
@@ -330,6 +331,17 @@ def test_gpa_converges_on_common_kernel_families_the_alignment_loop_does_not(see
     assert_gpa_matches_descent(common_kernel_family(seed))
 
 
+@pytest.mark.parametrize("seed", [21, 68, 86, 92])
+def test_descent_converges_on_common_kernel_families_through_the_deflation(seed):
+    # Without the deflation to the members' common range the kernel check
+    # stops the descent on these families with KernelConditionError.
+    family = common_kernel_family(seed)
+    res = mean_fixed_point(family)
+    assert res.converged
+    assert res.residual_trace[-1] <= RESIDUAL_CERT * res.mean.trace
+    assert fixed_point_residual(res.mean, family) <= RESIDUAL_CERT * res.mean.trace
+
+
 def test_pairwise_alignment_examples(rng):
     l = np.asarray(make_spd(4, rng))
     assert np.max(np.abs(pairwise_alignment(l, l) - np.eye(4))) <= 1e-10
@@ -405,7 +417,7 @@ def test_joint_covariance_matches_blockwise_reference(rng, n, d):
     mean = mean_fixed_point(fam).mean
     joint = multicoupling(mean, fam)
     assert joint.maps.shape == (n, d, d) and (joint.n, joint.dim) == (n, d)
-    ref = _blockwise_joint([optimal_map(mean, m).mat for m in fam], mean.mat)
+    ref = _blockwise_joint([optimal_map(mean, m) for m in fam], mean.mat)
     scale = float(np.max(np.abs(ref)))
     full = joint.full()
     assert np.max(np.abs(full - ref)) <= 1e-13 * scale
@@ -441,7 +453,7 @@ def test_joint_min_eigenvalue_matches_the_full_spectrum(rng, n, d):
 def old_evaluation(s, family):
     """Functional and residual from the product roots of the full PSD root of
     S, the evaluation used before S was rooted on its numerical range."""
-    root = sqrt_psd(s).mat
+    root = sqrt_psd(s)
     gs = [product_root(root, m) for m in family]
     f = sum(max(0.0, s.trace + m.trace - 2.0 * float(np.trace(g))) for m, g in zip(family, gs))
     gbar = sum(gs) / len(gs)

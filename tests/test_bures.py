@@ -104,12 +104,12 @@ def test_kernel_condition_examples(rng):
 
 def test_optimal_map_commuting_oracle():
     t = optimal_map(A41, B14)
-    assert np.allclose(t.mat, np.diag([0.5, 2.0]), atol=1e-12)
+    assert np.allclose(t, np.diag([0.5, 2.0]), atol=1e-12)
 
 
 def test_optimal_map_identity(rng):
     s = make_spd(4, rng)
-    assert np.max(np.abs(optimal_map(s, s).mat - np.eye(4))) <= 1e-8
+    assert np.max(np.abs(optimal_map(s, s) - np.eye(4))) <= 1e-8
 
 
 def test_optimal_map_forbidden_direction():
@@ -123,29 +123,29 @@ def test_pushforward_batch(rng):
         s1 = make_spd(d, rng)
         # arbitrary PSD target, often rank-deficient
         s2 = make_psd_rank(d, int(rng.integers(1, d + 1)), rng)
-        t = optimal_map(s1, s2).mat
+        t = optimal_map(s1, s2)
         push = t @ s1.mat @ t
         assert np.max(np.abs(push - s2.mat)) <= 1e-8 * (1.0 + s2.trace)
 
 
 def test_pushforward_kernel_extension_is_identity():
     # source kernel contains the target kernel; map acts as identity there
-    t = optimal_map(np.diag([4.0, 0.0]), np.diag([1.0, 0.0])).mat
+    t = optimal_map(np.diag([4.0, 0.0]), np.diag([1.0, 0.0]))
     assert np.allclose(t, np.diag([0.5, 1.0]), atol=1e-10)
 
 
 def test_composition_along_common_eigenbasis(rng):
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
     mats = [(q * rng.uniform(0.3, 2.0, 4)) @ q.T for _ in range(3)]
-    t12 = optimal_map(mats[0], mats[1]).mat
-    t23 = optimal_map(mats[1], mats[2]).mat
-    t13 = optimal_map(mats[0], mats[2]).mat
+    t12 = optimal_map(mats[0], mats[1])
+    t23 = optimal_map(mats[1], mats[2])
+    t13 = optimal_map(mats[0], mats[2])
     assert np.max(np.abs(t12 @ t23 - t13)) <= 1e-8
 
 
 def test_transport_map_conditioning_diagnostic(rng):
     t = optimal_map(A41, B14)
-    assert _condition(np.linalg.eigvalsh(t.mat)[::-1]) == pytest.approx(4.0, abs=1e-10)
+    assert _condition(np.linalg.eigvalsh(t)[::-1]) == pytest.approx(4.0, abs=1e-10)
 
 
 def test_condition_matches_the_ascending_formula_on_rank_deficient_maps(rng):
@@ -157,10 +157,10 @@ def test_condition_matches_the_ascending_formula_on_rank_deficient_maps(rng):
         return math.inf if pos.size == 0 else float(pos.max() / pos.min())
 
     for r in (1, 2, 4):
-        t = optimal_map(make_spd(5, rng), make_psd_rank(5, r, rng)).mat
+        t = optimal_map(make_spd(5, rng), make_psd_rank(5, r, rng))
         assert np.linalg.matrix_rank(t) == r
         assert _condition(np.linalg.eigvalsh(t)[::-1]) == ascending(t)
-    zero = optimal_map(np.eye(3), np.zeros((3, 3))).mat
+    zero = optimal_map(np.eye(3), np.zeros((3, 3)))
     assert _condition(np.linalg.eigvalsh(zero)[::-1]) == ascending(zero) == math.inf
 
 

@@ -11,7 +11,6 @@ from bwgeom import DimMismatchError, MatrixParseError
 from bwgeom.io import (
     FLOAT_FORMAT,
     Manifest,
-    Report,
     format_float,
     load_family,
     read_manifest,
@@ -158,13 +157,13 @@ def test_load_family_checks_dimensions(tmp_path):
 
 
 def sample_report():
-    return Report(
-        command="demo",
-        inputs={"b": 2, "a": [1.5, 1e-17]},
-        results={"matrix": np.array([[1.0, 0.5], [0.5, 1.0]]), "flag": True},
-        diagnostics={"nan_value": math.nan, "note": "fine"},
-        version="0.0.0",
-    )
+    return {
+        "command": "demo",
+        "inputs": {"b": 2, "a": [1.5, 1e-17]},
+        "results": {"matrix": np.array([[1.0, 0.5], [0.5, 1.0]]), "flag": True},
+        "diagnostics": {"nan_value": math.nan, "note": "fine"},
+        "version": "0.0.0",
+    }
 
 
 def test_render_report_is_deterministic_and_sorted():
@@ -186,7 +185,7 @@ def test_render_report_maps_non_finite_to_null():
 
 def test_render_report_rejects_unknown_types():
     rep = sample_report()
-    rep.results["bad"] = object()
+    rep["results"]["bad"] = object()
     with pytest.raises(TypeError):
         render_report(rep)
 
@@ -273,13 +272,13 @@ def test_render_report_arrays_match_their_lists(rng):
 
     def report(convert):
         values = {k: convert(v) for k, v in arrays.items()}
-        return Report(
-            command="demo",
-            inputs={},
-            results=values,
-            diagnostics={"nested": [values["vector"], {"m": values["cube"]}]},
-            version="0.0.0",
-        )
+        return {
+            "command": "demo",
+            "inputs": {},
+            "results": values,
+            "diagnostics": {"nested": [values["vector"], {"m": values["cube"]}]},
+            "version": "0.0.0",
+        }
 
     assert render_report(report(lambda v: v)) == render_report(report(lambda v: v.tolist()))
 
@@ -370,8 +369,8 @@ def test_render_report_floats_on_both_sides_of_the_crossover_and_block_edge(rng)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 20, size=n)
         assert kernel_texts(x) == percent_texts(x)
         m = x[: n - n % 3].reshape(3, -1)
-        report = Report(command="demo", inputs={}, results={"m": m}, diagnostics={}, version="0")
-        listed = Report(command="demo", inputs={}, results={"m": m.tolist()}, diagnostics={}, version="0")
+        report = {"command": "demo", "inputs": {}, "results": {"m": m}, "diagnostics": {}, "version": "0"}
+        listed = {"command": "demo", "inputs": {}, "results": {"m": m.tolist()}, "diagnostics": {}, "version": "0"}
         assert render_report(report) == render_report(listed)
 
 

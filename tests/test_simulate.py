@@ -284,6 +284,17 @@ def test_fourth_moment_rank_one_attains_bound():
     assert rep["within_five_se"]
 
 
+def test_fourth_moment_bound_holds_for_rank_one_at_every_scale(rng):
+    # At rank one the bound holds with equality, so only rounding separates
+    # exact from bound: the verdict must not depend on the scale of S.
+    vs = rng.standard_normal((40, 4))
+    for c in (1e-6, 1.0, 1e3, 1e6, 1e9):
+        for i, v in enumerate(vs):
+            rep = fourth_moment_check(c * np.outer(v, v), 10_000, RngSpec(i, "scale"))
+            assert rep["equality_case"]
+            assert rep["bound_holds"], (c, i, rep["exact"], rep["upper_bound"])
+
+
 def test_fourth_moment_estimate_is_consistent():
     s = np.array([[2.0, 0.5], [0.5, 1.0]])
     rep = fourth_moment_check(s, 200_000, RngSpec(12, "mc"))

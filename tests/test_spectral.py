@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bwgeom import NonFiniteError, NotPSDError, SymMatrix, sqrt_psd, sym_eigen, validate_psd
+from bwgeom import NonFiniteError, NotPSDError, sqrt_psd, sym_eigen, validate_psd
 from bwgeom.spectral import pinv_sqrt
 
 from conftest import make_spd
@@ -108,37 +108,31 @@ def test_validate_psd_rejects_indefinite():
 
 
 def test_sqrt_psd_examples():
-    assert np.allclose(sqrt_psd(np.diag([4.0, 1.0])).mat, np.diag([2.0, 1.0]))
-    r = sqrt_psd(np.array([[2.0, 1.0], [1.0, 2.0]])).mat
+    assert np.allclose(sqrt_psd(np.diag([4.0, 1.0])), np.diag([2.0, 1.0]))
+    r = sqrt_psd(np.array([[2.0, 1.0], [1.0, 2.0]]))
     s3 = math.sqrt(3.0)
     want = np.array([[(s3 + 1) / 2, (s3 - 1) / 2], [(s3 - 1) / 2, (s3 + 1) / 2]])
     assert np.allclose(r, want)
-    assert np.allclose(sqrt_psd(np.eye(3)).mat, np.eye(3))
+    assert np.allclose(sqrt_psd(np.eye(3)), np.eye(3))
 
 
 def test_sqrt_psd_squares_back(rng):
     for _ in range(50):
         s = make_spd(int(rng.integers(1, 9)), rng)
-        r = sqrt_psd(s).mat
+        r = sqrt_psd(s)
         assert np.max(np.abs(r @ r - s.mat)) <= 1e-10 * (1.0 + s.trace)
 
 
 def test_pinv_sqrt_examples():
-    assert np.allclose(pinv_sqrt(np.diag([4.0, 1.0])).mat, np.diag([0.5, 1.0]))
-    assert np.allclose(pinv_sqrt(np.diag([4.0, 0.0])).mat, np.diag([0.5, 0.0]))
-    assert np.allclose(pinv_sqrt(np.eye(3)).mat, np.eye(3))
+    assert np.allclose(pinv_sqrt(np.diag([4.0, 1.0])), np.diag([0.5, 1.0]))
+    assert np.allclose(pinv_sqrt(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
+    assert np.allclose(pinv_sqrt(np.eye(3)), np.eye(3))
 
 
 def test_pinv_sqrt_range_projector(rng):
     s = make_spd(5, rng)
-    p = sqrt_psd(np.asarray(pinv_sqrt(s)) @ s.mat @ np.asarray(pinv_sqrt(s))).mat
+    p = sqrt_psd(np.asarray(pinv_sqrt(s)) @ s.mat @ np.asarray(pinv_sqrt(s)))
     assert np.max(np.abs(p - np.eye(5))) <= 1e-8
     low = np.diag([2.0, 1.0, 0.0])
     p = np.asarray(pinv_sqrt(low)) @ low @ np.asarray(pinv_sqrt(low))
     assert np.allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
-
-
-def test_sym_matrix_immutable(rng):
-    m = SymMatrix(np.asarray(make_spd(3, rng)))
-    with pytest.raises((ValueError, RuntimeError)):
-        m.mat[0, 0] = 99.0

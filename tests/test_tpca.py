@@ -24,13 +24,13 @@ from bwgeom import (
 )
 from bwgeom.geometry import _tangent_gram
 from bwgeom.simulate import RngSpec, deformation_family
-from bwgeom.spectral import EPS, SymMatrix, cov_from_product, numerical_rank, rank_cutoff, validate_psd
+from bwgeom.spectral import EPS, cov_from_product, numerical_rank, rank_cutoff, sqrt_psd, validate_psd
 from bwgeom.tpca import PcaResult
 from conftest import make_spd
 
 
 def total_centred_variance(base, lifted):
-    dirs = [tv.mat for tv in lifted]
+    dirs = list(lifted)
     abar = sum(dirs) / len(dirs)
     return sum(tangent_inner(base, a - abar, a - abar) for a in dirs) / len(dirs)
 
@@ -39,8 +39,8 @@ def test_lift_two_point_directions_are_opposite():
     fam = [np.diag([4.0, 1.0]), np.diag([1.0, 4.0])]
     mean = 2.25 * np.eye(2)
     lifted = lift(fam, mean)
-    v0 = lifted[0].mat
-    v1 = lifted[1].mat
+    v0 = lifted[0]
+    v1 = lifted[1]
     np.testing.assert_allclose(v0, np.diag([1.0 / 3.0, -1.0 / 3.0]), atol=1e-12)
     np.testing.assert_allclose(v0 + v1, 0.0, atol=1e-12)
 
@@ -73,7 +73,7 @@ def test_two_point_family_single_exact_variance():
 def test_one_member_family_has_no_components():
     s = np.diag([3.0, 1.0])
     res = tangent_pca(lift([s], s), s, k=1)
-    assert res.components == []
+    assert len(res.components) == 0
     assert res.scores.shape == (1, 0)
     np.testing.assert_array_equal(res.variances, [0.0])
     assert reconstruct(s, res, 0, 1).mat == pytest.approx(s)
@@ -93,7 +93,7 @@ def test_geodesic_family_concentrates_on_one_component(rng):
     fam = [geodesic(s0, s1, t) for t in ts]
     lifted = lift(fam, s0)
     res = tangent_pca(lifted, s0, k=5)
-    v = log_map(s0, s1).mat
+    v = log_map(s0, s1)
     var = float(ts.var()) * tangent_inner(s0, v, v)
     assert res.variances[0] == pytest.approx(var, rel=1e-8)
     assert np.all(res.variances[1:] <= 1e-9 * res.variances[0])
@@ -136,14 +136,14 @@ def test_stacked_inner_products_match_pairwise_trace_loop(rng):
         fam = [make_spd(d, rng) for _ in range(n)]
         res = mean_fixed_point(fam)
         s = res.mean.mat
-        dirs = [tv.mat for tv in lift(fam, res.mean)]
+        dirs = list(lift(fam, res.mean))
         pca = tangent_pca(dirs, res.mean, k=n)
         abar = sum(dirs) / n
         centred = [a - abar for a in dirs]
         gram = np.array([[np.trace(x @ s @ y) for y in centred] for x in centred])
         want = np.linalg.eigvalsh(gram)[::-1][: len(pca.components)] / n
         np.testing.assert_allclose(pca.variances[: len(want)], want, rtol=0.0, atol=1e-12 * want[0])
-        comps = [m.mat for m in pca.components]
+        comps = list(pca.components)
         scores = np.array([[np.trace(x @ s @ m) for m in comps] for x in centred])
         np.testing.assert_allclose(pca.scores, scores, rtol=0.0, atol=1e-12 * np.max(np.abs(scores)))
 
@@ -189,7 +189,7 @@ def test_cholesky_orthonormalisation_matches_the_gram_schmidt_loop(rng):
         base, dirs = _near_cutoff_family(d, n, rng)
         want, ratio = _gram_schmidt_loop_components(base, dirs)
         pca = tangent_pca(dirs, base, k=min(n, d * (d + 1) // 2))
-        got = np.array([m.mat for m in pca.components]).reshape(-1, d, d)
+        got = pca.components
         assert len(got) == len(want)
         if want:
             ratios.append(ratio)
@@ -202,7 +202,7 @@ def test_cholesky_orthonormalisation_matches_the_gram_schmidt_loop(rng):
     s = make_spd(3, rng)
     assert _gram_schmidt_loop_components(s, [s.mat])[0] == []
     pca = tangent_pca([s.mat], s, k=1)
-    assert pca.components == [] and pca.scores.shape == (1, 0)
+    assert len(pca.components) == 0 and pca.scores.shape == (1, 0)
 
 
 def test_tangent_pca_makes_no_tangent_inner_call(rng, monkeypatch):
@@ -274,17 +274,30 @@ def test_principal_geodesic_reports_admissible_interval():
     assert exc.value.lambda_min == pytest.approx(1.0 - math.sqrt(2.0))
 
 
-def test_maps_and_lifts_are_plain_symmetric_matrices(rng):
+def test_operators_and_families_are_read_only_symmetric_arrays(rng):
+    def check(a, shape):
+        assert type(a) is np.ndarray and a.dtype == np.float64 and a.shape == shape
+        assert np.array_equal(a, np.swapaxes(a, -1, -2))
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 1.0
+
     fam = [make_spd(3, rng) for _ in range(4)]
     mean = mean_fixed_point(fam).mean
-    assert isinstance(optimal_map(mean, fam[0]), SymMatrix)
-    assert isinstance(log_map(mean, fam[0]), SymMatrix)
+    check(sqrt_psd(mean), (3, 3))
+    check(optimal_map(mean, fam[0]), (3, 3))
+    # A singular source: the map is extended as the identity on its kernel.
+    check(optimal_map(np.diag([2.0, 1.0, 0.0]), np.diag([1.0, 3.0, 0.0])), (3, 3))
+    check(log_map(mean, fam[0]), (3, 3))
     lifted = lift(fam, mean)
-    assert all(isinstance(v, SymMatrix) for v in lifted)
+    check(lifted, (4, 3, 3))
     a = tangent_pca(lifted, mean, k=3)
-    b = tangent_pca([np.array(v.mat) for v in lifted], mean, k=3)
-    for x, y in zip([a.mean_direction, *a.components], [b.mean_direction, *b.components]):
-        np.testing.assert_array_equal(x.mat, y.mat)
+    check(a.mean_direction, (3, 3))
+    check(a.components, (3, 3, 3))
+    check(deformation_family(mean, 5, 0.3, RngSpec(1)).maps, (5, 3, 3))
+    check(deformation_family(mean, 2, 0.0, RngSpec(1)).maps, (2, 3, 3))
+    b = tangent_pca([np.array(v) for v in lifted], mean, k=3)
+    np.testing.assert_array_equal(a.mean_direction, b.mean_direction)
+    np.testing.assert_array_equal(a.components, b.components)
     np.testing.assert_array_equal(a.variances, b.variances)
     np.testing.assert_array_equal(a.scores, b.scores)
     assert a.lifted_mean_norm == b.lifted_mean_norm
@@ -351,7 +364,7 @@ def test_reconstruction_errors_cone_test_follows_the_callers_rank_tol():
     # I + v is rejected; at 1e-22 it is range, kappa = 1e18 and the tolerance
     # reaches its cap.
     mean, member = validate_psd(np.diag([1.0, 1e-18])), validate_psd(np.diag([1.0, 1e-30]))
-    pca = PcaResult(SymMatrix(np.diag([0.0, -1.0 - 1e-6])), [], np.zeros(1), np.empty((1, 0)), 0.0)
+    pca = PcaResult(np.diag([0.0, -1.0 - 1e-6]), np.empty((0, 2, 2)), np.zeros(1), np.empty((1, 0)), 0.0)
     assert np.isnan(reconstruction_errors(mean, pca, [member])).all()
     with pytest.raises(LeavesConeError):
         reconstruct(mean, pca, 0, 0)
