@@ -136,3 +136,12 @@ def test_pinv_sqrt_range_projector(rng):
     low = np.diag([2.0, 1.0, 0.0])
     p = np.asarray(pinv_sqrt(low)) @ low @ np.asarray(pinv_sqrt(low))
     assert np.allclose(p, np.diag([1.0, 1.0, 0.0]), atol=1e-10)
+
+
+def test_sym_matrix_immutable(rng):
+    a = make_spd(3, rng)
+    for m in (sqrt_psd(a), pinv_sqrt(a), sqrt_psd(np.diag([2.0, 1.0, 0.0]))):
+        assert type(m) is np.ndarray and m.dtype == np.float64 and m.shape == (3, 3)
+        assert np.array_equal(m, m.T)
+        with pytest.raises(ValueError):
+            m[0, 0] = 99.0
