@@ -6,10 +6,14 @@ report document on stdout, and writes any output matrices atomically.  The
 same command line with the same files and seed produces byte-identical
 output.
 
-Exit codes: 0 success; 2 unusable input (parse errors, out-of-range values,
-empty families, degenerate requests, a geodesic step off the PSD cone); 3
-dimension mismatch; 4 not positive semidefinite; 5 kernel condition violated
-(no transport map); 6 iteration cap reached (the best iterate is still written).
+Each handler returns ``(inputs, results, diagnostics)``; ``main`` alone
+renders the report and picks the exit status.  A ``BwGeomError`` exits with
+its ``exit_code``: 2 unusable input (parse errors, out-of-range values, empty
+families, degenerate requests, a geodesic step off the PSD cone); 3 dimension
+mismatch; 4 not positive semidefinite; 5 kernel condition violated (no
+transport map).  Exit 6 is returned exactly when the report says
+``converged: false``: the iteration cap was reached, and the best iterate is
+still written.
 """
 
 from __future__ import annotations
@@ -30,18 +34,7 @@ from .barycenter import (
     multicoupling_cost,
 )
 from .bures import optimal_map, procrustes_distance, procrustes_distance_via_alignment
-from .errors import (
-    DegenerateError,
-    DimMismatchError,
-    EmptyFamilyError,
-    KernelConditionError,
-    LeavesConeError,
-    MatrixParseError,
-    MaxIterExceeded,
-    NonFiniteError,
-    NotPSDError,
-    OutOfRangeError,
-)
+from .errors import BwGeomError, DimMismatchError, MaxIterExceeded, NotPSDError, OutOfRangeError
 from .geometry import exp_map, log_map
 from .io import (
     Manifest,
@@ -67,12 +60,16 @@ from .spectral import Covariance, _condition, cov_from_product, from_spectrum, v
 from .tpca import lift, reconstruction_errors, tangent_pca
 
 
-def _load_cov(path) -> Covariance:
-    a = read_matrix(path)
+def _validated(name, m) -> Covariance:
+    """``validate_psd(m)``, naming the file or manifest entry on failure."""
     try:
-        return validate_psd(a)
+        return validate_psd(m)
     except NotPSDError as e:
-        raise NotPSDError(e.lambda_min, f"{path}: {e}") from None
+        raise NotPSDError(e.lambda_min, f"{name}: {e}") from None
+
+
+def _load_cov(path) -> Covariance:
+    return _validated(path, read_matrix(path))
 
 
 def _load_pair(path_a, path_b) -> tuple[Covariance, Covariance]:
@@ -87,18 +84,7 @@ def _load_pair(path_a, path_b) -> tuple[Covariance, Covariance]:
 
 def _load_manifest_family(path) -> tuple[Manifest, list[Covariance]]:
     manifest = read_manifest(path)
-    mats = load_family(manifest)
-    covs = []
-    for name, m in zip(manifest.operators, mats):
-        try:
-            covs.append(validate_psd(m))
-        except NotPSDError as e:
-            raise NotPSDError(e.lambda_min, f"{name}: {e}") from None
-    return manifest, covs
-
-
-def _mean_config(args) -> MeanConfig:
-    return MeanConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
+    return manifest, [_validated(name, m) for name, m in zip(manifest.operators, load_family(manifest))]
 
 
 def _solver_diagnostics(res, **extra) -> dict:
@@ -123,17 +109,17 @@ def _family_inputs(args, manifest: Manifest, **extra) -> dict:
     }
 
 
-def _solve_mean(covs, args, algorithm=None):
-    """Run the selected solver; on an iteration-cap failure keep the best
-    iterate and remember exit code 6."""
-    cfg = _mean_config(args)
-    algorithm = algorithm or getattr(args, "algorithm", "descent")
+def _solve_mean(covs, args):
+    """Run ``--algorithm`` (the descent where a command has no such flag); on
+    an iteration-cap failure return the best iterate, whose ``converged`` is
+    false."""
+    cfg = MeanConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
     try:
-        if algorithm == "gpa":
-            return mean_procrustes_averaging(covs, cfg), 0
-        return mean_fixed_point(covs, cfg, rank_tol=args.rank_tol), 0
+        if getattr(args, "algorithm", "descent") == "gpa":
+            return mean_procrustes_averaging(covs, cfg)
+        return mean_fixed_point(covs, cfg, rank_tol=args.rank_tol)
     except MaxIterExceeded as e:
-        return e.result, 6
+        return e.result
 
 
 def _write(args, name: str, matrix) -> str:
@@ -152,16 +138,6 @@ def _write_family(args, mats) -> str:
     path = os.path.join(args.output, "manifest.json")
     write_manifest(path, names)
     return path
-
-
-def _report(command: str, inputs: dict, results: dict, diagnostics: dict) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "diagnostics": diagnostics,
-        "version": __version__,
-    }
 
 
 def cmd_distance(args):
@@ -183,13 +159,12 @@ def cmd_distance(args):
         "trace_regime": bool(a.trace <= b.trace + 1.0),
         "rotation_orthogonality_gap": float(np.max(np.abs(u.T @ u - np.eye(a.dim)))),
     }
-    inputs = {"a": args.a, "b": args.b}
-    return _report("distance", inputs, results, diagnostics), 0
+    return {"a": args.a, "b": args.b}, results, diagnostics
 
 
 def cmd_mean(args):
     manifest, covs = _load_manifest_family(args.manifest)
-    res, code = _solve_mean(covs, args)
+    res = _solve_mean(covs, args)
     results = {
         "mean_file": _write(args, "mean.txt", res.mean.mat),
         "trace": res.mean.trace,
@@ -201,8 +176,7 @@ def cmd_mean(args):
     diagnostics = _solver_diagnostics(
         res, rel_tol=args.rel_tol, max_iter=args.max_iter, rank_tol=args.rank_tol
     )
-    inputs = _family_inputs(args, manifest, algorithm=args.algorithm)
-    return _report("mean", inputs, results, diagnostics), code
+    return _family_inputs(args, manifest, algorithm=args.algorithm), results, diagnostics
 
 
 def cmd_geodesic(args):
@@ -232,14 +206,14 @@ def cmd_geodesic(args):
     }
     diagnostics = {"dim": a.dim, "endpoint_gap": endpoint_gap}
     inputs = {"a": args.a, "b": args.b, "steps": args.steps, "rank_tol": args.rank_tol}
-    return _report("geodesic", inputs, results, diagnostics), 0
+    return inputs, results, diagnostics
 
 
 def cmd_pca(args):
     manifest, covs = _load_manifest_family(args.manifest)
     d = covs[0].dim
     k = args.components if args.components is not None else min(len(covs), d * (d + 1) // 2)
-    res, code = _solve_mean(covs, args, algorithm="descent")
+    res = _solve_mean(covs, args)
     lifted = lift(covs, res.mean, args.rank_tol)
     pca = tangent_pca(lifted, res.mean, k)
     results = {
@@ -254,12 +228,12 @@ def cmd_pca(args):
         "reconstruction_errors": reconstruction_errors(res.mean, pca, covs, args.rank_tol),
     }
     diagnostics = _solver_diagnostics(res, requested_components=k, rank_tol=args.rank_tol)
-    return _report("pca", _family_inputs(args, manifest), results, diagnostics), code
+    return _family_inputs(args, manifest), results, diagnostics
 
 
 def cmd_multicouple(args):
     manifest, covs = _load_manifest_family(args.manifest)
-    res, code = _solve_mean(covs, args, algorithm="descent")
+    res = _solve_mean(covs, args)
     joint = multicoupling(res.mean, covs, args.rank_tol)
     cost = multicoupling_cost(joint)
     functional = float(res.functional_trace[-1])
@@ -284,7 +258,7 @@ def cmd_multicouple(args):
         ],
         rank_tol=args.rank_tol,
     )
-    return _report("multicouple", _family_inputs(args, manifest), results, diagnostics), code
+    return _family_inputs(args, manifest), results, diagnostics
 
 
 def _random_template(dim: int, seed: int) -> Covariance:
@@ -297,10 +271,12 @@ def _random_template(dim: int, seed: int) -> Covariance:
 def cmd_simulate_deform(args):
     if args.template is not None:
         template = _load_cov(args.template)
+    elif args.dim < 1:
+        raise OutOfRangeError(f"dim={args.dim} must be at least 1")
     else:
         template = _random_template(args.dim, args.seed)
     fam = deformation_family(template, args.count, args.eps, RngSpec(args.seed, "deform"))
-    res, code = _solve_mean(fam.deformed, args, algorithm="descent")
+    res = _solve_mean(fam.deformed, args)
     avg_map = sum(fam.maps) / len(fam.maps)
     results = {
         "template_file": _write(args, "template.txt", template.mat),
@@ -324,7 +300,7 @@ def cmd_simulate_deform(args):
         "eps": args.eps,
         "seed": args.seed,
     }
-    return _report("simulate.deform", inputs, results, diagnostics), code
+    return inputs, results, diagnostics
 
 
 def _parse_ranks(text: str, d: int) -> list[int]:
@@ -341,12 +317,12 @@ def _parse_ranks(text: str, d: int) -> list[int]:
 
 def cmd_simulate_project(args):
     if (args.input is None) == (args.manifest is None):
-        raise OutOfRangeError("provide either a matrix file or --manifest, not both")
+        raise OutOfRangeError("provide exactly one of a matrix file and --manifest")
     if args.manifest is not None:
         manifest, covs = _load_manifest_family(args.manifest)
         ranks = _parse_ranks(args.ranks, covs[0].dim)
         outcome = projection_stability_experiment(
-            covs, ranks, basis=args.basis, cfg=_mean_config(args)
+            covs, ranks, basis=args.basis, cfg=MeanConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
         )
         inputs = {
             "manifest": args.manifest,
@@ -354,8 +330,7 @@ def cmd_simulate_project(args):
             "basis": args.basis,
             "ranks": ranks,
         }
-        diagnostics = {"rel_tol": args.rel_tol, "max_iter": args.max_iter}
-        return _report("simulate.project", inputs, outcome, diagnostics), 0
+        return inputs, outcome, {"rel_tol": args.rel_tol, "max_iter": args.max_iter}
     c = _load_cov(args.input)
     ranks = _parse_ranks(args.ranks, c.dim)
     errors = []
@@ -373,12 +348,12 @@ def cmd_simulate_project(args):
         "max_identity_gap": max(abs(e - p) for e, p in zip(errors, squared)),
     }
     inputs = {"input": args.input, "basis": args.basis, "ranks": ranks}
-    return _report("simulate.project", inputs, results, {"dim": c.dim, "trace": c.trace}), 0
+    return inputs, results, {"dim": c.dim, "trace": c.trace}
 
 
 def cmd_simulate_counterexample(args):
     mean, s1, s2, thresholds = counterexample_family(args.blocks, args.ratio, args.b0)
-    res, code = _solve_mean([s1, s2], args, algorithm="descent")
+    res = _solve_mean([s1, s2], args)
     results = {
         "mean_file": _write(args, "mean.txt", mean.mat),
         "manifest_file": _write_family(args, [s1.mat, s2.mat]),
@@ -390,15 +365,14 @@ def cmd_simulate_counterexample(args):
     diagnostics = _solver_diagnostics(
         res, mean_eigenvalues=list(mean.spectrum.values), rel_tol=args.rel_tol, max_iter=args.max_iter
     )
-    inputs = {"blocks": args.blocks, "ratio": args.ratio, "b0": args.b0}
-    return _report("simulate.counterexample", inputs, results, diagnostics), code
+    return {"blocks": args.blocks, "ratio": args.ratio, "b0": args.b0}, results, diagnostics
 
 
 def cmd_simulate_moments(args):
     c = _load_cov(args.input)
     outcome = fourth_moment_check(c, args.samples, RngSpec(args.seed, "moments"))
     inputs = {"input": args.input, "samples": args.samples, "seed": args.seed}
-    return _report("simulate.moments", inputs, outcome, {"dim": c.dim, "trace": c.trace}), 0
+    return inputs, outcome, {"dim": c.dim, "trace": c.trace}
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -503,32 +477,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Exit code of each error a command may raise; any other error propagates.
-_EXIT_CODES = {
-    MatrixParseError: 2,
-    OutOfRangeError: 2,
-    EmptyFamilyError: 2,
-    DegenerateError: 2,
-    NonFiniteError: 2,
-    LeavesConeError: 2,
-    DimMismatchError: 3,
-    NotPSDError: 4,
-    KernelConditionError: 5,
-    MaxIterExceeded: 6,
-}
-
-
 def main(argv=None) -> int:
+    """Run one command: its report goes to stdout, an error or the iteration-cap
+    warning to stderr, and the exit status is returned.  Errors other than
+    ``BwGeomError`` propagate."""
     args = build_parser().parse_args(argv)
     try:
-        report, code = args.handler(args)
-    except tuple(_EXIT_CODES) as e:
+        inputs, results, diagnostics = args.handler(args)
+    except BwGeomError as e:
         sys.stderr.write(f"error: {e}\n")
-        return next(code for kind, code in _EXIT_CODES.items() if isinstance(e, kind))
+        return e.exit_code
+    command = ".".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+    report = dict(command=command, inputs=inputs, results=results, diagnostics=diagnostics, version=__version__)
     sys.stdout.write(render_report(report))
-    if code == 6:
+    if diagnostics.get("converged") is False:
         sys.stderr.write("warning: iteration cap reached; result did not converge\n")
-    return code
+        return 6
+    return 0
 
 
 def run() -> None:

@@ -2,7 +2,9 @@
 
 
 class BwGeomError(Exception):
-    """Base class for all bwgeom errors."""
+    """Base class for all bwgeom errors; ``exit_code`` is the CLI's exit status."""
+
+    exit_code = 2
 
 
 class NonFiniteError(BwGeomError):
@@ -11,6 +13,8 @@ class NonFiniteError(BwGeomError):
 
 class NotPSDError(BwGeomError):
     """A matrix is indefinite beyond the positive semidefinite tolerance."""
+
+    exit_code = 4
 
     def __init__(self, lambda_min, message=None):
         self.lambda_min = float(lambda_min)
@@ -22,6 +26,8 @@ class NotPSDError(BwGeomError):
 class DimMismatchError(BwGeomError):
     """Operands have incompatible dimensions."""
 
+    exit_code = 3
+
 
 class KernelConditionError(BwGeomError):
     """The kernel of the source covariance is not contained in the kernel of the target.
@@ -29,6 +35,8 @@ class KernelConditionError(BwGeomError):
     No transport map exists in this situation.  ``index`` identifies the
     offending family member or iterate when raised inside a loop.
     """
+
+    exit_code = 5
 
     def __init__(self, message="kernel inclusion condition violated", index=None):
         self.index = index
@@ -64,6 +72,8 @@ class MaxIterExceeded(BwGeomError):
 
     The best iterate found so far is attached as ``result``.
     """
+
+    exit_code = 6
 
     def __init__(self, result, message=None):
         self.result = result

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, NonFiniteError, NotPSDError
+from .errors import DimMismatchError, NonFiniteError, NotPSDError, OutOfRangeError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -153,15 +153,21 @@ def validate_psd(m) -> Covariance:
 
 
 def rank_rel(dim: int, rank_tol: float | None = None) -> float:
-    """Relative rank tolerance: ``rank_tol``, or dim * machine_eps by default."""
-    return dim * EPS if rank_tol is None else float(rank_tol)
+    """Relative rank tolerance: ``rank_tol``, or dim * machine_eps by default.
+
+    ``rank_tol`` must lie in [0, 1): at 1 or above (or NaN) every eigenvalue
+    is kernel, below 0 every one is range, zeros included."""
+    if rank_tol is None:
+        return dim * EPS
+    if not 0.0 <= float(rank_tol) < 1.0:
+        raise OutOfRangeError(f"rank_tol={rank_tol} outside [0, 1)")
+    return float(rank_tol)
 
 
 def rank_cutoff(values: np.ndarray, rank_tol: float | None = None) -> float:
     """Absolute eigenvalue cutoff ``rank_rel * lambda_max`` of a descending spectrum."""
-    if values.size == 0:
-        return 0.0
-    return rank_rel(values.size, rank_tol) * float(values[0])
+    rel = rank_rel(values.size, rank_tol)
+    return rel * float(values[0]) if values.size else 0.0
 
 
 def numerical_rank(c: Covariance, rank_tol: float | None = None) -> int:

@@ -16,16 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import coerce_point_and_family
+from .barycenter import coerce_point_and_family, multicoupling
 from .bures import _cross_trace, _range_factor
-from .errors import (
-    DimMismatchError,
-    EmptyFamilyError,
-    KernelConditionError,
-    LeavesConeError,
-    OutOfRangeError,
-)
-from .geometry import _cone_test, _tangent_gram, exp_map, log_map
+from .errors import DimMismatchError, EmptyFamilyError, LeavesConeError, OutOfRangeError
+from .geometry import _cone_test, _tangent_gram, exp_map
 from .spectral import (
     Covariance,
     as_symmetric,
@@ -56,18 +50,10 @@ class PcaResult:
 
 
 def lift(family, mean, rank_tol: float | None = None) -> np.ndarray:
-    """Logarithms ``T_i - I`` of all family members at the mean, as a
-    read-only (n, d, d) stack."""
-    c, members = coerce_point_and_family(mean, family, "mean")
-    out = np.empty((len(members), c.dim, c.dim))
-    for i, m in enumerate(members):
-        try:
-            out[i] = log_map(c, m, rank_tol)
-        except KernelConditionError as e:
-            raise KernelConditionError(
-                "family member cannot be lifted at this mean", index=i
-            ) from e
-    return readonly(out)
+    """Logarithms ``T_i - I`` of all family members at the mean: the maps of
+    their ``multicoupling`` minus the identity, as a read-only (n, d, d) stack."""
+    joint = multicoupling(mean, family, rank_tol)
+    return readonly(joint.maps - np.eye(joint.dim))
 
 
 def tangent_pca(lifted, mean, k: int) -> PcaResult:

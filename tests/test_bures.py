@@ -6,6 +6,7 @@ import pytest
 from bwgeom import (
     DimMismatchError,
     KernelConditionError,
+    OutOfRangeError,
     gaussian_w2,
     kernel_condition,
     optimal_map,
@@ -115,6 +116,14 @@ def test_optimal_map_identity(rng):
 def test_optimal_map_forbidden_direction():
     with pytest.raises(KernelConditionError):
         optimal_map(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("rank_tol", [math.nan, -1.0, 1.0, math.inf])
+def test_optimal_map_rejects_rank_tol_outside_the_unit_interval(rank_tol):
+    # Below 0 the zero eigenvalue would count as range and be inverted (an all-NaN
+    # map); at 1 or above, or NaN, the whole source would count as kernel.
+    with pytest.raises(OutOfRangeError, match="rank_tol"):
+        optimal_map(np.diag([1.0, 0.0]), np.diag([2.0, 0.0]), rank_tol=rank_tol)
 
 
 def test_pushforward_batch(rng):

@@ -1,12 +1,27 @@
 import argparse
 import json
 import math
+import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bwgeom import __version__
+from bwgeom import (
+    BwGeomError,
+    DegenerateError,
+    DimMismatchError,
+    EmptyFamilyError,
+    KernelConditionError,
+    LeavesConeError,
+    MatrixParseError,
+    MaxIterExceeded,
+    NonFiniteError,
+    NotPSDError,
+    OutOfRangeError,
+    __version__,
+)
 from bwgeom.cli import build_parser, main
 from bwgeom.io import read_matrix, write_manifest, write_matrix
 
@@ -275,6 +290,92 @@ def test_pca_command_passes_its_rank_tol_to_the_reconstruction_table(
     assert code == 0 and seen == [rank_tol]
 
 
+# One instance of every error class with the exit status README's table gives it.
+ERROR_EXIT_CODES = [
+    (MatrixParseError("x.txt", "bad entry"), 2),
+    (OutOfRangeError("out of range"), 2),
+    (EmptyFamilyError("no members"), 2),
+    (DegenerateError("degenerate"), 2),
+    (NonFiniteError("nan entry"), 2),
+    (LeavesConeError(-0.5), 2),
+    (DimMismatchError("2x2 against 3x3"), 3),
+    (NotPSDError(-1.0), 4),
+    (KernelConditionError(), 5),
+    (MaxIterExceeded(None, "iteration cap reached"), 6),
+]
+
+
+def test_exit_code_cases_cover_every_error_class_and_the_readme_table():
+    assert sorted(type(e).__name__ for e, _ in ERROR_EXIT_CODES) == sorted(
+        cls.__name__ for cls in BwGeomError.__subclasses__()
+    )
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("Exit codes:", 1)[1].split("\n## ", 1)[0]
+    documented = {int(c) for c in re.findall(r"^\| (\d+) \|", table, flags=re.M)}
+    assert documented == {0} | {code for _, code in ERROR_EXIT_CODES}
+
+
+def _distance_raising(tmp_path, monkeypatch, error):
+    import bwgeom.cli
+
+    def raising(a, b):
+        raise error
+
+    monkeypatch.setattr(bwgeom.cli, "convergence_equivalence", raising)
+    for name in ("a.txt", "b.txt"):
+        write_matrix(tmp_path / name, np.eye(2))
+    return ["distance", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+
+
+@pytest.mark.parametrize(
+    "error, code", ERROR_EXIT_CODES, ids=[type(e).__name__ for e, _ in ERROR_EXIT_CODES]
+)
+def test_every_error_exits_with_its_code(tmp_path, capsys, monkeypatch, error, code):
+    argv = _distance_raising(tmp_path, monkeypatch, error)
+    assert run_cli(capsys, *argv) == (code, "", f"error: {error}\n")
+
+
+def test_errors_outside_the_package_propagate(tmp_path, capsys, monkeypatch):
+    argv = _distance_raising(tmp_path, monkeypatch, ValueError("not a bwgeom error"))
+    with pytest.raises(ValueError, match="not a bwgeom error"):
+        main(argv)
+
+
+@pytest.mark.parametrize("command", ["pca", "multicouple", "simulate deform", "simulate counterexample"])
+def test_iteration_cap_exits_6_and_still_writes_files(tmp_path, capsys, rng, command):
+    from conftest import make_spd
+
+    argv = command.split()
+    if len(argv) == 1:
+        argv.append(write_family(tmp_path, [make_spd(3, rng) for _ in range(4)]))
+    code, out, err = run_cli(
+        capsys, *argv, "--max-iter", "1", "--rel-tol", "1e-13", "--output", str(tmp_path / "out")
+    )
+    assert code == 6
+    assert err == "warning: iteration cap reached; result did not converge\n"
+    doc = json.loads(out)
+    assert doc["diagnostics"]["converged"] is False
+    results = doc["results"]
+    written = [v for k, v in results.items() if k.endswith("_file")] + results.get("component_files", [])
+    assert written and all(Path(f).is_file() for f in written)
+
+
+@pytest.mark.parametrize("rank_tol", ["nan", "-1", "1", "inf"])
+def test_rank_tol_outside_the_unit_interval_exits_2(tmp_path, capsys, rank_tol):
+    for argv in (_family_argv(tmp_path, "mean"), _geodesic_argv(tmp_path)):
+        code, out, err = run_cli(capsys, *argv, f"--rank-tol={rank_tol}")
+        assert (code, out) == (2, "")
+        assert "rank_tol" in err and "outside [0, 1)" in err
+
+
+@pytest.mark.parametrize("dim", ["0", "-2"])
+def test_deform_rejects_a_generated_template_below_dimension_1(tmp_path, capsys, dim):
+    out_dir = tmp_path / "out"
+    code, out, err = run_cli(capsys, "simulate", "deform", f"--dim={dim}", "--output", str(out_dir))
+    assert (code, out) == (2, "") and f"dim={dim}" in err
+    assert not out_dir.exists()
+
+
 def _near_kernel(w):
     """Covariance with eigenvalues ``w`` and 1e-13 (relative) in a rotated basis,
     so ``--rank-tol 1e-10`` moves that eigenvalue into the kernel while the
@@ -446,12 +547,12 @@ def test_project_command_family_sweep(tmp_path, capsys):
 def test_project_rejects_ambiguous_inputs(tmp_path, capsys):
     write_matrix(tmp_path / "c.txt", np.eye(2))
     manifest = write_family(tmp_path, [np.eye(2)])
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         capsys, "simulate", "project", str(tmp_path / "c.txt"), "--manifest", manifest
     )
-    assert code == 2
-    code, _, _ = run_cli(capsys, "simulate", "project")
-    assert code == 2
+    assert code == 2 and "exactly one" in err
+    code, _, err = run_cli(capsys, "simulate", "project")
+    assert code == 2 and "exactly one" in err
 
 
 def test_moments_command_rank_one_equality(tmp_path, capsys):

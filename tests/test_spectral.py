@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bwgeom import NonFiniteError, NotPSDError, sqrt_psd, sym_eigen, validate_psd
-from bwgeom.spectral import pinv_sqrt
+from bwgeom import NonFiniteError, NotPSDError, OutOfRangeError, sqrt_psd, sym_eigen, validate_psd
+from bwgeom.spectral import numerical_rank, pinv_sqrt
 
 from conftest import make_spd
 
@@ -127,6 +127,19 @@ def test_pinv_sqrt_examples():
     assert np.allclose(pinv_sqrt(np.diag([4.0, 1.0])), np.diag([0.5, 1.0]))
     assert np.allclose(pinv_sqrt(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
     assert np.allclose(pinv_sqrt(np.eye(3)), np.eye(3))
+
+
+@pytest.mark.parametrize("rank_tol", [math.nan, -1.0, 1.0, math.inf])
+def test_numerical_rank_rejects_rank_tol_outside_the_unit_interval(rank_tol):
+    with pytest.raises(OutOfRangeError, match="rank_tol"):
+        numerical_rank(validate_psd(np.diag([1.0, 0.0])), rank_tol)
+
+
+def test_numerical_rank_accepts_both_ends_of_the_unit_interval():
+    c = validate_psd(np.diag([1.0, 0.5, 0.0]))
+    assert numerical_rank(c, 0.0) == 2
+    assert numerical_rank(c, 0.5) == 1
+    assert numerical_rank(c, math.nextafter(1.0, 0.0)) == 1
 
 
 def test_pinv_sqrt_range_projector(rng):
