@@ -56,7 +56,7 @@ from .simulate import (
     projection_error,
     projection_stability_experiment,
 )
-from .spectral import Covariance, _condition, cov_from_product, from_spectrum, validate_psd
+from .spectral import Covariance, _condition, cov_from_product, from_spectrum, rank_rel, validate_psd
 from .tpca import lift, reconstruction_errors, tangent_pca
 
 
@@ -110,9 +110,10 @@ def _family_inputs(args, manifest: Manifest, **extra) -> dict:
 
 
 def _solve_mean(covs, args):
-    """Run ``--algorithm`` (the descent where a command has no such flag); on
-    an iteration-cap failure return the best iterate, whose ``converged`` is
-    false."""
+    """Run ``--algorithm`` (the descent where a command has no such flag) after
+    checking ``--rank-tol``'s range; on an iteration-cap failure return the
+    best iterate, whose ``converged`` is false."""
+    rank_rel(0, args.rank_tol)
     cfg = MeanConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
     try:
         if getattr(args, "algorithm", "descent") == "gpa":
@@ -411,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="transport-map descent or generalized Procrustes averaging",
     )
     _add_solver_flags(p)
-    _add_rank_tol(p).help += "; --algorithm gpa ignores it"
+    _add_rank_tol(p).help += "; --algorithm gpa checks its range but evaluates at the default split"
     p.add_argument("--output", default=".", help="directory for mean.txt")
     p.set_defaults(handler=cmd_mean)
 

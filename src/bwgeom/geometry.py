@@ -8,8 +8,11 @@ minus the identity.  Geodesics are McCann interpolations: the point at time t
 is ``exp_map(S0, t log_map(S0, S1))``, which stays in the cone because
 (1 - t) I + t T is PSD for t in [0, 1].  ``_cone_test`` is the one test of
 whether a retraction stays in the cone: ``exp_map`` applies it to one point,
-``tpca.reconstruction_errors`` to a stack.  ``_tangent_gram`` is the one place
-that evaluates the inner product, for whole stacks of directions at once.
+``tpca.reconstruction_errors`` to a stack.  It accepts on a successful
+Cholesky factorization, whose backward error of order d eps max|lambda| is
+inside its tolerance, and otherwise applies the eigenvalue test.
+``_tangent_gram`` is the one place that evaluates the inner product, for
+whole stacks of directions at once.
 """
 
 from __future__ import annotations
@@ -70,9 +73,15 @@ def _cone_test(base: Covariance, b: np.ndarray, rank_tol: float | None = None):
     kappa is the condition number of S on its range at ``rank_tol``, and 1 at
     a zero base: a logarithm at S is known to a relative accuracy of about
     eps kappa (its folds stay below 3e-6 max|lambda| up to kappa = 1e12), and
-    the cap keeps every deeper fold a rejection.
+    the cap keeps every deeper fold a rejection.  A stack that Cholesky
+    factors is accepted with no eigenvalue solve: its backward error, of
+    order ``d eps max|lambda|``, is inside the tolerance.
     """
-    w = np.linalg.eigvalsh(b)
+    try:
+        np.linalg.cholesky(b)
+        return np.zeros(b.shape[:-2], dtype=bool)
+    except np.linalg.LinAlgError:
+        w = np.linalg.eigvalsh(b)
     kappa = _condition(base.spectrum.values, rank_tol) if numerical_rank(base, rank_tol) else 1.0
     return w[..., 0] < -min(base.dim * EPS * kappa, 1e-3) * np.max(np.abs(w), axis=-1)
 

@@ -140,15 +140,20 @@ def reconstruction_errors(mean, pca: PcaResult, family, rank_tol: float | None =
     """Distances of member i from ``reconstruct(mean, pca, i, k, rank_tol)``,
     k = 0..K with K the effective component count; NaN where that leaves the
     cone.  A member's K + 1 retractions ``B M B`` are one stack ``B = I + v``:
-    one ``eigvalsh`` for the cone test, one for the cross traces.
+    one cone test (a Cholesky factorization, and the eigenvalue test only
+    when that fails) and one ``eigvalsh`` for the cross traces.
     """
     c, members = coerce_point_and_family(mean, family, "mean")
     if len(members) != len(pca.scores):
         raise DimMismatchError(f"family of {len(members)} members for a PCA of {len(pca.scores)}")
-    out = np.empty((len(members), len(pca.components) + 1))
+    k = len(pca.components)
+    out, b = np.empty((len(members), k + 1)), np.empty((k + 1, c.dim, c.dim))
     for i, member in enumerate(members):
-        steps = np.concatenate([pca.mean_direction[None], pca.scores[i, :, None, None] * pca.components])
-        b = np.cumsum(steps, axis=0) + np.eye(c.dim)
+        b[0] = pca.mean_direction
+        np.multiply(pca.scores[i, :, None, None], pca.components, out=b[1:])
+        for j in range(1, k + 1):
+            b[j] += b[j - 1]
+        b += np.eye(c.dim)
         bm = b @ c.mat
         cross = _cross_trace(_range_factor(member, numerical_rank(member)), bm @ b)
         d2 = np.sum(bm * b, axis=(1, 2)) + member.trace - 2.0 * cross

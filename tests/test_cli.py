@@ -362,7 +362,8 @@ def test_iteration_cap_exits_6_and_still_writes_files(tmp_path, capsys, rng, com
 
 @pytest.mark.parametrize("rank_tol", ["nan", "-1", "1", "inf"])
 def test_rank_tol_outside_the_unit_interval_exits_2(tmp_path, capsys, rank_tol):
-    for argv in (_family_argv(tmp_path, "mean"), _geodesic_argv(tmp_path)):
+    gpa = [*_family_argv(tmp_path, "mean"), "--algorithm", "gpa"]
+    for argv in (_family_argv(tmp_path, "mean"), gpa, _geodesic_argv(tmp_path)):
         code, out, err = run_cli(capsys, *argv, f"--rank-tol={rank_tol}")
         assert (code, out) == (2, "")
         assert "rank_tol" in err and "outside [0, 1)" in err
@@ -401,7 +402,7 @@ def _deform_argv(tmp_path):
 
 
 # One case per command that accepts --rank-tol.  ``mean`` runs the descent:
-# ``--algorithm gpa`` ignores the flag and evaluates at the default split.
+# ``--algorithm gpa`` checks the flag's range but evaluates at the default split.
 RANK_TOL_CASES = {
     "mean": lambda tmp_path: _family_argv(tmp_path, "mean"),
     "pca": lambda tmp_path: _family_argv(tmp_path, "pca"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwgeom import (
     KernelConditionError,
@@ -13,8 +15,10 @@ from bwgeom import (
     tangent_inner,
     tangent_norm,
 )
+from bwgeom.geometry import _cone_test
+from bwgeom.spectral import EPS, validate_psd
 
-from conftest import make_spd
+from conftest import eigvalsh_cone_test, make_spd
 
 A41 = np.diag([4.0, 1.0])
 B14 = np.diag([1.0, 4.0])
@@ -166,3 +170,41 @@ def test_exp_map_reaches_geodesic_point_from_ill_conditioned_source():
     assert g.spectrum.values[-1] >= 0.0
     p = exp_map(a, t * log_map(a, b))
     assert np.max(np.abs(p.mat - g.mat)) <= 1e-12 * np.max(np.abs(g.mat))
+
+
+def _with_spectrum(rng, values):
+    q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    m = (q * values) @ q.T
+    return 0.5 * (m + m.T)
+
+
+@st.composite
+def _cone_cases(draw):
+    """(base, rank_tol, b): d in 2..12, a base of condition number up to 1e12,
+    and either one I + A or a stack of up to 5 in which one member's smallest
+    eigenvalue is +-1e-18..+-1e-2 of its largest and the others are positive
+    definite, so that a fold sends the whole stack to the eigenvalue test."""
+    d = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = _with_spectrum(rng, np.logspace(0.0, -draw(st.floats(0.0, 12.0)), d))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    fold = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** -draw(st.floats(2.0, 18.0))
+    size = draw(st.integers(0, 5))
+    spectra = rng.uniform(0.1, 1.0, (max(size, 1), d))
+    spectra[draw(st.integers(0, max(size, 1) - 1)), :2] = (fold, 1.0)
+    b = np.array([_with_spectrum(rng, scale * w) for w in spectra])
+    return base, draw(st.sampled_from([None, 1e-22])), b if size else b[0]
+
+
+@given(_cone_cases())
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+def test_cholesky_first_cone_test_matches_the_eigenvalue_test(case):
+    # Cholesky accepts a matrix only up to its backward error, of order
+    # d eps max|lambda|; outside twice that band the two tests must agree.
+    base, rank_tol, b = case
+    s = validate_psd(base)
+    got, want = _cone_test(s, b, rank_tol), eigvalsh_cone_test(s, b, rank_tol)
+    assert np.shape(got) == np.shape(want) == b.shape[:-2]
+    w = np.linalg.eigvalsh(b)
+    outside = np.abs(w[..., 0]) > 2.0 * s.dim * EPS * np.max(np.abs(w), axis=-1)
+    assert np.array_equal(np.asarray(got)[outside], np.asarray(want)[outside])

@@ -26,7 +26,7 @@ from bwgeom.geometry import _tangent_gram
 from bwgeom.simulate import RngSpec, deformation_family
 from bwgeom.spectral import EPS, cov_from_product, numerical_rank, rank_cutoff, validate_psd
 from bwgeom.tpca import PcaResult
-from conftest import make_spd
+from conftest import eigvalsh_cone_test, make_spd
 
 
 def total_centred_variance(base, lifted):
@@ -356,6 +356,32 @@ def test_reconstruction_errors_match_entrywise_reconstruction(rng, name):
             floor = math.sqrt(EPS * (rec.trace + member.trace) * pos[0] / pos[-1])
             assert abs(table[i, k] - procrustes_distance(rec, member)) <= 2.0 * floor
     assert np.isnan(table).any() == (name == "leaves_cone")
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_reconstruction_errors_solve_eigenvalues_only_for_cross_traces(rng, name, monkeypatch):
+    fam = [validate_psd(m) for m in FAMILIES[name](rng)]
+    mean = mean_fixed_point(fam).mean
+    pca = tangent_pca(lift(fam, mean), mean, k=len(fam))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    table = reconstruction_errors(mean, pca, fam)
+    n_calls = len(calls)
+    monkeypatch.setattr("bwgeom.tpca._cone_test", eigvalsh_cone_test)
+    # Every cell, null ones included, as with the cone test by eigenvalues alone.
+    np.testing.assert_array_equal(table, reconstruction_errors(mean, pca, fam))
+    if name == "leaves_cone":
+        # Only a member with a cell off the cone takes the eigenvalue test.
+        assert np.isnan(table).any() and n_calls == len(fam) + np.isnan(table).any(axis=1).sum()
+    else:
+        # One solve per member, for its cross traces.
+        assert n_calls == len(fam)
 
 
 def test_reconstruction_errors_cone_test_follows_the_callers_rank_tol():
