@@ -25,7 +25,9 @@ from .errors import (
 )
 from .spectral import (
     Covariance,
+    as_matrix,
     cov_from_product,
+    from_spectrum,
     numerical_rank,
     readonly,
     sqrt_psd,
@@ -130,15 +132,16 @@ class JointCovariance:
 
 
 def coerce_family(family) -> list[Covariance]:
-    """Validate a family of covariances and check dimensions agree."""
-    members = [validate_psd(m) for m in family]
+    """Validate a family of covariances in one stacked pass and check dimensions agree."""
+    members = list(family)
     if not members:
         raise EmptyFamilyError("family of covariances is empty")
-    d = members[0].dim
+    d = len(as_matrix(members[0]))
     for i, m in enumerate(members):
-        if m.dim != d:
-            raise DimMismatchError(f"family member {i} has dimension {m.dim}, expected {d}")
-    return members
+        if len(as_matrix(m)) != d:
+            raise DimMismatchError(f"family member {i} has dimension {len(as_matrix(m))}, expected {d}")
+    checked = members if all(isinstance(m, Covariance) for m in members) else validate_psd(np.stack(members))
+    return [m if isinstance(m, Covariance) else c for m, c in zip(members, checked)]
 
 
 def coerce_point_and_family(point, family, role: str) -> tuple[Covariance, list[Covariance]]:
@@ -158,7 +161,7 @@ def frechet_functional(s, family) -> float:
     """F(S) = (1/2N) sum_i d^2(S, S_i) for the Procrustes distance d, read
     from the one ``_Evaluation`` of S like ``fixed_point_residual``."""
     c, members = coerce_point_and_family(s, family, "candidate")
-    return _Evaluation(c, members).functional
+    return _Evaluation(c, _Family(members)).functional
 
 
 def fixed_point_residual(s, family) -> float:
@@ -168,7 +171,15 @@ def fixed_point_residual(s, family) -> float:
     vanishes exactly at the Frechet mean of the family.
     """
     c, members = coerce_point_and_family(s, family, "candidate")
-    return _Evaluation(c, members).residual
+    return _Evaluation(c, _Family(members)).residual
+
+
+class _Family:
+    """Members with their (n, d, d) stack and full-rank mask at ``rank_tol``."""
+
+    def __init__(self, members: list[Covariance], rank_tol=None):
+        self.members, self.mats = members, np.stack([m.mat for m in members])
+        self.full = np.array([numerical_rank(m, rank_tol) == m.dim for m in members])
 
 
 class _Evaluation:
@@ -176,36 +187,33 @@ class _Evaluation:
 
     The product roots ``G_i = (S^{1/2} S_i S^{1/2})^{1/2}`` give the Frechet
     functional from their traces, ``(1/2N) sum_i (tr S + tr S_i - 2 tr G_i)``,
-    their average ``gbar`` and the trace-norm residual ``||S - gbar||_1``.
-    S is rooted on its numerical range at ``rank_tol``.  When that range is
-    not the whole space, with Q its orthonormal basis and D the roots of the
-    eigenvalues kept, ``G_i = Q (D C_i D)^{1/2} Q^T`` for ``C_i = Q^T S_i Q``:
-    no root of a rounding-level eigenvalue of S or of the product enters.
+    their average ``gbar`` and the trace-norm residual ``||S - gbar||_1``,
+    summed in member order.  S is rooted on its numerical range at
+    ``rank_tol``; at a full-rank S the full-rank members' roots are one
+    stacked ``product_root``.  Otherwise, with Q a basis of that range and D
+    the roots of its eigenvalues, ``G_i = Q (D C_i D)^{1/2} Q^T`` for
+    ``C_i = Q^T S_i Q``: no root of a rounding-level eigenvalue enters.
     """
 
     __slots__ = ("point", "functional", "gbar", "residual")
 
-    def __init__(self, point: Covariance, members: list[Covariance], rank_tol=None):
+    def __init__(self, point: Covariance, fam: _Family, rank_tol=None):
         r = numerical_rank(point, rank_tol)
+        gs = np.zeros((len(fam.members), point.dim, point.dim))
         if r == point.dim:
             root = sqrt_psd(point)
-            product = lambda m: product_root(root, m, rank_tol)
-        elif r == 0:
-            product = lambda m: np.zeros_like(point.mat)
-        else:
+            gs[fam.full] = product_root(root, fam.mats[fam.full])
+            for i in np.flatnonzero(~fam.full):
+                gs[i] = product_root(root, fam.members[i], rank_tol)
+        elif r:
             q = point.spectrum.vectors[:, :r]
             root = np.diag(np.sqrt(point.spectrum.values[:r]))
-            product = lambda m: q @ product_root(root, cov_from_product(q.T @ m.mat @ q), rank_tol) @ q.T
-        tr = point.trace
-        f = 0.0
-        gsum = np.zeros_like(point.mat)
-        for m in members:
-            g = product(m)
-            f += max(0.0, tr + m.trace - 2.0 * float(np.trace(g)))
-            gsum += g
+            for i, m in enumerate(fam.members):
+                gs[i] = q @ product_root(root, cov_from_product(q.T @ m.mat @ q), rank_tol) @ q.T
+        d2 = point.trace + fam.mats.trace(axis1=1, axis2=2) - 2.0 * gs.trace(axis1=1, axis2=2)
         self.point = point
-        self.functional = f / (2.0 * len(members))
-        self.gbar = gsum / len(members)
+        self.functional = float(np.cumsum(np.maximum(0.0, d2))[-1]) / (2.0 * len(gs))
+        self.gbar = np.add.accumulate(gs)[-1] / len(gs)
         self.residual = trace_norm(point.mat - self.gbar)
 
 
@@ -242,12 +250,14 @@ def _solve(family, cfg: MeanConfig, rank_tol, start, stop, algorithm: str) -> Me
     else:
         finish = lambda p: p
 
+    fam = _Family(members, rank_tol)
+
     def evaluate(point, k):
         kernel = point.spectrum.vectors[:, numerical_rank(point, rank_tol):]
-        for i, m in enumerate(members):
-            if kernel_leaks(kernel, m, rank_tol):
-                raise KernelConditionError(f"iterate {k} lost range inclusion for member {i}", index=k)
-        return _Evaluation(point, members, rank_tol)
+        leaks = np.flatnonzero(kernel_leaks(kernel, fam.mats, rank_tol))
+        if leaks.size:
+            raise KernelConditionError(f"iterate {k} lost range inclusion for member {leaks[0]}", index=k)
+        return _Evaluation(point, fam, rank_tol)
 
     evals = [evaluate(cov_from_product(start(members)), 0)]
     if stop(None, None, evals[0]) is not None:
@@ -306,7 +316,9 @@ def mean_procrustes_averaging(family, cfg: MeanConfig | None = None) -> MeanResu
     cfg = cfg or MeanConfig()
 
     def start(members):
-        avg = sum(sqrt_psd(m) for m in members) / len(members)
+        vectors = np.stack([m.spectrum.vectors for m in members])
+        roots = from_spectrum(vectors, np.sqrt(np.stack([m.spectrum.values for m in members])))
+        avg = np.add.accumulate(roots)[-1] / len(members)
         return avg @ avg.T
 
     def stop(prev, step, cand):

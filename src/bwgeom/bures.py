@@ -22,7 +22,6 @@ from .spectral import (
     cov_from_product,
     from_spectrum,
     numerical_rank,
-    operator_norm,
     pinv_sqrt,
     rank_rel,
     readonly,
@@ -114,16 +113,16 @@ def gaussian_w2(m1, s1, m2, s2) -> float:
     return math.sqrt(float(delta @ delta) + procrustes_distance_squared(a, b))
 
 
-def kernel_leaks(kernel: np.ndarray, target: Covariance, rank_tol: float | None = None) -> bool:
-    """Whether ``target`` has mass on the span of the columns of ``kernel``.
+def kernel_leaks(kernel: np.ndarray, mats: np.ndarray, rank_tol: float | None = None):
+    """Whether a target, or each of a stack of them, has mass on the span of ``kernel``.
 
-    The compression of the target onto that span leaks when its operator norm
+    The compression of a target onto that span leaks when its operator norm
     exceeds ``rank_rel * tr target``; an empty kernel never leaks.
     """
     if not kernel.size:
-        return False
-    leak = operator_norm(kernel.T @ target.mat @ kernel)
-    return leak > rank_rel(target.dim, rank_tol) * target.trace
+        return np.zeros(mats.shape[:-2], dtype=bool)
+    w = np.linalg.eigvalsh(symmetrize(kernel.T @ mats @ kernel))
+    return np.max(np.abs(w), axis=-1) > rank_rel(mats.shape[-1], rank_tol) * mats.trace(axis1=-2, axis2=-1)
 
 
 def kernel_condition(s1, s2, rank_tol: float | None = None) -> bool:
@@ -136,22 +135,22 @@ def kernel_condition(s1, s2, rank_tol: float | None = None) -> bool:
     """
     a, b = _check_pair(s1, s2)
     kernel = a.spectrum.vectors[:, numerical_rank(a, rank_tol):]
-    return not kernel_leaks(kernel, b, rank_tol)
+    return not kernel_leaks(kernel, b.mat, rank_tol)
 
 
-def product_root(root: np.ndarray, target: Covariance, rank_tol: float | None = None) -> np.ndarray:
-    """``(R S R)^{1/2}`` for symmetric ``R = root`` and PSD ``S = target``.
+def product_root(root: np.ndarray, target, rank_tol: float | None = None) -> np.ndarray:
+    """``(R S R)^{1/2}`` for symmetric ``R = root`` and PSD ``S = target``, or a stack of full-rank S.
 
     The product is PSD in exact arithmetic, so rounding negatives are clamped.
     A rank-deficient target is evaluated through its exact-rank factor L
     (S = L L^T): with B = R L, ``(B B^T)^{1/2} = B (B^T B)^{-1/2} B^T``, which
     avoids square roots of the spurious near-zero eigenvalues of R S R.
     """
-    r = numerical_rank(target, rank_tol)
+    r = numerical_rank(target, rank_tol) if isinstance(target, Covariance) else len(root)
     if r == 0:
         return np.zeros_like(root)
-    if r == target.dim:
-        spec = sym_eigen(root @ target.mat @ root)
+    if r == len(root):
+        spec = sym_eigen(root @ np.asarray(target) @ root)
         return from_spectrum(spec.vectors, np.sqrt(np.maximum(spec.values, 0.0)))
     b = root @ _range_factor(target, r)
     return symmetrize(b @ pinv_sqrt(cov_from_product(b.T @ b), rank_tol) @ b.T)

@@ -60,31 +60,28 @@ from .spectral import Covariance, _condition, cov_from_product, from_spectrum, r
 from .tpca import lift, reconstruction_errors, tangent_pca
 
 
-def _validated(name, m) -> Covariance:
-    """``validate_psd(m)``, naming the file or manifest entry on failure."""
+def _validated(names, mats) -> list[Covariance]:
+    """``validate_psd`` of the stacked matrices, naming the entry of the first that fails."""
     try:
-        return validate_psd(m)
+        return validate_psd(np.stack(mats))
     except NotPSDError as e:
-        raise NotPSDError(e.lambda_min, f"{name}: {e}") from None
+        raise NotPSDError(e.lambda_min, f"{names[e.index]}: {e}") from None
 
 
 def _load_cov(path) -> Covariance:
-    return _validated(path, read_matrix(path))
+    return _validated([path], [read_matrix(path)])[0]
 
 
 def _load_pair(path_a, path_b) -> tuple[Covariance, Covariance]:
-    a = _load_cov(path_a)
-    b = _load_cov(path_b)
-    if a.dim != b.dim:
-        raise DimMismatchError(
-            f"{path_a} is {a.dim}x{a.dim} but {path_b} is {b.dim}x{b.dim}"
-        )
-    return a, b
+    a, b = read_matrix(path_a), read_matrix(path_b)
+    if len(a) != len(b):
+        raise DimMismatchError(f"{path_a} is {len(a)}x{len(a)} but {path_b} is {len(b)}x{len(b)}")
+    return tuple(_validated([path_a, path_b], [a, b]))
 
 
 def _load_manifest_family(path) -> tuple[Manifest, list[Covariance]]:
     manifest = read_manifest(path)
-    return manifest, [_validated(name, m) for name, m in zip(manifest.operators, load_family(manifest))]
+    return manifest, _validated(manifest.operators, load_family(manifest))
 
 
 def _solver_diagnostics(res, **extra) -> dict:
@@ -239,9 +236,7 @@ def cmd_multicouple(args):
     cost = multicoupling_cost(joint)
     functional = float(res.functional_trace[-1])
     full = joint.full()
-    block_gap = max(
-        float(np.max(np.abs(joint.block(i, i) - covs[i].mat))) for i in range(joint.n)
-    )
+    block_gap = float(np.max(np.abs(joint.maps @ joint.mean.mat @ joint.maps - np.stack([c.mat for c in covs]))))
     results = {
         "joint_file": _write(args, "multicoupling.txt", full),
         "cost": cost,

@@ -12,12 +12,13 @@ class NonFiniteError(BwGeomError):
 
 
 class NotPSDError(BwGeomError):
-    """A matrix is indefinite beyond the positive semidefinite tolerance."""
+    """A matrix is indefinite beyond the PSD tolerance; ``index`` is its place in a stack."""
 
     exit_code = 4
 
-    def __init__(self, lambda_min, message=None):
+    def __init__(self, lambda_min, message=None, index=None):
         self.lambda_min = float(lambda_min)
+        self.index = index
         if message is None:
             message = f"matrix is not positive semidefinite (lambda_min={self.lambda_min:.6e})"
         super().__init__(message)

@@ -68,7 +68,8 @@ def tangent_norm(base, a) -> float:
 
 def _cone_test(base: Covariance, b: np.ndarray, rank_tol: float | None = None):
     """Whether ``lambda_min`` of ``I + A``, or of each of a stack (..., d, d), at
-    the base S lies below ``-min(d eps kappa, 1e-3) max|lambda(I + A)|``.
+    the base S lies below ``-min(d eps kappa, 1e-3) max|lambda(I + A)|``, and
+    the ``lambda_min`` solved for, None when no eigenvalue solve was needed.
 
     kappa is the condition number of S on its range at ``rank_tol``, and 1 at
     a zero base: a logarithm at S is known to a relative accuracy of about
@@ -79,11 +80,11 @@ def _cone_test(base: Covariance, b: np.ndarray, rank_tol: float | None = None):
     """
     try:
         np.linalg.cholesky(b)
-        return np.zeros(b.shape[:-2], dtype=bool)
+        return np.zeros(b.shape[:-2], dtype=bool), None
     except np.linalg.LinAlgError:
         w = np.linalg.eigvalsh(b)
     kappa = _condition(base.spectrum.values, rank_tol) if numerical_rank(base, rank_tol) else 1.0
-    return w[..., 0] < -min(base.dim * EPS * kappa, 1e-3) * np.max(np.abs(w), axis=-1)
+    return w[..., 0] < -min(base.dim * EPS * kappa, 1e-3) * np.max(np.abs(w), axis=-1), w[..., 0]
 
 
 def exp_map(base, a, rank_tol: float | None = None) -> Covariance:
@@ -91,8 +92,9 @@ def exp_map(base, a, rank_tol: float | None = None) -> Covariance:
     ``LeavesConeError`` when ``_cone_test`` rejects I + A."""
     s = validate_psd(base)
     b = np.eye(s.dim) + _direction(s, a)
-    if _cone_test(s, b, rank_tol):
-        raise LeavesConeError(lambda_min=float(np.linalg.eigvalsh(b)[0]))
+    rejected, lambda_min = _cone_test(s, b, rank_tol)
+    if rejected:
+        raise LeavesConeError(lambda_min=float(lambda_min))
     return cov_from_product(b @ s.mat @ b)
 
 

@@ -4,7 +4,9 @@ Public functions accept plain arrays or ``Covariance`` instances; input is
 coerced to float64 and symmetrized on entry.  Only a covariance carries more
 than its entries (its cached spectrum): roots, transport maps and tangent
 directions are read-only, exactly symmetric float64 arrays, and a family of
-them is one read-only (n, d, d) stack.
+them is one read-only (n, d, d) stack.  ``sym_eigen``, ``from_spectrum`` and
+``validate_psd`` take such a stack in one LAPACK call, each matrix bit for bit
+as alone: a mean solver's evaluation is one stacked eigendecomposition.
 
 One rank rule serves the whole package: the numerical kernel of a covariance
 is spanned by the eigenvectors whose eigenvalues are at or below
@@ -105,51 +107,54 @@ class Covariance:
 
 
 def sym_eigen(m) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix with a deterministic convention.
+    """Eigendecomposition of a symmetric matrix or a stack with a deterministic convention.
 
     Eigenvalues are sorted in descending order; exact ties are broken by the
     row index of each eigenvector's largest-magnitude component (first index on
     further ties).  Signs are fixed so that component is positive.
     """
-    a = as_matrix(m)
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteError("matrix entries must be finite")
     w, v = np.linalg.eigh(symmetrize(a))
-    dom = np.argmax(np.abs(v), axis=0)
-    order = np.lexsort((dom, -w))
-    values = w[order]
-    vectors = v[:, order].copy()
-    vectors[:, vectors[dom[order], np.arange(w.size)] < 0.0] *= -1.0
+    dom = np.argmax(np.abs(v), axis=-2)
+    order = np.lexsort((dom, -w), axis=-1)
+    if w.ndim == 1:
+        values, vectors = w[order], v[:, order].copy()
+        vectors[:, vectors[dom[order], np.arange(w.size)] < 0.0] *= -1.0
+    else:
+        v *= np.where(np.take_along_axis(v, dom[..., None, :], -2) < 0.0, -1.0, 1.0)
+        values, vectors = np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
     return Spectrum(readonly(values), readonly(vectors))
 
 
-def default_psd_tol(values: np.ndarray) -> float:
-    """PSD tolerance dim * eps * max|eigenvalue| for a given spectrum."""
-    if values.size == 0:
-        return 0.0
-    return values.size * EPS * float(np.max(np.abs(values)))
-
-
-def validate_psd(m) -> Covariance:
-    """Check positive semidefiniteness within ``default_psd_tol`` and clamp noise.
+def validate_psd(m):
+    """Check positive semidefiniteness within ``tol = d eps max|eigenvalue|``.
 
     Eigenvalues in ``[-tol, 0)`` are set to zero and the matrix is rebuilt from
     the clamped spectrum; an eigenvalue below ``-tol`` raises ``NotPSDError``.
-    A matrix with no negative eigenvalues is passed through unchanged.
+    A matrix with no negative eigenvalues is passed through unchanged.  A stack
+    (n, d, d) gives n covariances from one stacked ``sym_eigen``, or names the
+    first indefinite matrix in the error's ``index``.
     """
     if isinstance(m, Covariance):
         return m
-    spec = sym_eigen(m)
-    lam_min = float(spec.values[-1]) if spec.values.size else 0.0
-    if lam_min < -default_psd_tol(spec.values):
-        raise NotPSDError(lam_min)
+    spec, a = sym_eigen(m), np.asarray(m, dtype=np.float64)
+    if a.ndim == 2:
+        return _checked(a, spec.values, spec.vectors)
+    return [_checked(*x, index=i) for i, x in enumerate(zip(a, spec.values, spec.vectors))]
+
+
+def _checked(a: np.ndarray, values: np.ndarray, vectors: np.ndarray, index=None) -> Covariance:
+    lam_min = float(values[-1])
+    if lam_min < -values.size * EPS * float(np.max(np.abs(values))):
+        raise NotPSDError(lam_min, index=index)
     if lam_min < 0.0:
-        clamped = readonly(np.maximum(spec.values, 0.0))
-        mat = from_spectrum(spec.vectors, clamped)
-        spec = Spectrum(clamped, spec.vectors)
-    else:
-        mat = symmetrize(as_matrix(m))
-    return Covariance(readonly(mat), spec)
+        values = readonly(np.maximum(values, 0.0))
+        return Covariance(readonly(from_spectrum(vectors, values)), Spectrum(values, vectors))
+    return Covariance(readonly(symmetrize(a)), Spectrum(values, vectors))
 
 
 def rank_rel(dim: int, rank_tol: float | None = None) -> float:
@@ -188,8 +193,8 @@ def _condition(values: np.ndarray, rank_tol: float | None = None) -> float:
 
 
 def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Symmetric matrix ``V diag(values) V^T`` rebuilt from (part of) a spectrum."""
-    return symmetrize((vectors * values) @ vectors.T)
+    """Symmetric matrix ``V diag(values) V^T`` rebuilt from (part of) a spectrum, or a stack of them."""
+    return symmetrize((vectors * values[..., None, :]) @ vectors.swapaxes(-1, -2))
 
 
 def sqrt_psd(s) -> np.ndarray:

@@ -157,5 +157,5 @@ def reconstruction_errors(mean, pca: PcaResult, family, rank_tol: float | None =
         bm = b @ c.mat
         cross = _cross_trace(_range_factor(member, numerical_rank(member)), bm @ b)
         d2 = np.sum(bm * b, axis=(1, 2)) + member.trace - 2.0 * cross
-        out[i] = np.where(_cone_test(c, b, rank_tol), np.nan, np.sqrt(np.maximum(d2, 0.0)))
+        out[i] = np.where(_cone_test(c, b, rank_tol)[0], np.nan, np.sqrt(np.maximum(d2, 0.0)))
     return out

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from bwgeom import validate_psd
-from bwgeom.spectral import EPS, _condition, numerical_rank
+from bwgeom import sqrt_psd, validate_psd
+from bwgeom.bures import product_root
+from bwgeom.spectral import EPS, _condition, cov_from_product, numerical_rank, trace_norm
 
 
 def make_spd(d, rng, scale=1.0):
@@ -29,10 +30,34 @@ def commuting_pair(d, rng):
 def eigvalsh_cone_test(base, b, rank_tol=None):
     """Reference cone test by eigenvalues alone, without ``geometry._cone_test``'s
     Cholesky shortcut: True where ``lambda_min`` of ``b`` (or of each of a
-    stack) lies below ``-min(d eps kappa, 1e-3) max|lambda|``."""
+    stack) lies below ``-min(d eps kappa, 1e-3) max|lambda|``, and those
+    ``lambda_min``."""
     w = np.linalg.eigvalsh(b)
     kappa = _condition(base.spectrum.values, rank_tol) if numerical_rank(base, rank_tol) else 1.0
-    return w[..., 0] < -min(base.dim * EPS * kappa, 1e-3) * np.max(np.abs(w), axis=-1)
+    return w[..., 0] < -min(base.dim * EPS * kappa, 1e-3) * np.max(np.abs(w), axis=-1), w[..., 0]
+
+
+def loop_evaluation(point, members, rank_tol=None):
+    """Reference for ``barycenter._Evaluation``: the functional, ``gbar`` and
+    residual at ``point`` from one ``product_root`` per member, summed in a
+    loop, as evaluated before the members were stacked."""
+    r = numerical_rank(point, rank_tol)
+    if r == point.dim:
+        root = sqrt_psd(point)
+        product = lambda m: product_root(root, m, rank_tol)
+    elif r == 0:
+        product = lambda m: np.zeros_like(point.mat)
+    else:
+        q = point.spectrum.vectors[:, :r]
+        root = np.diag(np.sqrt(point.spectrum.values[:r]))
+        product = lambda m: q @ product_root(root, cov_from_product(q.T @ m.mat @ q), rank_tol) @ q.T
+    f, gsum = 0.0, np.zeros_like(point.mat)
+    for m in members:
+        g = product(m)
+        f += max(0.0, point.trace + m.trace - 2.0 * float(np.trace(g)))
+        gsum += g
+    gbar = gsum / len(members)
+    return f / (2.0 * len(members)), gbar, trace_norm(point.mat - gbar)
 
 
 @pytest.fixture

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwgeom import (
@@ -25,11 +25,11 @@ from bwgeom import (
     tangent_norm,
     validate_psd,
 )
-from bwgeom.barycenter import RESIDUAL_CERT
+from bwgeom.barycenter import RESIDUAL_CERT, _Evaluation, _Family
 from bwgeom.bures import product_root
 from bwgeom.spectral import trace_norm
 
-from conftest import make_psd_rank, make_spd
+from conftest import loop_evaluation, make_psd_rank, make_spd
 
 A41 = np.diag([4.0, 1.0])
 B14 = np.diag([1.0, 4.0])
@@ -508,3 +508,59 @@ def test_evaluation_at_rank_deficient_points_is_as_accurate_as_the_distance(rng)
     floor = max(max(errors["distance"]), 16 * np.finfo(float).eps)
     assert max(errors["functional"]) <= floor
     assert max(errors["residual"]) <= floor
+
+
+def mixed_rank_family_and_point(d, ranks, seed, point):
+    """Members ``X X^T`` of the given ranks in d dimensions, plus one of full
+    rank and one of lower rank when d > 1, and a point that is of full rank
+    (``point`` None), the member of that index, or of rank ``-point - 1``."""
+    gen = np.random.default_rng(seed)
+    if d > 1:
+        ranks = ranks + [d, int(gen.integers(0, d))]
+    family = [validate_psd(x @ x.T) for x in (gen.standard_normal((d, r)) for r in ranks)]
+    if point is None:
+        return family, make_spd(d, gen)
+    if point >= 0:
+        return family, family[point % len(family)]
+    x = gen.standard_normal((d, (-point - 1) % d))
+    return family, validate_psd(x @ x.T)
+
+
+@st.composite
+def mixed_rank_cases(draw):
+    d = draw(st.integers(1, 6))
+    ranks = draw(st.lists(st.integers(0, d), min_size=1, max_size=9))
+    point = draw(st.one_of(st.none(), st.integers(-d, 10)))
+    return d, ranks, draw(st.integers(0, 2**32 - 1)), point
+
+
+@given(mixed_rank_cases(), st.sampled_from([None, 1e-10]))
+# Twelve 1 x 1 members: a sum that is not taken in member order differs here.
+@example((1, [1] * 12, 5, None), None)
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+def test_stacked_evaluation_reproduces_the_member_loop(case, rank_tol):
+    family, point = mixed_rank_family_and_point(*case)
+    ev = _Evaluation(point, _Family(family, rank_tol), rank_tol)
+    functional, gbar, residual = loop_evaluation(point, family, rank_tol)
+    assert ev.functional == functional
+    assert np.array_equal(ev.gbar, gbar)
+    assert ev.residual == residual
+
+
+@pytest.mark.parametrize("solver", [mean_fixed_point, mean_procrustes_averaging])
+def test_mean_makes_one_eigendecomposition_per_evaluation(rng, monkeypatch, solver):
+    family = [make_spd(4, rng).mat for _ in range(12)]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    res = solver(family)
+    # One stacked validation, the euclidean mean, the start and its
+    # evaluation; then each iteration's iterate and its evaluation.  Before
+    # the members were stacked an evaluation alone took one per member.
+    assert len(calls) <= 4 + 2 * res.iterations
+    assert sum(len(shape) == 3 for shape in calls) == 2 + res.iterations

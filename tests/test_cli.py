@@ -148,6 +148,19 @@ def test_exit_code_not_psd_names_offending_file(tmp_path, capsys):
     assert "indef.txt" in err
 
 
+def test_exit_code_not_psd_names_the_first_offending_manifest_entry(tmp_path, capsys):
+    mats = [np.eye(2) * (i + 1) for i in range(5)]
+    mats[2] = np.array([[1.0, 2.0], [2.0, 1.0]])
+    manifest = write_family(tmp_path, mats)
+    for cmd in ("mean", "pca", "multicouple"):
+        code, out, err = run_cli(capsys, cmd, manifest, "--output", str(tmp_path / cmd))
+        assert (code, out) == (4, "") and "op_2.txt" in err
+    # Two indefinite members: the error names the first in manifest order.
+    mats[4] = -np.eye(2)
+    code, out, err = run_cli(capsys, "mean", write_family(tmp_path, mats), "--output", str(tmp_path / "two"))
+    assert code == 4 and "op_2.txt" in err and "op_4.txt" not in err
+
+
 def test_exit_code_kernel_condition(tmp_path, capsys):
     write_matrix(tmp_path / "a.txt", np.diag([1.0, 0.0]))
     write_matrix(tmp_path / "b.txt", np.diag([0.0, 1.0]))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from bwgeom import (
     geodesic,
     log_map,
     optimal_map,
+    principal_geodesic,
     procrustes_distance,
     tangent_inner,
     tangent_norm,
@@ -203,8 +206,28 @@ def test_cholesky_first_cone_test_matches_the_eigenvalue_test(case):
     # d eps max|lambda|; outside twice that band the two tests must agree.
     base, rank_tol, b = case
     s = validate_psd(base)
-    got, want = _cone_test(s, b, rank_tol), eigvalsh_cone_test(s, b, rank_tol)
+    got, want = _cone_test(s, b, rank_tol)[0], eigvalsh_cone_test(s, b, rank_tol)[0]
     assert np.shape(got) == np.shape(want) == b.shape[:-2]
     w = np.linalg.eigvalsh(b)
     outside = np.abs(w[..., 0]) > 2.0 * s.dim * EPS * np.max(np.abs(w), axis=-1)
     assert np.array_equal(np.asarray(got)[outside], np.asarray(want)[outside])
+
+
+def test_a_rejected_step_solves_its_eigenvalue_problem_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    with pytest.raises(LeavesConeError) as err:
+        exp_map(np.eye(3), np.diag([-1.5, 0.0, 0.0]))
+    # The cone test's own solve gives lambda_min; Cholesky failed first.
+    assert calls == [(3, 3)] and err.value.lambda_min == pytest.approx(-0.5)
+    calls.clear()
+    with pytest.raises(LeavesConeError) as err:
+        principal_geodesic(np.eye(2), np.diag([1.0, -1.0]) / math.sqrt(2.0), 2.0)
+    # One more for the admissible interval, from the component's spectrum.
+    assert len(calls) == 2 and err.value.interval == pytest.approx((-math.sqrt(2.0), math.sqrt(2.0)))

@@ -3,8 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from bwgeom import NonFiniteError, NotPSDError, OutOfRangeError, sqrt_psd, sym_eigen, validate_psd
-from bwgeom.spectral import numerical_rank, pinv_sqrt
+from bwgeom import (
+    DimMismatchError,
+    NonFiniteError,
+    NotPSDError,
+    OutOfRangeError,
+    sqrt_psd,
+    sym_eigen,
+    validate_psd,
+)
+from bwgeom.spectral import from_spectrum, numerical_rank, pinv_sqrt
 
 from conftest import make_spd
 
@@ -81,8 +89,51 @@ def test_sym_eigen_matches_reference_loop(rng):
     for m in ties + randoms:
         values, vectors = _sym_eigen_reference(m)
         spec = sym_eigen(m)
+        assert spec.values.shape == (len(m),)
         assert np.array_equal(spec.values, values)
         assert np.array_equal(spec.vectors, vectors)
+    # Stacks of 1..7 matrices, the tie cases among them at d = 4: each entry
+    # bit-identical to the per-matrix reference, and so to a 2-D call.
+    for size in range(1, 8):
+        for d in (1, 2, 4, 6):
+            stack = [0.5 * (a + a.T) for a in rng.standard_normal((size, d, d))]
+            if d == 4:
+                stack[: len(ties)] = ties[:size]
+            stack = np.array(stack)
+            spec = sym_eigen(stack)
+            assert spec.values.shape == (size, d) and spec.vectors.shape == (size, d, d)
+            rebuilt = from_spectrum(spec.vectors, spec.values)
+            for k, m in enumerate(stack):
+                values, vectors = _sym_eigen_reference(m)
+                assert np.array_equal(spec.values[k], values)
+                assert np.array_equal(spec.vectors[k], vectors)
+                assert np.array_equal(rebuilt[k], from_spectrum(vectors, values))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0,)])
+def test_sym_eigen_rejects_a_non_square_input(shape):
+    with pytest.raises(DimMismatchError):
+        sym_eigen(np.ones(shape))
+
+
+def test_sym_eigen_rejects_a_stack_with_a_nonfinite_member(rng):
+    stack = np.array([make_spd(3, rng).mat for _ in range(4)])
+    stack[2, 0, 1] = np.nan
+    with pytest.raises(NonFiniteError):
+        sym_eigen(stack)
+
+
+def test_validate_psd_of_a_stack_matches_each_matrix_and_names_the_first_failure(rng):
+    mats = [make_spd(4, rng).mat for _ in range(5)] + [np.diag([1.0, 1.0, 1.0, -1e-20])]
+    for c, m in zip(validate_psd(np.array(mats)), mats):
+        one = validate_psd(m)
+        assert np.array_equal(c.mat, one.mat)
+        assert np.array_equal(c.spectrum.values, one.spectrum.values)
+        assert np.array_equal(c.spectrum.vectors, one.spectrum.vectors)
+    mats[1] = mats[4] = np.diag([1.0, 1.0, -0.5, -0.25])
+    with pytest.raises(NotPSDError) as err:
+        validate_psd(np.array(mats))
+    assert err.value.index == 1 and err.value.lambda_min == pytest.approx(-0.5)
 
 
 def test_sym_eigen_rejects_nonfinite():
