@@ -1,12 +1,13 @@
 """Frechet means of covariance families and the induced multicoupling.
 
 Both solvers iterate ``S <- T S T``, T the average optimal map from S to the
-members, deflate a common kernel and check the kernel of every iterate.
-``mean_fixed_point`` is this steepest descent from the euclidean mean.
-``mean_procrustes_averaging`` is generalized Procrustes averaging of the
-matrix roots: rotating root ``L_i`` toward the average root L gives
-``L_i polar(L_i^T L) = T_i L``, so averaging and squaring is the same step.
-Both evaluate each point once and report through ``MeanResult``.
+members, deflate a common kernel, check the kernel of every iterate and stop
+by one test.  ``mean_fixed_point`` is this steepest descent from the
+euclidean mean.  ``mean_procrustes_averaging`` is generalized Procrustes
+averaging of the matrix roots: rotating root ``L_i`` toward the average root
+L gives ``L_i polar(L_i^T L) = T_i L``, so averaging and squaring is the same
+step, started from the average root.  Both evaluate each point once and
+report through ``MeanResult``.
 """
 
 from __future__ import annotations
@@ -44,11 +45,9 @@ RESIDUAL_CERT = 1e-6
 class MeanConfig:
     """Solver configuration.
 
-    ``rel_tol`` applies to the relative change of the Frechet functional in the
-    descent solver and to the Procrustes length of the step,
-    ``tr((T - I) S (T - I))^{1/2}``, in the averaging solver: the
-    Hilbert-Schmidt change of the average root.  ``max_iter`` caps the
-    iterations of either; each solver fixes its own starting point.
+    ``rel_tol`` bounds the relative change of the Frechet functional and the
+    fixed-point residual relative to the trace, in both solvers.
+    ``max_iter`` caps the iterations; each solver fixes its own starting point.
     """
 
     max_iter: int = 200
@@ -234,21 +233,26 @@ def _result(evals: list[_Evaluation], finish, converged: bool, algorithm: str) -
     )
 
 
-def _solve(family, cfg: MeanConfig, rank_tol, start, stop, algorithm: str) -> MeanResult:
-    """Iterate ``S <- T S T`` from ``start(members)`` on the complement of the
-    members' common kernel until ``stop(prev, step, cand)`` returns the
-    evaluation to end at, ``cand`` or ``prev`` (None goes on; at the start
-    ``prev`` and ``step`` are None), or ``cfg.max_iter`` steps raise."""
+def _solve(family, cfg: MeanConfig, rank_tol, start, algorithm: str) -> MeanResult:
+    """Iterate ``S <- T S T`` on the complement of the members' common kernel
+    from ``start(members)``, or from their euclidean mean when ``start`` is
+    None, until the stopping test of ``mean_fixed_point`` ends the run;
+    ``cfg.max_iter`` steps raise ``MaxIterExceeded``."""
     members = coerce_family(family)
-    # The common kernel is read off the euclidean mean's null space.
-    esum = cov_from_product(sum(m.mat for m in members) / len(members))
-    rank = numerical_rank(esum, rank_tol)
+    euclidean = lambda ms: sum(m.mat for m in ms) / len(ms)
+    # The common kernel is read off the euclidean mean's null space; without
+    # deflation that mean is also the descent's start.
+    point = cov_from_product(euclidean(members))
+    rank = numerical_rank(point, rank_tol)
     if 0 < rank < members[0].dim:
-        q = esum.spectrum.vectors[:, :rank]
+        q = point.spectrum.vectors[:, :rank]
         members = [cov_from_product(q.T @ m.mat @ q) for m in members]
         finish = lambda p: cov_from_product(q @ p.mat @ q.T)
+        start = start or euclidean
     else:
         finish = lambda p: p
+    if start:
+        point = cov_from_product(start(members))
 
     fam = _Family(members, rank_tol)
 
@@ -259,17 +263,23 @@ def _solve(family, cfg: MeanConfig, rank_tol, start, stop, algorithm: str) -> Me
             raise KernelConditionError(f"iterate {k} lost range inclusion for member {leaks[0]}", index=k)
         return _Evaluation(point, fam, rank_tol)
 
-    evals = [evaluate(cov_from_product(start(members)), 0)]
-    if stop(None, None, evals[0]) is not None:
+    res_cert = max(cfg.rel_tol, RESIDUAL_CERT)
+    certified = lambda e, scale: e.residual <= scale * e.point.trace
+    evals = [evaluate(point, 0)]
+    if certified(evals[0], cfg.rel_tol):
         return _result(evals, finish, True, algorithm)
     for k in range(1, cfg.max_iter + 1):
-        ev = evals[-1]
-        step = transport_matrix(ev.point, ev.gbar, rank_tol)
-        cand = evaluate(cov_from_product(step @ ev.point.mat @ step), k)
-        end = stop(ev, step, cand)
-        if end is not ev:
-            evals.append(cand)
-        if end is not None:
+        prev = evals[-1]
+        step = transport_matrix(prev.point, prev.gbar, rank_tol)
+        cand = evaluate(cov_from_product(step @ prev.point.mat @ step), k)
+        improvement = prev.functional - cand.functional
+        if improvement < 0.0 and certified(prev, res_cert):
+            # The step no longer lowers the functional: evaluation roundoff
+            # dominates and the residual already certifies the current iterate.
+            return _result(evals, finish, True, algorithm)
+        evals.append(cand)
+        settled = 0.0 <= improvement <= cfg.rel_tol * max(prev.functional, cand.functional, 1e-30)
+        if certified(cand, cfg.rel_tol) or (settled and certified(cand, res_cert)):
             return _result(evals, finish, True, algorithm)
     raise MaxIterExceeded(_result(evals, finish, False, algorithm))
 
@@ -278,42 +288,26 @@ def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | No
     """Frechet mean by the transport-map descent iteration.
 
     The descent starts from the euclidean mean of the members, deflated to
-    the complement of their common kernel.  The solver stops once the
-    relative change of the functional falls below ``cfg.rel_tol`` and the
-    fixed-point residual certifies optimality within
-    ``max(cfg.rel_tol, 1e-6) * trace``; hitting ``cfg.max_iter`` first raises
-    ``MaxIterExceeded`` carrying the best iterate.
+    the complement of their common kernel.  It stops at the first point whose
+    fixed-point residual is at most ``cfg.rel_tol * trace`` (the start
+    included), or once the relative change of the functional falls below
+    ``cfg.rel_tol`` and the residual is at most
+    ``max(cfg.rel_tol, 1e-6) * trace``, or at the current point when a step
+    raises the functional and that point meets the latter bound; hitting
+    ``cfg.max_iter`` first raises ``MaxIterExceeded`` carrying the best
+    iterate.
     """
-    cfg = cfg or MeanConfig()
-    res_cert = max(cfg.rel_tol, RESIDUAL_CERT)
-    certified = lambda e, scale: e.residual <= scale * e.point.trace
-
-    def stop(prev, step, cand):
-        if prev is None:
-            return cand if certified(cand, cfg.rel_tol) else None
-        improvement = prev.functional - cand.functional
-        if improvement < 0.0 and certified(prev, res_cert):
-            # The step no longer lowers the functional: evaluation roundoff
-            # dominates and the residual already certifies the current iterate.
-            return prev
-        settled = 0.0 <= improvement <= cfg.rel_tol * max(prev.functional, cand.functional, 1e-30)
-        return cand if certified(cand, cfg.rel_tol) or (settled and certified(cand, res_cert)) else None
-
-    euclidean = lambda members: sum(m.mat for m in members) / len(members)
-    return _solve(family, cfg, rank_tol, euclidean, stop, "fixed_point")
+    return _solve(family, cfg or MeanConfig(), rank_tol, None, "fixed_point")
 
 
-def mean_procrustes_averaging(family, cfg: MeanConfig | None = None) -> MeanResult:
+def mean_procrustes_averaging(family, cfg: MeanConfig | None = None, rank_tol: float | None = None) -> MeanResult:
     """Frechet mean by generalized Procrustes averaging of matrix roots.
 
-    Each step is the descent's ``S <- T S T`` (see the module docstring),
-    computed without rotations, from the square of the average of the
-    members' roots.  It stops once the average root moves at most
-    ``cfg.rel_tol * (1 + (tr S_new)^{1/2})``: that move is the Procrustes
-    length of the step, ``tr((T - I) S (T - I))^{1/2}``.  The deflation and
-    kernel check are the descent's, at the default rank cutoff.
+    Aligning the roots and squaring their average is the descent's step
+    ``S <- T S T`` (see the module docstring), so this is ``mean_fixed_point``
+    started from ``(mean_i S_i^{1/2})^2``, with its deflation, kernel check
+    and stopping test at ``cfg`` and ``rank_tol``.
     """
-    cfg = cfg or MeanConfig()
 
     def start(members):
         vectors = np.stack([m.spectrum.vectors for m in members])
@@ -321,13 +315,7 @@ def mean_procrustes_averaging(family, cfg: MeanConfig | None = None) -> MeanResu
         avg = np.add.accumulate(roots)[-1] / len(members)
         return avg @ avg.T
 
-    def stop(prev, step, cand):
-        if prev is None:
-            return None
-        move = float(np.linalg.norm((step - np.eye(len(step))) @ sqrt_psd(prev.point)))
-        return cand if move <= cfg.rel_tol * (1.0 + np.sqrt(cand.point.trace)) else None
-
-    return _solve(family, cfg, None, start, stop, "procrustes_averaging")
+    return _solve(family, cfg or MeanConfig(), rank_tol, start, "procrustes_averaging")
 
 
 def multicoupling(mean, family, rank_tol: float | None = None) -> JointCovariance:

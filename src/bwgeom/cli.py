@@ -56,7 +56,7 @@ from .simulate import (
     projection_error,
     projection_stability_experiment,
 )
-from .spectral import Covariance, _condition, cov_from_product, from_spectrum, rank_rel, validate_psd
+from .spectral import Covariance, _condition, cov_from_product, from_spectrum, validate_psd
 from .tpca import lift, reconstruction_errors, tangent_pca
 
 
@@ -107,15 +107,12 @@ def _family_inputs(args, manifest: Manifest, **extra) -> dict:
 
 
 def _solve_mean(covs, args):
-    """Run ``--algorithm`` (the descent where a command has no such flag) after
-    checking ``--rank-tol``'s range; on an iteration-cap failure return the
-    best iterate, whose ``converged`` is false."""
-    rank_rel(0, args.rank_tol)
-    cfg = MeanConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
+    """Run ``--algorithm`` (the descent where a command has no such flag); on
+    an iteration-cap failure return the best iterate, whose ``converged`` is
+    false."""
+    solver = mean_procrustes_averaging if getattr(args, "algorithm", "descent") == "gpa" else mean_fixed_point
     try:
-        if getattr(args, "algorithm", "descent") == "gpa":
-            return mean_procrustes_averaging(covs, cfg)
-        return mean_fixed_point(covs, cfg, rank_tol=args.rank_tol)
+        return solver(covs, MeanConfig(max_iter=args.max_iter, rel_tol=args.rel_tol), args.rank_tol)
     except MaxIterExceeded as e:
         return e.result
 
@@ -376,8 +373,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iter", type=int, default=200, help="iteration cap")
 
 
-def _add_rank_tol(p: argparse.ArgumentParser) -> argparse.Action:
-    return p.add_argument(
+def _add_rank_tol(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
         "--rank-tol",
         type=float,
         default=None,
@@ -407,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="transport-map descent or generalized Procrustes averaging",
     )
     _add_solver_flags(p)
-    _add_rank_tol(p).help += "; --algorithm gpa checks its range but evaluates at the default split"
+    _add_rank_tol(p)
     p.add_argument("--output", default=".", help="directory for mean.txt")
     p.set_defaults(handler=cmd_mean)
 

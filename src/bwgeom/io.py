@@ -308,20 +308,6 @@ def _upper_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return lo * n - lo * (lo + 1) // 2 + np.maximum(i, j)
 
 
-def _upper_triangle(m: np.ndarray):
-    """The upper triangle of a square array in ``np.triu_indices`` order, in
-    pieces of whole rows holding at most ``_BLOCK`` entries (or one row)."""
-    n = m.shape[0]
-    i = 0
-    while i < n:
-        j, size = i + 1, n - i
-        while j < n and size + n - j <= _BLOCK:
-            size += n - j
-            j += 1
-        yield m[i:j][np.arange(i, j)[:, None] <= np.arange(n)]
-        i = j
-
-
 def _symmetric_rows(m: np.ndarray):
     """Yield the text of a symmetric matrix file in blocks of whole lines.
 
@@ -331,14 +317,11 @@ def _symmetric_rows(m: np.ndarray):
     text of (i, j).
     """
     n = m.shape[0]
+    cols = np.arange(n)
     table = np.empty((n * (n + 1) // 2, _CELL), np.uint8)
     table[:, -1] = ord(",")
-    start = 0
-    for values in _upper_triangle(m):
-        _format_cells(values, table[start : start + values.size])
-        start += values.size
+    _format_cells(m[cols[:, None] <= cols], table)
     cells = table.view(f"V{_CELL}").ravel()
-    cols = np.arange(n)
     step = max(1, _BLOCK // n)
     for r0 in range(0, n, step):
         lines = np.take(cells, _upper_index(cols[r0 : r0 + step, None], cols, n))

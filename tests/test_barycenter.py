@@ -247,10 +247,11 @@ def test_gpa_diagnostics_contract(rng):
 
 def svd_alignment_iterates(family, steps):
     """Generalized Procrustes averaging as an explicit loop: rotate each root
-    toward the average root by the polar factor of one SVD, average, square."""
+    toward the average root by the polar factor of one SVD, average, square.
+    Entry k is iterate k, the start first."""
     aligned = [sqrt_psd(m) for m in family]
     avg = sum(aligned) / len(aligned)
-    squares = []
+    squares = [avg @ avg.T]
     for _ in range(steps):
         aligned = [l @ pairwise_alignment(avg, l) for l in aligned]
         avg = sum(aligned) / len(aligned)
@@ -281,14 +282,20 @@ def test_gpa_iterates_match_the_svd_alignment_loop(family):
     # lambda_max) reach sqrt(d eps lambda_max), where the solver's product
     # roots work on the member's range only, so the iterates agree to
     # sqrt(d eps) relative (the largest gap seen on 1000 such families was
-    # 0.45 of it; families of full-rank members agree to 1e-13).
+    # 0.45 of it; families of full-rank members agree to 1e-13).  Even at
+    # rel_tol=1e-300 the roundoff guard of the shared stopping test may end a
+    # run before max_iter, so each result is matched to the loop's iterate
+    # of the same index.
     d = family[0].dim
     bound = np.sqrt(d * np.finfo(float).eps)
-    for k, want in enumerate(svd_alignment_iterates(family, 6), start=1):
-        with pytest.raises(MaxIterExceeded) as err:
-            mean_procrustes_averaging(family, MeanConfig(max_iter=k, rel_tol=1e-300))
-        got = err.value.result.mean.mat
-        assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
+    loop = svd_alignment_iterates(family, 6)
+    for k in range(1, len(loop)):
+        try:
+            res = mean_procrustes_averaging(family, MeanConfig(max_iter=k, rel_tol=1e-300))
+        except MaxIterExceeded as err:
+            res = err.result
+        want = loop[res.iterations]
+        assert np.linalg.norm(res.mean.mat - want) <= bound * np.linalg.norm(want)
 
 
 def common_kernel_family(seed):
@@ -329,6 +336,21 @@ def test_gpa_converges_on_common_kernel_families_the_alignment_loop_does_not(see
     # the deflation the kernel check stops the transport-map iterates at
     # iterate 28 and 23.
     assert_gpa_matches_descent(common_kernel_family(seed))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_gpa_stops_by_the_residual_certificate_on_ill_conditioned_families(seed):
+    # Three 4 x 4 members of condition number 1e10.  Stopped by the length of
+    # its step, GPA hit the iteration cap on all six; by the shared test it
+    # takes about as many iterations as the descent.
+    gen = np.random.default_rng(seed)
+    family = []
+    for _ in range(3):
+        q = np.linalg.qr(gen.standard_normal((4, 4)))[0]
+        family.append((q * np.geomspace(1.0, 1e-10, 4)) @ q.T)
+    res = mean_procrustes_averaging(family)
+    assert res.residual_trace[-1] <= 1e-6 * res.mean.trace
+    assert_gpa_matches_descent(family)
 
 
 @pytest.mark.parametrize("seed", [21, 68, 86, 92])
@@ -559,8 +581,9 @@ def test_mean_makes_one_eigendecomposition_per_evaluation(rng, monkeypatch, solv
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     res = solver(family)
-    # One stacked validation, the euclidean mean, the start and its
-    # evaluation; then each iteration's iterate and its evaluation.  Before
-    # the members were stacked an evaluation alone took one per member.
-    assert len(calls) <= 4 + 2 * res.iterations
+    # One stacked validation, the euclidean mean, GPA's start and the start's
+    # evaluation; then each iteration's iterate and its evaluation.  The
+    # descent starts from the euclidean mean itself.  Before the members were
+    # stacked an evaluation alone took one per member.
+    assert len(calls) <= (4 if solver is mean_procrustes_averaging else 3) + 2 * res.iterations
     assert sum(len(shape) == 3 for shape in calls) == 2 + res.iterations

@@ -414,8 +414,8 @@ def _deform_argv(tmp_path):
     return ["simulate", "deform", "--template", str(tmp_path / "t.txt"), "--output", str(tmp_path / "out")]
 
 
-# One case per command that accepts --rank-tol.  ``mean`` runs the descent:
-# ``--algorithm gpa`` checks the flag's range but evaluates at the default split.
+# One case per command that accepts --rank-tol.  ``mean`` runs the descent;
+# ``--algorithm gpa`` has its own test below.
 RANK_TOL_CASES = {
     "mean": lambda tmp_path: _family_argv(tmp_path, "mean"),
     "pca": lambda tmp_path: _family_argv(tmp_path, "pca"),
@@ -448,10 +448,7 @@ def test_rank_tol_cases_cover_every_command_that_accepts_the_flag():
     assert _commands_with_rank_tol() == sorted(RANK_TOL_CASES)
 
 
-@pytest.mark.parametrize("command", sorted(RANK_TOL_CASES))
-def test_every_accepted_rank_tol_has_an_effect(tmp_path, capsys, command):
-    argv = RANK_TOL_CASES[command](tmp_path)
-
+def assert_rank_tol_has_an_effect(tmp_path, capsys, argv):
     def outcome(*flag):
         code, out, _ = run_cli(capsys, *argv, *flag)
         doc = json.loads(out) if out else {}
@@ -463,6 +460,18 @@ def test_every_accepted_rank_tol_has_an_effect(tmp_path, capsys, command):
 
     default = outcome()
     assert default[0] == 0 and default != outcome("--rank-tol", "1e-10")
+
+
+@pytest.mark.parametrize("command", sorted(RANK_TOL_CASES))
+def test_every_accepted_rank_tol_has_an_effect(tmp_path, capsys, command):
+    assert_rank_tol_has_an_effect(tmp_path, capsys, RANK_TOL_CASES[command](tmp_path))
+
+
+def test_mean_gpa_converges_on_the_near_kernel_family_and_honours_rank_tol(tmp_path, capsys):
+    # GPA's start, the squared average root, certifies as the mean of this
+    # family at either split.  Stopped by the length of its step instead, GPA
+    # stepped on until an iterate lost range inclusion (exit 5).
+    assert_rank_tol_has_an_effect(tmp_path, capsys, [*_family_argv(tmp_path, "mean"), "--algorithm", "gpa"])
 
 
 def test_geodesic_step_off_the_cone_exits_2(tmp_path, capsys, monkeypatch):

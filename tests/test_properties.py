@@ -40,11 +40,11 @@ MEAN_SCALES = (1e3, 1e6)
 # Derandomized so a run is reproducible; no example database is kept.
 BASE = settings(derandomize=True, deadline=None, database=None)
 
-# The descent solver's certificate is relative to the trace, so its default
+# The solvers' certificate is relative to the trace, so their default
 # stopping rule is scale-invariant; the two fixed families at the end check it
-# at the default tolerance.  Here it runs to roundoff, so that a random family
-# whose stopping test sits at the threshold cannot flip by rounding alone.
-# GPA runs at its default.
+# at the default tolerance.  Here the descent runs to roundoff, so that a
+# random family whose stopping test sits at the threshold cannot flip by
+# rounding alone.  GPA runs at its default.
 SCALE_SOLVERS = (
     lambda members: mean_fixed_point(members, MeanConfig(rel_tol=1e-12)),
     mean_procrustes_averaging,
@@ -236,9 +236,10 @@ def test_mean_scale_equivariance_at_tiny_scale():
     for _ in range(5):
         q = _orthogonal(int(rng.integers(2**32)), 4)
         members.append((q * rng.uniform(0.1, 10.0, size=4)) @ q.T)
-    mean = mean_fixed_point(members).mean.mat
-    tiny = mean_fixed_point([1e-12 * m for m in members]).mean.mat
-    assert _trace_norm(tiny - 1e-12 * mean) <= SOLVER_TOL * 1e-12 * np.trace(mean)
+    for solver in (mean_fixed_point, mean_procrustes_averaging):
+        mean = solver(members).mean.mat
+        tiny = solver([1e-12 * m for m in members]).mean.mat
+        assert _trace_norm(tiny - 1e-12 * mean) <= SOLVER_TOL * 1e-12 * np.trace(mean)
 
 
 def test_mean_scale_equivariance_at_default_tolerance():
@@ -254,6 +255,7 @@ def test_mean_scale_equivariance_at_default_tolerance():
         [-0.5966426, 1.67226063, 1.67476477, -0.47043805],
         [0.39458551, -1.50665542, -0.47043805, 2.01085101],
     ])
-    mean = mean_fixed_point([a, b]).mean.mat
-    big = mean_fixed_point([1e3 * a, 1e3 * b]).mean.mat
-    assert _trace_norm(big - 1e3 * mean) <= SOLVER_TOL * 1e3 * np.trace(mean)
+    for solver in (mean_fixed_point, mean_procrustes_averaging):
+        mean = solver([a, b]).mean.mat
+        big = solver([1e3 * a, 1e3 * b]).mean.mat
+        assert _trace_norm(big - 1e3 * mean) <= SOLVER_TOL * 1e3 * np.trace(mean)
