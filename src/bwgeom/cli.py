@@ -6,14 +6,20 @@ report document on stdout, and writes any output matrices atomically.  The
 same command line with the same files and seed produces byte-identical
 output.
 
-Each handler returns ``(inputs, results, diagnostics)``; ``main`` alone
-renders the report and picks the exit status.  A ``BwGeomError`` exits with
-its ``exit_code``: 2 unusable input (parse errors, out-of-range values, empty
-families, degenerate requests, a geodesic step off the PSD cone); 3 dimension
-mismatch; 4 not positive semidefinite; 5 kernel condition violated (no
-transport map).  Exit 6 is returned exactly when the report says
-``converged: false``: the iteration cap was reached, and the best iterate is
-still written.
+``main`` runs every command in five phases.  Load: the command's ``load_*``
+reads and validates its inputs and checks its flags against them.  Solve: a
+command declared with ``solve`` gets the Frechet mean of the family its load
+returned first.  Compute: the ``cmd_*`` handler returns its results, its own
+diagnostics and the files to write, and writes nothing.  Write: ``main``
+writes the files into ``--output`` and puts their paths into the results.
+Render: ``main`` renders the report and picks the exit status.
+
+A ``BwGeomError`` exits with its ``exit_code``: 2 unusable input (parse
+errors, out-of-range values, empty families, degenerate requests, a geodesic
+step off the PSD cone, an unwritable ``--output``); 3 dimension mismatch; 4
+not positive semidefinite; 5 kernel condition violated (no transport map).
+Exit 6 is returned exactly when the report says ``converged: false``: the
+iteration cap was reached, and the best iterate is still written.
 """
 
 from __future__ import annotations
@@ -34,13 +40,12 @@ from .barycenter import (
     multicoupling_cost,
 )
 from .bures import optimal_map, procrustes_distance, procrustes_distance_via_alignment
-from .errors import BwGeomError, DimMismatchError, MaxIterExceeded, NotPSDError, OutOfRangeError
+from .errors import BwGeomError, MatrixParseError, MaxIterExceeded, NotPSDError, OutOfRangeError
 from .geometry import exp_map, log_map
 from .io import (
     Manifest,
     load_family,
     read_manifest,
-    read_matrix,
     render_report,
     write_manifest,
     write_matrix,
@@ -68,42 +73,16 @@ def _validated(names, mats) -> list[Covariance]:
         raise NotPSDError(e.lambda_min, f"{names[e.index]}: {e}") from None
 
 
-def _load_cov(path) -> Covariance:
-    return _validated([path], [read_matrix(path)])[0]
+def _load_matrices(*paths) -> list[Covariance]:
+    """Read and validate matrix files named on the command line, as one family."""
+    return _validated(paths, load_family(Manifest(list(paths), None, list(paths))))
 
 
-def _load_pair(path_a, path_b) -> tuple[Covariance, Covariance]:
-    a, b = read_matrix(path_a), read_matrix(path_b)
-    if len(a) != len(b):
-        raise DimMismatchError(f"{path_a} is {len(a)}x{len(a)} but {path_b} is {len(b)}x{len(b)}")
-    return tuple(_validated([path_a, path_b], [a, b]))
-
-
-def _load_manifest_family(path) -> tuple[Manifest, list[Covariance]]:
-    manifest = read_manifest(path)
-    return manifest, _validated(manifest.operators, load_family(manifest))
-
-
-def _solver_diagnostics(res, **extra) -> dict:
-    return {
-        "algorithm": res.algorithm,
-        "iterations": res.iterations,
-        "converged": res.converged,
-        "functional_trace": list(res.functional_trace),
-        "residual_trace": list(res.residual_trace),
-        "trace_of_iterates": list(res.trace_of_iterates),
-        "min_eig_of_iterates": list(res.min_eig_of_iterates),
-        **extra,
-    }
-
-
-def _family_inputs(args, manifest: Manifest, **extra) -> dict:
-    return {
-        "manifest": args.manifest,
-        "operators": manifest.operators,
-        "labels": manifest.labels,
-        **extra,
-    }
+def _load_manifest(args) -> tuple[dict, list[Covariance]]:
+    """Read and validate the family of ``--manifest``; returns the inputs it reports and the members."""
+    manifest = read_manifest(args.manifest)
+    inputs = {"manifest": args.manifest, "operators": manifest.operators, "labels": manifest.labels}
+    return inputs, _validated(manifest.operators, load_family(manifest))
 
 
 def _solve_mean(covs, args):
@@ -117,26 +96,52 @@ def _solve_mean(covs, args):
         return e.result
 
 
-def _write(args, name: str, matrix) -> str:
-    """Write one output matrix into ``--output``; returns the path the report names."""
-    os.makedirs(args.output, exist_ok=True)
-    path = os.path.join(args.output, name)
-    write_matrix(path, matrix)
-    return path
+def _solver_diagnostics(res) -> dict:
+    return {
+        "algorithm": res.algorithm,
+        "iterations": res.iterations,
+        "converged": res.converged,
+        "functional_trace": list(res.functional_trace),
+        "residual_trace": list(res.residual_trace),
+        "trace_of_iterates": list(res.trace_of_iterates),
+        "min_eig_of_iterates": list(res.min_eig_of_iterates),
+    }
 
 
-def _write_family(args, mats) -> str:
-    """Write generated members as ``member_NN.txt`` plus their manifest; returns its path."""
+def _family_files(mats) -> dict:
+    """Generated members as ``member_NN.txt`` files plus the ``manifest.json`` that lists them."""
     names = [f"member_{i + 1:02d}.txt" for i in range(len(mats))]
-    for name, m in zip(names, mats):
-        _write(args, name, m)
-    path = os.path.join(args.output, "manifest.json")
-    write_manifest(path, names)
-    return path
+    return {**dict(zip(names, mats)), "manifest.json": names}
 
 
-def cmd_distance(args):
-    a, b = _load_pair(args.a, args.b)
+def _write(output: str, files: dict, results: dict) -> None:
+    """The write phase: write ``files`` (file name -> matrix, or a manifest's name -> the
+    member files it lists) into ``output``, and turn the file names of the ``*_file`` and
+    ``*_files`` results into paths.  An output that cannot be written is a ``MatrixParseError``."""
+    path = output
+    try:
+        os.makedirs(output, exist_ok=True)
+        for name, content in files.items():
+            path = os.path.join(output, name)
+            if isinstance(content, list):
+                write_manifest(path, content)
+            else:
+                write_matrix(path, content)
+    except OSError as e:
+        raise MatrixParseError(path, str(e)) from e
+    for key, value in results.items():
+        if key.endswith("_file"):
+            results[key] = os.path.join(output, value)
+        elif key.endswith("_files"):
+            results[key] = [os.path.join(output, v) for v in value]
+
+
+def load_distance(args):
+    return {"a": args.a, "b": args.b}, *_load_matrices(args.a, args.b)
+
+
+def cmd_distance(args, a, b):
+    """Procrustes distance between two covariance files"""
     pi, root_hs, tdist = convergence_equivalence(a, b)
     alignment_distance, u = procrustes_distance_via_alignment(a, b)
     results = {
@@ -154,30 +159,37 @@ def cmd_distance(args):
         "trace_regime": bool(a.trace <= b.trace + 1.0),
         "rotation_orthogonality_gap": float(np.max(np.abs(u.T @ u - np.eye(a.dim)))),
     }
-    return {"a": args.a, "b": args.b}, results, diagnostics
+    return results, diagnostics, {}
 
 
-def cmd_mean(args):
-    manifest, covs = _load_manifest_family(args.manifest)
-    res = _solve_mean(covs, args)
+def load_mean(args):
+    inputs, covs = _load_manifest(args)
+    return {**inputs, "algorithm": args.algorithm}, covs
+
+
+def cmd_mean(args, covs, res):
+    """Frechet mean of a manifest of covariances"""
     results = {
-        "mean_file": _write(args, "mean.txt", res.mean.mat),
+        "mean_file": "mean.txt",
         "trace": res.mean.trace,
         "functional": float(res.functional_trace[-1]),
         "residual": float(res.residual_trace[-1]),
         "iterations": res.iterations,
         "converged": res.converged,
     }
-    diagnostics = _solver_diagnostics(
-        res, rel_tol=args.rel_tol, max_iter=args.max_iter, rank_tol=args.rank_tol
-    )
-    return _family_inputs(args, manifest, algorithm=args.algorithm), results, diagnostics
+    diagnostics = {"rel_tol": args.rel_tol, "max_iter": args.max_iter, "rank_tol": args.rank_tol}
+    return results, diagnostics, {"mean.txt": res.mean.mat}
 
 
-def cmd_geodesic(args):
+def load_geodesic(args):
     if args.steps < 2:
         raise OutOfRangeError(f"steps={args.steps} must be at least 2")
-    a, b = _load_pair(args.a, args.b)
+    inputs = {"a": args.a, "b": args.b, "steps": args.steps, "rank_tol": args.rank_tol}
+    return inputs, *_load_matrices(args.a, args.b)
+
+
+def cmd_geodesic(args, a, b):
+    """points along the geodesic between two covariances"""
     grid = np.linspace(0.0, 1.0, args.steps)
     direction = log_map(a, b, args.rank_tol)
     points = [exp_map(a, float(t) * direction, args.rank_tol) for t in grid]
@@ -199,59 +211,60 @@ def cmd_geodesic(args):
         "speed_table": speed_table,
         "max_speed_deviation": max_dev,
     }
-    diagnostics = {"dim": a.dim, "endpoint_gap": endpoint_gap}
-    inputs = {"a": args.a, "b": args.b, "steps": args.steps, "rank_tol": args.rank_tol}
-    return inputs, results, diagnostics
+    return results, {"dim": a.dim, "endpoint_gap": endpoint_gap}, {}
 
 
-def cmd_pca(args):
-    manifest, covs = _load_manifest_family(args.manifest)
+def load_pca(args):
+    inputs, covs = _load_manifest(args)
     d = covs[0].dim
-    k = args.components if args.components is not None else min(len(covs), d * (d + 1) // 2)
-    res = _solve_mean(covs, args)
+    cap = min(len(covs), d * (d + 1) // 2)
+    k = cap if args.components is None else args.components
+    if not 1 <= k <= cap:
+        raise OutOfRangeError(f"component count k={k} outside 1..{cap}")
+    return inputs, covs, k
+
+
+def cmd_pca(args, covs, k, res):
+    """tangent PCA of a manifest at its Frechet mean"""
     lifted = lift(covs, res.mean, args.rank_tol)
     pca = tangent_pca(lifted, res.mean, k)
+    components = {f"component_{i + 1:02d}.txt": comp for i, comp in enumerate(pca.components)}
     results = {
-        "mean_file": _write(args, "mean.txt", res.mean.mat),
-        "component_files": [
-            _write(args, f"component_{i + 1:02d}.txt", comp) for i, comp in enumerate(pca.components)
-        ],
+        "mean_file": "mean.txt",
+        "component_files": list(components),
         "variances": list(pca.variances),
         "scores": pca.scores if pca.scores.size else [],
         "lifted_mean_norm": pca.lifted_mean_norm,
         "effective_components": len(pca.components),
         "reconstruction_errors": reconstruction_errors(res.mean, pca, covs, args.rank_tol),
     }
-    diagnostics = _solver_diagnostics(res, requested_components=k, rank_tol=args.rank_tol)
-    return _family_inputs(args, manifest), results, diagnostics
+    diagnostics = {"requested_components": k, "rank_tol": args.rank_tol}
+    return results, diagnostics, {"mean.txt": res.mean.mat, **components}
 
 
-def cmd_multicouple(args):
-    manifest, covs = _load_manifest_family(args.manifest)
-    res = _solve_mean(covs, args)
+def cmd_multicouple(args, covs, res):
+    """optimal multicoupling covariance of a manifest"""
     joint = multicoupling(res.mean, covs, args.rank_tol)
     cost = multicoupling_cost(joint)
     functional = float(res.functional_trace[-1])
-    full = joint.full()
     block_gap = float(np.max(np.abs(joint.maps @ joint.mean.mat @ joint.maps - np.stack([c.mat for c in covs]))))
     results = {
-        "joint_file": _write(args, "multicoupling.txt", full),
+        "joint_file": "multicoupling.txt",
         "cost": cost,
         "functional": functional,
         "cost_functional_gap": abs(cost - functional),
         "members": joint.n,
         "block_dim": joint.dim,
     }
-    diagnostics = _solver_diagnostics(
-        res,
-        min_eigenvalue=joint.min_eigenvalue(),
-        diagonal_block_gap=block_gap,
-        map_conditioning=[
+    diagnostics = {
+        "min_eigenvalue": joint.min_eigenvalue(),
+        "diagonal_block_gap": block_gap,
+        "map_conditioning": [
             _condition(np.linalg.eigvalsh(optimal_map(res.mean, c, args.rank_tol))[::-1]) for c in covs
         ],
-        rank_tol=args.rank_tol,
-    )
-    return _family_inputs(args, manifest), results, diagnostics
+        "rank_tol": args.rank_tol,
+    }
+    return results, diagnostics, {"multicoupling.txt": joint.full()}
 
 
 def _random_template(dim: int, seed: int) -> Covariance:
@@ -261,31 +274,14 @@ def _random_template(dim: int, seed: int) -> Covariance:
     return cov_from_product(from_spectrum(q, evals))
 
 
-def cmd_simulate_deform(args):
+def load_deform(args):
     if args.template is not None:
-        template = _load_cov(args.template)
+        [template] = _load_matrices(args.template)
     elif args.dim < 1:
         raise OutOfRangeError(f"dim={args.dim} must be at least 1")
     else:
         template = _random_template(args.dim, args.seed)
     fam = deformation_family(template, args.count, args.eps, RngSpec(args.seed, "deform"))
-    res = _solve_mean(fam.deformed, args)
-    avg_map = sum(fam.maps) / len(fam.maps)
-    results = {
-        "template_file": _write(args, "template.txt", template.mat),
-        "manifest_file": _write_family(args, [m.mat for m in fam.deformed]),
-        "recovered_file": _write(args, "recovered.txt", res.mean.mat),
-        "members": args.count,
-        "eps": args.eps,
-        "recovery_distance": procrustes_distance(res.mean, template),
-        "residual_at_template": fixed_point_residual(template, fam.deformed),
-    }
-    diagnostics = _solver_diagnostics(
-        res,
-        map_identity_gap=float(np.max(np.abs(avg_map - np.eye(template.dim)))),
-        template_trace=template.trace,
-        seed=args.seed,
-    )
     inputs = {
         "template": args.template,
         "dim": template.dim,
@@ -293,7 +289,28 @@ def cmd_simulate_deform(args):
         "eps": args.eps,
         "seed": args.seed,
     }
-    return inputs, results, diagnostics
+    return inputs, fam.deformed, template, fam.maps
+
+
+def cmd_simulate_deform(args, family, template, maps, res):
+    """identity-mean deformations of a template covariance"""
+    avg_map = sum(maps) / len(maps)
+    results = {
+        "template_file": "template.txt",
+        "manifest_file": "manifest.json",
+        "recovered_file": "recovered.txt",
+        "members": args.count,
+        "eps": args.eps,
+        "recovery_distance": procrustes_distance(res.mean, template),
+        "residual_at_template": fixed_point_residual(template, family),
+    }
+    diagnostics = {
+        "map_identity_gap": float(np.max(np.abs(avg_map - np.eye(template.dim)))),
+        "template_trace": template.trace,
+        "seed": args.seed,
+    }
+    family_files = _family_files([m.mat for m in family])
+    return results, diagnostics, {"template.txt": template.mat, **family_files, "recovered.txt": res.mean.mat}
 
 
 def _parse_ranks(text: str, d: int) -> list[int]:
@@ -308,24 +325,26 @@ def _parse_ranks(text: str, d: int) -> list[int]:
     return ranks
 
 
-def cmd_simulate_project(args):
+def load_project(args):
     if (args.input is None) == (args.manifest is None):
         raise OutOfRangeError("provide exactly one of a matrix file and --manifest")
+    if args.manifest is None:
+        inputs, covs = {"input": args.input}, _load_matrices(args.input)
+    else:
+        inputs, covs = _load_manifest(args)
+        del inputs["labels"]
+    ranks = _parse_ranks(args.ranks, covs[0].dim)
+    return {**inputs, "basis": args.basis, "ranks": ranks}, covs, ranks
+
+
+def cmd_simulate_project(args, covs, ranks):
+    """rank-r compression errors or family stability sweep"""
     if args.manifest is not None:
-        manifest, covs = _load_manifest_family(args.manifest)
-        ranks = _parse_ranks(args.ranks, covs[0].dim)
         outcome = projection_stability_experiment(
             covs, ranks, basis=args.basis, cfg=MeanConfig(max_iter=args.max_iter, rel_tol=args.rel_tol)
         )
-        inputs = {
-            "manifest": args.manifest,
-            "operators": manifest.operators,
-            "basis": args.basis,
-            "ranks": ranks,
-        }
-        return inputs, outcome, {"rel_tol": args.rel_tol, "max_iter": args.max_iter}
-    c = _load_cov(args.input)
-    ranks = _parse_ranks(args.ranks, c.dim)
+        return outcome, {"rel_tol": args.rel_tol, "max_iter": args.max_iter}, {}
+    [c] = covs
     errors = []
     squared = []
     for r in ranks:
@@ -340,46 +359,62 @@ def cmd_simulate_project(args):
         "squared_distance": squared,
         "max_identity_gap": max(abs(e - p) for e, p in zip(errors, squared)),
     }
-    inputs = {"input": args.input, "basis": args.basis, "ranks": ranks}
-    return inputs, results, {"dim": c.dim, "trace": c.trace}
+    return results, {"dim": c.dim, "trace": c.trace}, {}
 
 
-def cmd_simulate_counterexample(args):
+def load_counterexample(args):
     mean, s1, s2, thresholds = counterexample_family(args.blocks, args.ratio, args.b0)
-    res = _solve_mean([s1, s2], args)
+    return {"blocks": args.blocks, "ratio": args.ratio, "b0": args.b0}, [s1, s2], mean, thresholds
+
+
+def cmd_simulate_counterexample(args, family, mean, thresholds, res):
+    """two-member family with vanishing domination thresholds"""
     results = {
-        "mean_file": _write(args, "mean.txt", mean.mat),
-        "manifest_file": _write_family(args, [s1.mat, s2.mat]),
+        "mean_file": "mean.txt",
+        "manifest_file": "manifest.json",
         "dim": mean.dim,
         "thresholds": list(thresholds),
         "min_threshold": float(np.min(thresholds)),
         "recovery_distance": procrustes_distance(res.mean, mean),
     }
-    diagnostics = _solver_diagnostics(
-        res, mean_eigenvalues=list(mean.spectrum.values), rel_tol=args.rel_tol, max_iter=args.max_iter
-    )
-    return {"blocks": args.blocks, "ratio": args.ratio, "b0": args.b0}, results, diagnostics
+    diagnostics = {
+        "mean_eigenvalues": list(mean.spectrum.values),
+        "rel_tol": args.rel_tol,
+        "max_iter": args.max_iter,
+    }
+    return results, diagnostics, {"mean.txt": mean.mat, **_family_files([c.mat for c in family])}
 
 
-def cmd_simulate_moments(args):
-    c = _load_cov(args.input)
+def load_moments(args):
+    return {"input": args.input, "samples": args.samples, "seed": args.seed}, *_load_matrices(args.input)
+
+
+def cmd_simulate_moments(args, c):
+    """Monte Carlo fourth-moment identity check"""
     outcome = fourth_moment_check(c, args.samples, RngSpec(args.seed, "moments"))
-    inputs = {"input": args.input, "samples": args.samples, "seed": args.seed}
-    return inputs, outcome, {"dim": c.dim, "trace": c.trace}
+    return outcome, {"dim": c.dim, "trace": c.trace}, {}
 
 
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rel-tol", type=float, default=1e-9, help="relative convergence tolerance")
-    p.add_argument("--max-iter", type=int, default=200, help="iteration cap")
-
-
-def _add_rank_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--rank-tol",
-        type=float,
-        default=None,
-        help="relative eigenvalue cutoff for numerical rank (default dim * eps)",
-    )
+def _command(sub, name: str, load, handler, solve=False, solver_flags=False, rank_tol=False, output=None):
+    """Declare the subcommand ``name``, whose help is its handler's docstring: ``main``
+    runs ``load``, then with ``solve`` the mean solve, then ``handler``.  ``solve`` and
+    ``solver_flags`` add --rel-tol and --max-iter, ``solve`` and ``rank_tol`` add --rank-tol, and
+    ``output``, the help of --output, adds that flag."""
+    p = sub.add_parser(name, help=handler.__doc__)
+    p.set_defaults(load=load, handler=handler, solve=solve)
+    if solve or solver_flags:
+        p.add_argument("--rel-tol", type=float, default=1e-9, help="relative convergence tolerance")
+        p.add_argument("--max-iter", type=int, default=200, help="iteration cap")
+    if solve or rank_tol:
+        p.add_argument(
+            "--rank-tol",
+            type=float,
+            default=None,
+            help="relative eigenvalue cutoff for numerical rank (default dim * eps)",
+        )
+    if output is not None:
+        p.add_argument("--output", default=".", help=output)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,12 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("distance", help="Procrustes distance between two covariance files")
+    p = _command(sub, "distance", load_distance, cmd_distance)
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(handler=cmd_distance)
 
-    p = sub.add_parser("mean", help="Frechet mean of a manifest of covariances")
+    p = _command(sub, "mean", load_mean, cmd_mean, solve=True, output="directory for mean.txt")
     p.add_argument("manifest")
     p.add_argument(
         "--algorithm",
@@ -403,83 +437,78 @@ def build_parser() -> argparse.ArgumentParser:
         default="descent",
         help="transport-map descent or generalized Procrustes averaging",
     )
-    _add_solver_flags(p)
-    _add_rank_tol(p)
-    p.add_argument("--output", default=".", help="directory for mean.txt")
-    p.set_defaults(handler=cmd_mean)
 
-    p = sub.add_parser("geodesic", help="points along the geodesic between two covariances")
+    p = _command(sub, "geodesic", load_geodesic, cmd_geodesic, rank_tol=True)
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--steps", type=int, default=5, help="number of grid points (>= 2)")
-    _add_rank_tol(p)
-    p.set_defaults(handler=cmd_geodesic)
 
-    p = sub.add_parser("pca", help="tangent PCA of a manifest at its Frechet mean")
+    p = _command(sub, "pca", load_pca, cmd_pca, solve=True, output="directory for component files")
     p.add_argument("manifest")
     p.add_argument("--components", "-k", type=int, default=None, help="number of components")
-    _add_solver_flags(p)
-    _add_rank_tol(p)
-    p.add_argument("--output", default=".", help="directory for component files")
-    p.set_defaults(handler=cmd_pca)
 
-    p = sub.add_parser("multicouple", help="optimal multicoupling covariance of a manifest")
+    p = _command(
+        sub, "multicouple", _load_manifest, cmd_multicouple, solve=True, output="directory for the joint matrix"
+    )
     p.add_argument("manifest")
-    _add_solver_flags(p)
-    _add_rank_tol(p)
-    p.add_argument("--output", default=".", help="directory for the joint matrix")
-    p.set_defaults(handler=cmd_multicouple)
 
     p = sub.add_parser("simulate", help="generative and stability experiments")
     sim = p.add_subparsers(dest="subcommand", required=True)
 
-    q = sim.add_parser("deform", help="identity-mean deformations of a template covariance")
+    q = _command(
+        sim, "deform", load_deform, cmd_simulate_deform, solve=True, output="directory for the generated family"
+    )
     q.add_argument("--template", default=None, help="template matrix file (default: generated)")
     q.add_argument("--dim", type=int, default=4, help="dimension of the generated template")
     q.add_argument("--count", type=int, default=5, help="family size")
     q.add_argument("--eps", type=float, default=0.3, help="largest deformation operator norm")
     q.add_argument("--seed", type=int, default=0)
-    _add_solver_flags(q)
-    _add_rank_tol(q)
-    q.add_argument("--output", default=".", help="directory for the generated family")
-    q.set_defaults(handler=cmd_simulate_deform)
 
-    q = sim.add_parser("project", help="rank-r compression errors or family stability sweep")
+    q = _command(sim, "project", load_project, cmd_simulate_project, solver_flags=True)
     q.add_argument("input", nargs="?", default=None, help="matrix file for the error curve")
     q.add_argument("--manifest", default=None, help="manifest for the family stability sweep")
     q.add_argument("--ranks", default="all", help="comma-separated ranks (default all)")
     q.add_argument("--basis", choices=["standard", "eigen"], default="standard")
-    _add_solver_flags(q)
-    q.set_defaults(handler=cmd_simulate_project)
 
-    q = sim.add_parser("counterexample", help="two-member family with vanishing domination thresholds")
+    q = _command(
+        sim,
+        "counterexample",
+        load_counterexample,
+        cmd_simulate_counterexample,
+        solve=True,
+        output="directory for the generated family",
+    )
     q.add_argument("--blocks", type=int, default=3, help="number of paired blocks")
     q.add_argument("--ratio", type=float, default=6.0, help="eigenvalue decay ratio (> 5)")
     q.add_argument("--b0", type=float, default=0.5, help="leading mixing weight in (0, 1]")
-    _add_solver_flags(q)
-    _add_rank_tol(q)
-    q.add_argument("--output", default=".", help="directory for the generated family")
-    q.set_defaults(handler=cmd_simulate_counterexample)
 
-    q = sim.add_parser("moments", help="Monte Carlo fourth-moment identity check")
+    q = _command(sim, "moments", load_moments, cmd_simulate_moments)
     q.add_argument("input", help="covariance matrix file")
     q.add_argument("--samples", type=int, default=100_000)
     q.add_argument("--seed", type=int, default=0)
-    q.set_defaults(handler=cmd_simulate_moments)
 
     return parser
 
 
 def main(argv=None) -> int:
-    """Run one command: its report goes to stdout, an error or the iteration-cap
-    warning to stderr, and the exit status is returned.  Errors other than
-    ``BwGeomError`` propagate."""
+    """Run one command through its phases: the report goes to stdout, an error
+    or the iteration-cap warning to stderr, and the exit status is returned.
+    Errors other than ``BwGeomError`` propagate."""
     args = build_parser().parse_args(argv)
     try:
-        inputs, results, diagnostics = args.handler(args)
+        inputs, *loaded = args.load(args)
+        if args.solve:
+            loaded.append(_solve_mean(loaded[0], args))
+        results, diagnostics, files = args.handler(args, *loaded)
+        if args.solve:
+            diagnostics = {**_solver_diagnostics(loaded[-1]), **diagnostics}
+        if files:
+            _write(args.output, files, results)
     except BwGeomError as e:
         sys.stderr.write(f"error: {e}\n")
         return e.exit_code
+    # Nothing computed outlives the write phase but what the report holds.
+    del loaded, files
     command = ".".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     report = dict(command=command, inputs=inputs, results=results, diagnostics=diagnostics, version=__version__)
     sys.stdout.write(render_report(report))

@@ -88,7 +88,7 @@ class DegenerateError(BwGeomError):
 
 
 class MatrixParseError(BwGeomError):
-    """A matrix or manifest file could not be parsed."""
+    """A matrix or manifest file could not be read, parsed or written."""
 
     def __init__(self, path, message, row=None, col=None):
         self.path = str(path)

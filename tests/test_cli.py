@@ -161,6 +161,32 @@ def test_exit_code_not_psd_names_the_first_offending_manifest_entry(tmp_path, ca
     assert code == 4 and "op_2.txt" in err and "op_4.txt" not in err
 
 
+def test_unwritable_output_exits_2_and_names_it(tmp_path, capsys):
+    manifest = write_family(tmp_path, [np.diag([4.0, 1.0]), np.diag([1.0, 4.0])])
+    taken = tmp_path / "afile"
+    taken.write_text("not a directory\n")
+    code, out, err = run_cli(capsys, "mean", manifest, "--output", str(taken))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {taken}: ") and "File exists" in err
+    assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("k", ["0", "3"])
+def test_pca_checks_components_before_the_solve(tmp_path, capsys, monkeypatch, k):
+    import bwgeom.cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the mean was solved before -k was checked")
+
+    monkeypatch.setattr(bwgeom.cli, "mean_fixed_point", unreachable)
+    # Two 2x2 members: at most min(2, 3) = 2 components.
+    manifest = write_family(tmp_path, [np.diag([4.0, 1.0]), np.diag([1.0, 4.0])])
+    out_dir = tmp_path / "pca"
+    code, out, err = run_cli(capsys, "pca", manifest, "-k", k, "--output", str(out_dir))
+    assert (code, out, err) == (2, "", f"error: component count k={k} outside 1..2\n")
+    assert not out_dir.exists()
+
+
 def test_exit_code_kernel_condition(tmp_path, capsys):
     write_matrix(tmp_path / "a.txt", np.diag([1.0, 0.0]))
     write_matrix(tmp_path / "b.txt", np.diag([0.0, 1.0]))
@@ -578,6 +604,13 @@ def test_project_rejects_ambiguous_inputs(tmp_path, capsys):
     assert code == 2 and "exactly one" in err
 
 
+@pytest.mark.parametrize("ranks, message", [("x", "cannot parse ranks 'x'"), (",", "ranks list is empty")])
+def test_project_rejects_unparsable_ranks(tmp_path, capsys, ranks, message):
+    write_matrix(tmp_path / "c.txt", np.eye(2))
+    code, out, err = run_cli(capsys, "simulate", "project", str(tmp_path / "c.txt"), "--ranks", ranks)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_moments_command_rank_one_equality(tmp_path, capsys):
     u = np.array([[1.0], [2.0]])
     write_matrix(tmp_path / "r1.txt", u @ u.T)
@@ -658,3 +691,164 @@ def test_pca_reconstruction_leaving_the_cone_is_null(tmp_path, capsys):
     assert errors[5][3] is None
     for row in errors:
         assert row[-1] is not None and math.isfinite(row[-1]) and row[-1] <= 1e-6
+
+
+SOLVER_KEYS = {
+    "algorithm",
+    "converged",
+    "functional_trace",
+    "iterations",
+    "min_eig_of_iterates",
+    "residual_trace",
+    "trace_of_iterates",
+}
+MANIFEST_KEYS = {"manifest", "operators", "labels"}
+MEAN_RESULTS = {"converged", "functional", "iterations", "mean_file", "residual", "trace"}
+MEAN_DIAGNOSTICS = SOLVER_KEYS | {"max_iter", "rank_tol", "rel_tol"}
+PCA_RESULTS = {
+    "component_files",
+    "effective_components",
+    "lifted_mean_norm",
+    "mean_file",
+    "reconstruction_errors",
+    "scores",
+    "variances",
+}
+DEFORM_INPUTS = {"count", "dim", "eps", "seed", "template"}
+DEFORM_RESULTS = {
+    "eps",
+    "manifest_file",
+    "members",
+    "recovered_file",
+    "recovery_distance",
+    "residual_at_template",
+    "template_file",
+}
+DEFORM_DIAGNOSTICS = SOLVER_KEYS | {"map_identity_gap", "seed", "template_trace"}
+
+# Every command form of the CLI smoke test in the CI workflow, run in a
+# directory that holds the family ``simulate deform`` wrote into ``sim``:
+# argv, then the key sets of inputs, results and diagnostics, then the names
+# of the files written into --output.
+REPORT_SHAPES = {
+    "simulate deform": (
+        "simulate deform --dim 3 --count 4 --seed 3 --output sim2",
+        DEFORM_INPUTS,
+        DEFORM_RESULTS,
+        DEFORM_DIAGNOSTICS,
+        ["manifest.json", *(f"member_{i:02d}.txt" for i in range(1, 5)), "recovered.txt", "template.txt"],
+    ),
+    "mean": (
+        "mean sim/manifest.json --output out",
+        MANIFEST_KEYS | {"algorithm"},
+        MEAN_RESULTS,
+        MEAN_DIAGNOSTICS,
+        ["mean.txt"],
+    ),
+    "mean gpa": (
+        "mean sim/manifest.json --algorithm gpa --rank-tol 1e-10 --output out",
+        MANIFEST_KEYS | {"algorithm"},
+        MEAN_RESULTS,
+        MEAN_DIAGNOSTICS,
+        ["mean.txt"],
+    ),
+    "multicouple": (
+        "multicouple sim/manifest.json --output out",
+        MANIFEST_KEYS,
+        {"block_dim", "cost", "cost_functional_gap", "functional", "joint_file", "members"},
+        SOLVER_KEYS | {"diagonal_block_gap", "map_conditioning", "min_eigenvalue", "rank_tol"},
+        ["multicoupling.txt"],
+    ),
+    "pca": (
+        "pca sim/manifest.json --output out",
+        MANIFEST_KEYS,
+        PCA_RESULTS,
+        SOLVER_KEYS | {"rank_tol", "requested_components"},
+        ["component_01.txt", "component_02.txt", "component_03.txt", "mean.txt"],
+    ),
+    "pca -k": (
+        "pca sim/manifest.json -k 2 --output out",
+        MANIFEST_KEYS,
+        PCA_RESULTS,
+        SOLVER_KEYS | {"rank_tol", "requested_components"},
+        ["component_01.txt", "component_02.txt", "mean.txt"],
+    ),
+    "simulate deform --template": (
+        "simulate deform --template sim/template.txt --count 3 --output out",
+        DEFORM_INPUTS,
+        DEFORM_RESULTS,
+        DEFORM_DIAGNOSTICS,
+        ["manifest.json", "member_01.txt", "member_02.txt", "member_03.txt", "recovered.txt", "template.txt"],
+    ),
+    "geodesic": (
+        "geodesic sim/member_01.txt sim/member_02.txt --steps 3",
+        {"a", "b", "rank_tol", "steps"},
+        {"distance", "grid", "max_speed_deviation", "points", "speed_table"},
+        {"dim", "endpoint_gap"},
+        [],
+    ),
+    "distance": (
+        "distance sim/member_01.txt sim/member_02.txt",
+        {"a", "b"},
+        {"alignment_distance", "procrustes", "procrustes_squared", "root_hs_distance", "trace_distance"},
+        {"dim", "equivalence_constant", "rotation_orthogonality_gap", "trace_a", "trace_b", "trace_regime"},
+        [],
+    ),
+    "simulate project": (
+        "simulate project sim/member_01.txt",
+        {"basis", "input", "ranks"},
+        {"max_identity_gap", "projection_error", "ranks", "squared_distance"},
+        {"dim", "trace"},
+        [],
+    ),
+    "simulate project --manifest": (
+        "simulate project --manifest sim/manifest.json --ranks 1,2 --basis eigen",
+        {"basis", "manifest", "operators", "ranks"},
+        {"basis", "full_mean_trace", "mean_trace_distance", "metric_discrepancy", "ranks", "solver_errors"},
+        {"max_iter", "rel_tol"},
+        [],
+    ),
+    "simulate counterexample": (
+        "simulate counterexample --blocks 2 --output out",
+        {"b0", "blocks", "ratio"},
+        {"dim", "manifest_file", "mean_file", "min_threshold", "recovery_distance", "thresholds"},
+        SOLVER_KEYS | {"max_iter", "mean_eigenvalues", "rel_tol"},
+        ["manifest.json", "mean.txt", "member_01.txt", "member_02.txt"],
+    ),
+    "simulate moments": (
+        "simulate moments sim/member_01.txt --samples 10000 --seed 2",
+        {"input", "samples", "seed"},
+        {
+            "bound_gap",
+            "bound_holds",
+            "equality_case",
+            "estimate",
+            "exact",
+            "rank",
+            "samples",
+            "std_error",
+            "upper_bound",
+            "within_five_se",
+            "z_score",
+        },
+        {"dim", "trace"},
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("form", sorted(REPORT_SHAPES))
+def test_report_shape_of_every_smoke_test_form(tmp_path, capsys, monkeypatch, form):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(capsys, *"simulate deform --dim 3 --count 4 --seed 3 --output sim".split())[0] == 0
+    argv, inputs, results, diagnostics, files = REPORT_SHAPES[form]
+    code, out, _ = run_cli(capsys, *argv.split())
+    doc = json.loads(out)
+    assert code == 0
+    assert (set(doc["inputs"]), set(doc["results"]), set(doc["diagnostics"])) == (inputs, results, diagnostics)
+    output = argv.split()[-1] if "--output" in argv else None
+    assert (sorted(p.name for p in Path(output).iterdir()) if output else []) == files
+    # The results name each written file by its path under --output.
+    named = [v for k, v in doc["results"].items() if k.endswith("_file")]
+    named += doc["results"].get("component_files", [])
+    assert all(Path(p).parent == Path(output) and Path(p).name in files for p in named)
