@@ -53,21 +53,46 @@ def _cross_trace(l: np.ndarray, hs: np.ndarray) -> np.ndarray:
     return np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
 
 
-def procrustes_distance_squared(s1, s2) -> float:
-    """Squared Procrustes distance; the radicand is clamped at zero.
+def _squared_distances(a: Covariance, bs: list[Covariance]) -> list[float]:
+    """Squared Procrustes distances from ``a`` to each of ``bs``, of its
+    dimension, clamped at zero.  Each cross trace goes through the factor of
+    the lower-rank side, which avoids square roots of spurious near-zero
+    eigenvalues; those through the factor of ``a`` are one stacked
+    evaluation, each bit for bit as alone."""
+    ra, rbs = numerical_rank(a), [numerical_rank(b) for b in bs]
+    up = [k for k, rb in enumerate(rbs) if ra <= rb]
+    cross = np.empty(len(bs))
+    if up:
+        cross[up] = _cross_trace(_range_factor(a, ra), np.stack([bs[k].mat for k in up]))
+    for k, rb in enumerate(rbs):
+        if rb < ra:
+            cross[k] = _cross_trace(_range_factor(bs[k], rb), a.mat)
+    return [max(0.0, a.trace + b.trace - 2.0 * float(x)) for b, x in zip(bs, cross)]
 
-    The cross trace goes through the factor of the lower-rank side, which
-    avoids square roots of spurious near-zero eigenvalues.
-    """
+
+def procrustes_distance_squared(s1, s2) -> float:
+    """Squared Procrustes distance; see ``_squared_distances``."""
     a, b = _check_pair(s1, s2)
-    ra, rb = numerical_rank(a), numerical_rank(b)
-    lo, hi, r = (a, b, ra) if ra <= rb else (b, a, rb)
-    return max(0.0, a.trace + b.trace - 2.0 * float(_cross_trace(_range_factor(lo, r), hi.mat)))
+    return _squared_distances(a, [b])[0]
 
 
 def procrustes_distance(s1, s2) -> float:
     """Procrustes (Bures-Wasserstein) distance between two PSD matrices."""
     return math.sqrt(procrustes_distance_squared(s1, s2))
+
+
+def pairwise_distances(family) -> dict[tuple[int, int], float]:
+    """``procrustes_distance`` of each pair i < j of a family, keyed ``(i, j)``
+    in row order, bit for bit; member i's distances to the later members are
+    one ``_squared_distances`` evaluation."""
+    members = [validate_psd(m) for m in family]
+    for m in members[1:]:
+        _check_pair(members[0], m)
+    return {
+        (i, j): math.sqrt(d2)
+        for i, a in enumerate(members)
+        for j, d2 in enumerate(_squared_distances(a, members[i + 1 :]), i + 1)
+    }
 
 
 def procrustes_distance_via_alignment(s1, s2) -> tuple[float, np.ndarray]:

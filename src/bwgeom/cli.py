@@ -39,19 +39,13 @@ from .barycenter import (
     multicoupling,
     multicoupling_cost,
 )
-from .bures import optimal_map, procrustes_distance, procrustes_distance_via_alignment
+from .bures import optimal_map, pairwise_distances, procrustes_distance, procrustes_distance_via_alignment
 from .errors import BwGeomError, MatrixParseError, MaxIterExceeded, NotPSDError, OutOfRangeError
 from .geometry import exp_map, log_map
-from .io import (
-    Manifest,
-    load_family,
-    read_manifest,
-    render_report,
-    write_manifest,
-    write_matrix,
-)
+from .io import Manifest, load_family, read_manifest, render_report, write_manifest, write_matrix
 from .simulate import (
     RngSpec,
+    checked_ranks,
     convergence_equivalence,
     counterexample_family,
     deformation_family,
@@ -194,22 +188,17 @@ def cmd_geodesic(args, a, b):
     direction = log_map(a, b, args.rank_tol)
     points = [exp_map(a, float(t) * direction, args.rank_tol) for t in grid]
     dist = procrustes_distance(a, b)
-    speed_table = []
-    max_dev = 0.0
-    for i in range(len(grid)):
-        for j in range(i + 1, len(grid)):
-            seg = procrustes_distance(points[i], points[j])
-            dev = abs(seg - (grid[j] - grid[i]) * dist)
-            speed_table.append([float(grid[i]), float(grid[j]), dev])
-            max_dev = max(max_dev, dev)
-    ends = (np.abs(points[0].mat - a.mat), np.abs(points[-1].mat - b.mat))
-    endpoint_gap = float(max(np.max(e) for e in ends))
+    speed_table = [
+        [float(grid[i]), float(grid[j]), abs(seg - (grid[j] - grid[i]) * dist)]
+        for (i, j), seg in pairwise_distances(points).items()
+    ]
+    endpoint_gap = float(max(np.max(np.abs(points[0].mat - a.mat)), np.max(np.abs(points[-1].mat - b.mat))))
     results = {
         "distance": dist,
         "grid": [float(t) for t in grid],
-        "points": [p.mat for p in points],
+        "points": np.stack([p.mat for p in points]),
         "speed_table": speed_table,
-        "max_speed_deviation": max_dev,
+        "max_speed_deviation": max(row[2] for row in speed_table),
     }
     return results, {"dim": a.dim, "endpoint_gap": endpoint_gap}, {}
 
@@ -320,9 +309,7 @@ def _parse_ranks(text: str, d: int) -> list[int]:
         ranks = [int(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise OutOfRangeError(f"cannot parse ranks {text!r}") from None
-    if not ranks:
-        raise OutOfRangeError("ranks list is empty")
-    return ranks
+    return checked_ranks(ranks, d)
 
 
 def load_project(args):
@@ -345,14 +332,8 @@ def cmd_simulate_project(args, covs, ranks):
         )
         return outcome, {"rel_tol": args.rel_tol, "max_iter": args.max_iter}, {}
     [c] = covs
-    errors = []
-    squared = []
-    for r in ranks:
-        err = projection_error(c, r, basis=args.basis)
-        compressed = project(c, r, basis=args.basis)
-        pi2 = procrustes_distance(c, compressed) ** 2
-        errors.append(err)
-        squared.append(pi2)
+    errors = [projection_error(c, r, basis=args.basis) for r in ranks]
+    squared = [procrustes_distance(c, project(c, r, basis=args.basis)) ** 2 for r in ranks]
     results = {
         "ranks": ranks,
         "projection_error": errors,

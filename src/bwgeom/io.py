@@ -4,23 +4,24 @@ Matrix files are plain text: one row per line, comma-separated decimals,
 ``#`` starts a comment.  Files written here use 17 significant digits, so
 every matrix the tool writes re-parses to bit-identical doubles.  The writer
 accepts only what the reader accepts back: a nonempty, finite, square matrix,
-symmetric to within ``SYMMETRY_RTOL``.  It formats the upper triangle once,
-in pieces of whole rows, into a table of fixed-width cells, and builds each
-line by gathering the cells of its entries, mirrored below the diagonal.
-Reports are JSON documents with sorted keys and the same fixed float
-formatting, making byte-identical output a function of the inputs alone.
+symmetric to within ``SYMMETRY_RTOL``.  It formats the upper triangle once
+into a table of fixed-width cells and gathers each line from the cells of its
+entries, mirrored below the diagonal.  Reports are JSON documents with sorted
+keys and the same fixed float formatting, collected as a list of pieces and
+joined once, making byte-identical output a function of the inputs alone.
 
 Float arrays in files and reports are formatted by one numpy kernel that gives
 exactly the text of ``FLOAT_FORMAT % x`` for each entry.  In its fast range,
-``1e-4 <= |x| < 1e17`` and zero, that text is fixed-point, and the kernel
-finds the decimal exponent k and the 17 significant digits in exact
-arithmetic: ``10**(16 - k)`` is an exact double, Dekker's two-product gives
-``|x| * 10**(16 - k)`` as an exact sum of two doubles, and the digits round
-half to even as in correctly rounded ``dtoa``.  Each entry's characters are
-laid out in a fixed-width cell padded with NUL bytes, and one
-``bytes.translate`` deletes the padding.  Entries outside the fast range, and
-arrays of fewer than ``_CROSSOVER`` entries, go through one ``FLOAT_FORMAT %``
-call instead.
+``1e-4 <= |x| < 1e17`` and zero, it finds the decimal exponent k and the 17
+significant digits in exact arithmetic: ``10**(16 - k)`` is an exact double,
+Dekker's two-product gives ``|x| * 10**(16 - k)`` as an exact sum of two
+doubles, and the digits round half to even as in correctly rounded ``dtoa``.
+Other entries, and arrays of fewer than ``_CROSSOVER`` entries, go through one
+``FLOAT_FORMAT %`` call.  Each text fills a cell padded with NUL bytes and
+ending in a separator byte: a comma or newline in a matrix file, in a report
+1 + the number of JSON lists that close after the entry.  One
+``bytes.translate`` deletes the padding; in a report one ``str.replace`` per
+nesting level then writes out the text each separator byte stands for.
 """
 
 from __future__ import annotations
@@ -292,15 +293,6 @@ def _format_cells(x: np.ndarray, out: np.ndarray) -> None:
         _cells(x[s : s + _BLOCK], out[s : s + _BLOCK])
 
 
-def _texts(a: np.ndarray) -> list[str]:
-    """The ``FLOAT_FORMAT`` text of each entry of a finite float array, in C order."""
-    x = a.astype(np.float64).ravel()
-    out = np.empty((x.size, _CELL), np.uint8)
-    out[:, -1] = ord(",")
-    _format_cells(x, out)
-    return out.tobytes().translate(None, _PADDING).decode("ascii").split(",")[:-1]
-
-
 def _upper_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     """Position of entry ``(min(i, j), max(i, j))`` of an n x n matrix in its
     upper triangle in ``np.triu_indices`` order."""
@@ -415,52 +407,57 @@ def write_manifest(path, operators: list[str], labels: list[str] | None = None) 
     _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
 
 
-def _render(obj, indent: int) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [
-            f"{inner}{json.dumps(str(k))}: {_render(obj[k], indent + 1)}"
-            for k in sorted(obj, key=str)
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
+def _pieces(obj, indent: int):
+    """The JSON text of ``obj``, nested ``indent`` levels deep, as a sequence of pieces."""
     if isinstance(obj, np.ndarray) and obj.ndim and obj.dtype.kind == "f" and obj.size and np.isfinite(obj).all():
-        # One kernel call over the whole array; non-finite entries take the
-        # per-item path below, which renders them as null.
-        return _render_floats(_texts(obj), obj.shape, indent)
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        parts = [f"{inner}{_render(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (float, np.floating)):
+        # One kernel call over the array; non-finite entries take the per-item path, rendered as null.
+        yield from _float_pieces(obj, indent)
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        if isinstance(obj, dict):
+            brackets, items = "{}", [(f"{json.dumps(str(k))}: ", obj[k]) for k in sorted(obj, key=str)]
+        else:
+            brackets, items = "[]", [("", v) for v in obj]
+        inner = "\n" + "  " * (indent + 1)
+        for n, (key, value) in enumerate(items):
+            yield ("," if n else brackets[0]) + inner + key
+            yield from _pieces(value, indent + 1)
+        yield "\n" + "  " * indent + brackets[1] if items else brackets
+    elif isinstance(obj, (bool, np.bool_)):
+        yield "true" if obj else "false"
+    elif obj is None:
+        yield "null"
+    elif isinstance(obj, (float, np.floating)):
         # JSON has no NaN/inf literals; non-finite diagnostics become null.
-        return format_float(float(obj)) if math.isfinite(obj) else "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    raise TypeError(f"cannot render {type(obj).__name__} in a report")
+        yield format_float(float(obj)) if math.isfinite(obj) else "null"
+    elif isinstance(obj, (int, np.integer)):
+        yield str(int(obj))
+    elif isinstance(obj, str):
+        yield json.dumps(obj)
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
 
-def _render_floats(texts: list[str], shape: tuple[int, ...], indent: int) -> str:
-    """Nested JSON lists of the formatted entries of an array of ``shape``."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if len(shape) > 1:
-        w = len(texts) // shape[0]
-        texts = [_render_floats(texts[i * w : (i + 1) * w], shape[1:], indent + 1) for i in range(shape[0])]
-    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + pad + "]"
+def _float_pieces(a: np.ndarray, indent: int) -> list[str]:
+    """Nested JSON lists of a finite float array in three pieces: the opening
+    brackets, the entries with the text between them, the closing brackets.
+    Separator byte 1 + c stands for the text between an entry after which c
+    lists close and the next entry; the last entry's is padding."""
+    down = ["\n" + "  " * (indent + q) for q in range(a.ndim + 1)]
+    opening = lambda c: "".join(down[q] + "[" for q in range(a.ndim - c, a.ndim))
+    closing = lambda c: "".join(down[q] + "]" for q in reversed(range(a.ndim - c, a.ndim)))
+    cells = np.empty((a.size, _CELL), np.uint8)
+    cells[:, -1] = 1
+    for width in (math.prod(a.shape[q:]) for q in range(1, a.ndim)):
+        cells[width - 1 :: width, -1] += 1
+    cells[-1, -1] = 0
+    _format_cells(a.astype(np.float64).ravel(), cells)
+    text = cells.tobytes().translate(None, _PADDING).decode("ascii")
+    for c in range(a.ndim):
+        text = text.replace(chr(1 + c), closing(c) + "," + opening(c) + down[-1])
+    return ["[" + opening(a.ndim - 1) + down[-1], text, closing(a.ndim)]
 
 
 def render_report(report: dict) -> str:
     """Deterministic JSON text of a report mapping: sorted keys, fixed float
-    formatting."""
-    return _render(report, 0) + "\n"
+    formatting, its pieces joined once."""
+    return "".join([*_pieces(report, 0), "\n"])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycenter import MeanConfig, coerce_family, mean_fixed_point
-from .bures import _check_pair, procrustes_distance
+from .bures import _check_pair, pairwise_distances, procrustes_distance
 from .errors import BwGeomError, DegenerateError, OutOfRangeError
 from .spectral import (
     EPS,
@@ -101,6 +101,8 @@ def deformation_family(s, n: int, eps: float, rng: RngSpec) -> DeformationFamily
 def _projector_basis(ref: Covariance, r: int, basis: str) -> np.ndarray:
     """Orthonormal columns spanning the rank-r projection subspace: the leading
     r coordinates, or the top-r eigenvectors of ``ref``."""
+    if not 1 <= r <= ref.dim:
+        raise OutOfRangeError(f"rank r={r} outside 1..{ref.dim}")
     if basis == "standard":
         return np.eye(ref.dim)[:, :r]
     if basis == "eigen":
@@ -115,8 +117,6 @@ def project(s, r: int, basis: str = "standard") -> Covariance:
     uses the top-r eigenvectors of S itself.
     """
     c = validate_psd(s)
-    if not 1 <= r <= c.dim:
-        raise OutOfRangeError(f"rank r={r} outside 1..{c.dim}")
     q = _projector_basis(c, r, basis)
     return cov_from_product(q @ (q.T @ c.mat @ q) @ q.T)
 
@@ -125,10 +125,21 @@ def projection_error(s, r: int, basis: str = "standard") -> float:
     """tr((I - P) S), which equals the squared distance from S to P S P, for
     the subspace ``project`` uses."""
     c = validate_psd(s)
-    if not 1 <= r <= c.dim:
-        raise OutOfRangeError(f"rank r={r} outside 1..{c.dim}")
     q = _projector_basis(c, r, basis)
     return max(0.0, c.trace - float(np.trace(q.T @ c.mat @ q)))
+
+
+def checked_ranks(ranks, d: int) -> list[int]:
+    """The ranks as ints; raises ``OutOfRangeError`` unless they are nonempty,
+    strictly increasing and within 1..d."""
+    ranks = [int(r) for r in ranks]
+    if not ranks:
+        raise OutOfRangeError("ranks list is empty")
+    if any(b <= a for a, b in zip(ranks, ranks[1:])):
+        raise OutOfRangeError("ranks must be strictly increasing")
+    if ranks[0] < 1 or ranks[-1] > d:
+        raise OutOfRangeError(f"ranks must lie in 1..{d}")
+    return ranks
 
 
 def projection_stability_experiment(
@@ -149,25 +160,13 @@ def projection_stability_experiment(
     """
     members = coerce_family(family)
     d = members[0].dim
-    ranks = [int(r) for r in ranks]
-    if not ranks:
-        raise OutOfRangeError("ranks list is empty")
-    for a, b in zip(ranks, ranks[1:]):
-        if b <= a:
-            raise OutOfRangeError("ranks must be strictly increasing")
-    if ranks[0] < 1 or ranks[-1] > d:
-        raise OutOfRangeError(f"ranks must lie in 1..{d}")
+    ranks = checked_ranks(ranks, d)
 
     euclidean = cov_from_product(sum(m.mat for m in members) / len(members))
     q_full = _projector_basis(euclidean, d, basis)
 
     full = mean_fixed_point(members, cfg)
-    n = len(members)
-    pair_full = {
-        (i, j): procrustes_distance(members[i], members[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
+    pair_full = pairwise_distances(members)
 
     mean_gap: list[float] = []
     discrepancy: list[float] = []
@@ -178,10 +177,8 @@ def projection_stability_experiment(
             sub = [cov_from_product(q.T @ m.mat @ q) for m in members]
             res = mean_fixed_point(sub, cfg)
             mean_gap.append(trace_norm(q @ res.mean.mat @ q.T - full.mean.mat))
-            disc = 0.0
-            for (i, j), dist in pair_full.items():
-                disc = max(disc, abs(procrustes_distance(sub[i], sub[j]) - dist))
-            discrepancy.append(disc)
+            pair_sub = pairwise_distances(sub)
+            discrepancy.append(max([0.0] + [abs(pair_sub[ij] - dist) for ij, dist in pair_full.items()]))
             errors.append(None)
         except BwGeomError as e:
             mean_gap.append(math.nan)

@@ -15,7 +15,8 @@ from bwgeom import (
     procrustes_distance_via_alignment,
     sqrt_psd,
 )
-from bwgeom.spectral import _condition, rank_cutoff
+from bwgeom.bures import pairwise_distances
+from bwgeom.spectral import _condition, numerical_rank, rank_cutoff, symmetrize
 
 from conftest import commuting_pair, make_psd_rank, make_spd
 
@@ -176,3 +177,32 @@ def test_condition_matches_the_ascending_formula_on_rank_deficient_maps(rng):
 def test_distance_squared_clamped_at_zero(rng):
     s = make_spd(6, rng)
     assert procrustes_distance_squared(s, s) >= 0.0
+
+
+def pair_squared_distance(a, b):
+    """The squared distance of one pair as a 2-D evaluation: the cross trace
+    through the exact-rank factor of the lower-rank side."""
+    ra, rb = numerical_rank(a), numerical_rank(b)
+    lo, hi, r = (a, b, ra) if ra <= rb else (b, a, rb)
+    l = lo.spectrum.vectors[:, :r] * np.sqrt(lo.spectrum.values[:r])
+    w = np.linalg.eigvalsh(symmetrize(l.T @ hi.mat @ l))
+    return max(0.0, a.trace + b.trace - 2.0 * float(np.sum(np.sqrt(np.maximum(w, 0.0)))))
+
+
+@pytest.mark.parametrize("d", [1, 3, 6])
+def test_pairwise_distances_are_those_of_each_pair_bit_for_bit(rng, d):
+    # Every rank in 1..d twice, shuffled, so each row has later members of
+    # lower, equal and higher rank: both sides of the lower-rank rule.
+    family = [make_psd_rank(d, r, rng) for r in range(1, d + 1) for _ in range(2)] + [make_spd(d, rng)]
+    family = [family[k] for k in rng.permutation(len(family))]
+    want = {
+        (i, j): math.sqrt(pair_squared_distance(family[i], family[j]))
+        for i in range(len(family))
+        for j in range(i + 1, len(family))
+    }
+    got = pairwise_distances(family)
+    assert list(got) == list(want) and got == want
+    assert {ij: procrustes_distance(family[ij[0]], family[ij[1]]) for ij in want} == want
+    assert pairwise_distances(family[:1]) == pairwise_distances([]) == {}
+    with pytest.raises(DimMismatchError):
+        pairwise_distances([family[-1], np.eye(d + 1)])

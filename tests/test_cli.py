@@ -234,6 +234,64 @@ def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monk
     assert len(calls) == 1
 
 
+def test_geodesic_command_solves_one_cross_trace_stack_per_grid_point(tmp_path, capsys, monkeypatch):
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rng = np.random.default_rng(3)
+    for name in ("a.txt", "b.txt"):
+        x = rng.standard_normal((4, 4))
+        write_matrix(tmp_path / name, x @ x.T + np.eye(4))
+    code, out, _ = run_cli(
+        capsys, "geodesic", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), "--steps", "11"
+    )
+    assert code == 0
+    assert len(json.loads(out)["results"]["speed_table"]) == 55
+    # The endpoint distance, then the 10 - i later points of grid point i as one stack.
+    assert calls == [(1, 4, 4)] + [(10 - i, 4, 4) for i in range(10)]
+
+
+@pytest.mark.parametrize(
+    "a, b, ranks",
+    [
+        (np.diag([4.0, 1.0, 2.0, 0.5]) + 0.3, np.diag([1.0, 4.0, 0.5, 2.0]) + 0.1, [4] * 6),
+        # The last point has the lower rank, so every pair with it goes
+        # through the factor of the last point.
+        (np.diag([3.0, 2.0, 1.0, 0.0]), np.diag([1.0, 4.0, 0.0, 0.0]), [3] * 5 + [2]),
+    ],
+)
+def test_geodesic_speed_table_is_procrustes_distance_of_each_pair(tmp_path, capsys, a, b, ranks):
+    from bwgeom.cli import _load_matrices
+    from bwgeom.bures import procrustes_distance
+    from bwgeom.geometry import exp_map, log_map
+    from bwgeom.spectral import numerical_rank
+
+    write_matrix(tmp_path / "a.txt", a)
+    write_matrix(tmp_path / "b.txt", b)
+    paths = (str(tmp_path / "a.txt"), str(tmp_path / "b.txt"))
+    code, out, _ = run_cli(capsys, "geodesic", *paths, "--steps", "6")
+    assert code == 0
+    results = json.loads(out)["results"]
+    ca, cb = _load_matrices(*paths)
+    grid = np.linspace(0.0, 1.0, 6)
+    points = [exp_map(ca, float(t) * log_map(ca, cb)) for t in grid]
+    dist = procrustes_distance(ca, cb)
+    expected = [
+        [float(grid[i]), float(grid[j]), abs(procrustes_distance(points[i], points[j]) - (grid[j] - grid[i]) * dist)]
+        for i in range(6)
+        for j in range(i + 1, 6)
+    ]
+    assert results["speed_table"] == expected
+    assert results["max_speed_deviation"] == max(row[2] for row in expected)
+    assert results["points"] == [p.mat.tolist() for p in points]
+    assert [numerical_rank(p) for p in points] == ranks
+
+
 def test_mean_gpa_makes_no_alignment_svd(tmp_path, capsys, monkeypatch):
     svd = np.linalg.svd
     calls = []
@@ -602,6 +660,24 @@ def test_project_rejects_ambiguous_inputs(tmp_path, capsys):
     assert code == 2 and "exactly one" in err
     code, _, err = run_cli(capsys, "simulate", "project")
     assert code == 2 and "exactly one" in err
+
+
+@pytest.mark.parametrize("manifest", [False, True])
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        ("2,1", "ranks must be strictly increasing"),
+        ("2,2", "ranks must be strictly increasing"),
+        ("0,1", "ranks must lie in 1..3"),
+        ("1,4", "ranks must lie in 1..3"),
+    ],
+)
+def test_project_checks_ranks_alike_in_both_modes(tmp_path, capsys, manifest, ranks, message):
+    mats = [np.diag([4.0, 1.0, 0.25]), np.diag([9.0, 4.0, 1.0])]
+    write_matrix(tmp_path / "c.txt", mats[0])
+    source = ["--manifest", write_family(tmp_path, mats)] if manifest else [str(tmp_path / "c.txt")]
+    code, out, err = run_cli(capsys, "simulate", "project", *source, "--ranks", ranks)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("ranks, message", [("x", "cannot parse ranks 'x'"), (",", "ranks list is empty")])

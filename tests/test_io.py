@@ -3,8 +3,11 @@ import math
 import os
 from decimal import Decimal
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bwgeom.io as bwgeom_io
 from bwgeom import DimMismatchError, MatrixParseError
@@ -288,7 +291,12 @@ def test_render_report_arrays_match_their_lists(rng):
 
 
 def kernel_texts(x):
-    return bwgeom_io._texts(np.asarray(x, dtype=np.float64))
+    """The entries of a vector as the array path of render_report writes them:
+    the text between its opening and closing brackets, split at each
+    separator, so a stray byte in any entry's text shows in that entry."""
+    head, body, tail = bwgeom_io._float_pieces(np.asarray(x, dtype=np.float64).ravel(), 0)
+    assert (head, tail) == ("[\n  ", "\n]")
+    return body.split(",\n  ")
 
 
 def percent_texts(x):
@@ -412,3 +420,45 @@ def test_write_matrix_mirrors_the_upper_triangle_text(tmp_path):
     p = tmp_path / "m.txt"
     write_matrix(p, a)
     assert p.read_bytes() == ((",".join(["0.5"] * 30) + "\n") * 30).encode("utf-8")
+
+
+def _report(value):
+    return {"command": "demo", "inputs": {}, "results": {"a": value}, "diagnostics": {"n": [value]}, "version": "0"}
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(301,), (1, 400), (400, 1), (20, 16), (1, 1, 350), (350, 1, 1), (7, 1, 50), (11, 10, 10)],
+)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+def test_render_report_arrays_above_the_crossover_match_their_lists(rng, shape, dtype):
+    # Magnitudes inside and outside the kernel's fast range, finite in float16 too.
+    top = 4 if dtype is np.float16 else 20
+    a = (rng.standard_normal(shape) * 10.0 ** rng.integers(-8, top, size=shape)).astype(dtype)
+    assert a.size > bwgeom_io._CROSSOVER
+    assert render_report(_report(a)) == render_report(_report(a.tolist()))
+
+
+def test_render_report_stack_matches_the_list_of_its_matrices(rng):
+    # The geodesic's points: a (steps, d, d) stack renders as its matrices.
+    stack = rng.standard_normal((11, 10, 10))
+    assert render_report(_report(stack)) == render_report(_report(list(stack)))
+    assert render_report(_report(stack)) == render_report(_report(stack.tolist()))
+
+
+@st.composite
+def _float_arrays(draw, dtype):
+    """Arrays of one to three axes and 1 to 2 * _CROSSOVER finite entries."""
+    inner = draw(st.lists(st.integers(1, 12), max_size=2))
+    size = draw(st.integers(1, 2 * bwgeom_io._CROSSOVER))
+    shape = (max(1, size // math.prod(inner)), *inner)
+    width = np.dtype(dtype).itemsize * 8
+    return draw(hnp.arrays(dtype, shape, elements=st.floats(allow_nan=False, allow_infinity=False, width=width)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(data=st.data())
+def test_render_report_arrays_match_their_lists_on_any_shape(dtype, data):
+    a = data.draw(_float_arrays(dtype))
+    assert render_report(_report(a)) == render_report(_report(a.tolist()))
