@@ -73,7 +73,9 @@ class MeanResult:
     (one entry per step); the descent solver's trace sequence is
     non-decreasing while its functional sequence, starting point included, is
     non-increasing.  On a deflated (common-kernel) run the minimum eigenvalues
-    are measured on the reduced problem.
+    are measured on the reduced problem.  ``product_roots`` is the read-only
+    (n, d, d) stack ``(M^{1/2} S_i M^{1/2})^{1/2}`` at the mean M, or None when
+    the run was deflated or M is rank-deficient at the solver's ``rank_tol``.
     """
 
     mean: Covariance
@@ -84,6 +86,7 @@ class MeanResult:
     min_eig_of_iterates: np.ndarray
     converged: bool
     algorithm: str
+    product_roots: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,7 @@ class _Evaluation:
     ``C_i = Q^T S_i Q``: no root of a rounding-level eigenvalue enters.
     """
 
-    __slots__ = ("point", "functional", "gbar", "residual")
+    __slots__ = ("point", "functional", "gbar", "residual", "gs")
 
     def __init__(self, point: Covariance, fam: _Family, rank_tol=None):
         r = numerical_rank(point, rank_tol)
@@ -210,7 +213,7 @@ class _Evaluation:
             for i, m in enumerate(fam.members):
                 gs[i] = q @ product_root(root, cov_from_product(q.T @ m.mat @ q), rank_tol) @ q.T
         d2 = point.trace + fam.mats.trace(axis1=1, axis2=2) - 2.0 * gs.trace(axis1=1, axis2=2)
-        self.point = point
+        self.point, self.gs = point, readonly(gs) if r == point.dim else None
         self.functional = float(np.cumsum(np.maximum(0.0, d2))[-1]) / (2.0 * len(gs))
         self.gbar = np.add.accumulate(gs)[-1] / len(gs)
         self.residual = trace_norm(point.mat - self.gbar)
@@ -219,10 +222,10 @@ class _Evaluation:
 def _result(evals: list[_Evaluation], finish, converged: bool, algorithm: str) -> MeanResult:
     """Diagnostics from the evaluations, starting point first; the mean is
     ``finish`` applied to the last evaluated point."""
-    produced = [e.point for e in evals[1:]]
+    produced, mean = [e.point for e in evals[1:]], finish(evals[-1].point)
     freeze = lambda xs: np.asarray(xs, dtype=np.float64)
     return MeanResult(
-        mean=finish(evals[-1].point),
+        mean=mean,
         iterations=len(evals) - 1,
         functional_trace=freeze([e.functional for e in evals]),
         residual_trace=freeze([e.residual for e in evals]),
@@ -230,6 +233,7 @@ def _result(evals: list[_Evaluation], finish, converged: bool, algorithm: str) -
         min_eig_of_iterates=freeze([float(p.spectrum.values[-1]) for p in produced]),
         converged=converged,
         algorithm=algorithm,
+        product_roots=evals[-1].gs if mean is evals[-1].point else None,
     )
 
 
@@ -277,6 +281,7 @@ def _solve(family, cfg: MeanConfig, rank_tol, start, algorithm: str) -> MeanResu
             # The step no longer lowers the functional: evaluation roundoff
             # dominates and the residual already certifies the current iterate.
             return _result(evals, finish, True, algorithm)
+        prev.gs = None  # only the newest accepted point keeps its roots
         evals.append(cand)
         settled = 0.0 <= improvement <= cfg.rel_tol * max(prev.functional, cand.functional, 1e-30)
         if certified(cand, cfg.rel_tol) or (settled and certified(cand, res_cert)):

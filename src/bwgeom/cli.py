@@ -39,7 +39,8 @@ from .barycenter import (
     multicoupling,
     multicoupling_cost,
 )
-from .bures import optimal_map, pairwise_distances, procrustes_distance, procrustes_distance_via_alignment
+from .bures import optimal_map, pairwise_distances, transport_matrix
+from .bures import procrustes_distance, procrustes_distance_via_alignment
 from .errors import BwGeomError, MatrixParseError, MaxIterExceeded, NotPSDError, OutOfRangeError
 from .geometry import exp_map, log_map
 from .io import Manifest, load_family, read_manifest, render_report, write_manifest, write_matrix
@@ -215,7 +216,8 @@ def load_pca(args):
 
 def cmd_pca(args, covs, k, res):
     """tangent PCA of a manifest at its Frechet mean"""
-    lifted = lift(covs, res.mean, args.rank_tol)
+    roots, tol, eye = res.product_roots, args.rank_tol, np.eye(res.mean.dim)
+    lifted = lift(covs, res.mean, tol) if roots is None else transport_matrix(res.mean, roots, tol) - eye
     pca = tangent_pca(lifted, res.mean, k)
     components = {f"component_{i + 1:02d}.txt": comp for i, comp in enumerate(pca.components)}
     results = {

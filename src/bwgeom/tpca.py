@@ -151,8 +151,7 @@ def reconstruction_errors(mean, pca: PcaResult, family, rank_tol: float | None =
     for i, member in enumerate(members):
         b[0] = pca.mean_direction
         np.multiply(pca.scores[i, :, None, None], pca.components, out=b[1:])
-        for j in range(1, k + 1):
-            b[j] += b[j - 1]
+        np.cumsum(b, axis=0, out=b)
         b += np.eye(c.dim)
         bm = b @ c.mat
         cross = _cross_trace(_range_factor(member, numerical_rank(member)), bm @ b)

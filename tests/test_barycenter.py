@@ -26,7 +26,7 @@ from bwgeom import (
     validate_psd,
 )
 from bwgeom.barycenter import RESIDUAL_CERT, _Evaluation, _Family
-from bwgeom.bures import product_root
+from bwgeom.bures import product_root, transport_matrix
 from bwgeom.spectral import trace_norm
 
 from conftest import loop_evaluation, make_psd_rank, make_spd
@@ -162,6 +162,37 @@ def test_mean_all_singular_members_converges_or_stops(rng):
         assert res.converged
         assert fixed_point_residual(res.mean, fam) <= 1e-5 * (1.0 + res.mean.trace)
     assert hits > 0
+
+
+@pytest.mark.parametrize("solver", [mean_fixed_point, mean_procrustes_averaging])
+@pytest.mark.parametrize("ranks", [[5, 5, 5, 5], [5, 2, 3, 2]], ids=["full", "mixed"])
+@pytest.mark.parametrize("rank_tol", [None, 1e-10])
+def test_product_roots_give_the_optimal_maps_bit_for_bit(rng, solver, ranks, rank_tol):
+    # "mixed": a full-rank mean whose rank-deficient members take the
+    # evaluation's factor path.  The capped run keeps the roots of its last iterate.
+    family = [make_spd(5, rng) if r == 5 else make_psd_rank(5, r, rng) for r in ranks]
+    for cfg in (MeanConfig(), MeanConfig(max_iter=1, rel_tol=1e-13)):
+        try:
+            res = solver(family, cfg, rank_tol)
+        except MaxIterExceeded as err:
+            res = err.result
+        roots = res.product_roots
+        assert roots.shape == (4, 5, 5) and not roots.flags.writeable
+        maps = np.stack([optimal_map(res.mean, m, rank_tol) for m in family])
+        assert np.array_equal(transport_matrix(res.mean, roots, rank_tol), maps)
+
+
+def test_product_roots_are_none_when_deflated_or_rank_deficient(rng):
+    p = np.zeros((5, 5))
+    p[:3, :3] = np.eye(3)
+    common_kernel = [p @ np.asarray(make_spd(5, rng)) @ p for _ in range(3)]
+    for solver in (mean_fixed_point, mean_procrustes_averaging):
+        assert solver(common_kernel).product_roots is None
+        assert solver(common_kernel_family(1)).product_roots is None
+        # The zero family is not deflated: its mean, of rank 0, is the start.
+        assert solver([np.zeros((3, 3))] * 2).product_roots is None
+    family = [make_spd(4, rng) for _ in range(3)]
+    assert _Evaluation(make_psd_rank(4, 2, rng), _Family(family)).gs is None
 
 
 def test_mean_deflates_common_kernel(rng):

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import re
@@ -209,7 +210,8 @@ def test_geodesic_speed_table_is_flat(tmp_path, capsys):
     assert doc["diagnostics"]["endpoint_gap"] <= 1e-12
 
 
-def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monkeypatch):
+def count_optimal_map_calls(monkeypatch) -> list:
+    """Calls to ``optimal_map``, rebound in every module that imported it so no call escapes the count."""
     from bwgeom.bures import optimal_map
 
     calls = []
@@ -218,10 +220,14 @@ def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monk
         calls.append(args)
         return optimal_map(*args, **kwargs)
 
-    # Rebind the name in every module that imported it, so no call escapes the count.
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("bwgeom") and hasattr(module, "optimal_map"):
             monkeypatch.setattr(module, "optimal_map", counted)
+    return calls
+
+
+def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monkeypatch):
+    calls = count_optimal_map_calls(monkeypatch)
     rng = np.random.default_rng(3)
     for name in ("a.txt", "b.txt"):
         x = rng.standard_normal((4, 4))
@@ -232,6 +238,42 @@ def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monk
     assert code == 0
     assert len(json.loads(out)["results"]["points"]) == 11
     assert len(calls) == 1
+
+
+def _pca_outputs(tmp_path, capsys, argv, name):
+    """Exit code, stdout and written files of ``pca`` into ``tmp_path / name``."""
+    code, out, _ = run_cli(capsys, "pca", *argv, "--output", str(tmp_path / name))
+    files = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+    return code, out.replace(str(tmp_path / name), "OUT"), files
+
+
+@pytest.mark.parametrize("flag", [[], ["--rank-tol", "1e-10"]])
+def test_pca_command_lifts_from_the_solves_product_roots(tmp_path, capsys, monkeypatch, flag):
+    import bwgeom.cli
+
+    rng = np.random.default_rng(5)
+    manifest = write_family(tmp_path, [x @ x.T + np.eye(3) for x in rng.standard_normal((6, 3, 3))])
+    calls = count_optimal_map_calls(monkeypatch)
+    roots = _pca_outputs(tmp_path, capsys, [manifest, *flag], "roots")
+    assert roots[0] == 0 and calls == []
+    # Without the roots pca lifts through multicoupling, one map per member,
+    # and reports and writes the same bytes.
+    solve = bwgeom.cli._solve_mean
+    monkeypatch.setattr(
+        bwgeom.cli, "_solve_mean", lambda *a: dataclasses.replace(solve(*a), product_roots=None)
+    )
+    assert _pca_outputs(tmp_path, capsys, [manifest, *flag], "lift") == roots
+    assert len(calls) == 6
+
+
+def test_pca_command_on_a_common_kernel_lifts_through_the_maps(tmp_path, capsys, monkeypatch):
+    # The run is deflated, so the solve returns no roots and lift computes each map.
+    p = np.diag([1.0, 1.0, 0.0])
+    rng = np.random.default_rng(5)
+    manifest = write_family(tmp_path, [p @ (x @ x.T + np.eye(3)) @ p for x in rng.standard_normal((4, 3, 3))])
+    calls = count_optimal_map_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, "pca", manifest, "--output", str(tmp_path / "pca"))
+    assert code == 0 and len(calls) == 4
 
 
 def test_geodesic_command_solves_one_cross_trace_stack_per_grid_point(tmp_path, capsys, monkeypatch):
