@@ -39,6 +39,7 @@ from .spectral import (
 
 # Residual certificate required of a converged mean, relative to its trace.
 RESIDUAL_CERT = 1e-6
+_TILE = 64  # Rows per tile of the joint covariance; 64 keeps the dense product's bits on OpenBLAS.
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,9 @@ class JointCovariance:
     ``F mean F^T`` with ``F`` the ``maps`` stacked into an (n d) x d matrix.
     Only the mean and the (n, d, d) maps are stored; block (i, j) is
     ``t_i mean t_j``, the diagonal blocks are the family members and the full
-    (n d) x (n d) matrix is PSD of rank at most d.
+    (n d) x (n d) matrix is PSD of rank at most d.  It is formed only by the
+    row tiles of ``upper_tiles``: ``io.write_matrix`` streams them to a file,
+    ``full()`` mirrors their upper triangle.
     """
 
     mean: Covariance
@@ -115,9 +118,21 @@ class JointCovariance:
     def block(self, i: int, j: int) -> np.ndarray:
         return self.maps[i] @ self.mean.mat @ self.maps[j]
 
-    def full(self) -> np.ndarray:
+    def upper_tiles(self):
+        """``symmetrize(F mean F^T)`` by ``_TILE`` rows R = [r0, r0 + _TILE), as pairs
+        ``(r0, (FM[R] F[r0:]^T + F[R] FM[r0:]^T) / 2)`` with ``FM = F mean``."""
         f = self.maps.reshape(self.n * self.dim, self.dim)
-        return symmetrize(f @ self.mean.mat @ f.T)
+        fm = f @ self.mean.mat
+        for r0 in range(0, len(f), _TILE):
+            t = fm[r0 : r0 + _TILE] @ f[r0:].T
+            t += f[r0 : r0 + _TILE] @ fm[r0:].T
+            yield r0, 0.5 * t
+
+    def full(self) -> np.ndarray:
+        out = np.empty((self.n * self.dim,) * 2)
+        for r0, t in self.upper_tiles():
+            out[r0 : r0 + len(t), r0:] = t
+        return np.where(np.tri(len(out), dtype=bool), out.T, out)
 
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue of ``full()``, whose nonzero spectrum is that of

@@ -110,8 +110,8 @@ def _family_files(mats) -> dict:
 
 
 def _write(output: str, files: dict, results: dict) -> None:
-    """The write phase: write ``files`` (file name -> matrix, or a manifest's name -> the
-    member files it lists) into ``output``, and turn the file names of the ``*_file`` and
+    """The write phase: write ``files`` (file name -> matrix or joint covariance, or a manifest's
+    name -> the member files it lists) into ``output``, and turn the file names of the ``*_file`` and
     ``*_files`` results into paths.  An output that cannot be written is a ``MatrixParseError``."""
     path = output
     try:
@@ -255,7 +255,7 @@ def cmd_multicouple(args, covs, res):
         ],
         "rank_tol": args.rank_tol,
     }
-    return results, diagnostics, {"multicoupling.txt": joint.full()}
+    return results, diagnostics, {"multicoupling.txt": joint}
 
 
 def _random_template(dim: int, seed: int) -> Covariance:

@@ -4,11 +4,13 @@ Matrix files are plain text: one row per line, comma-separated decimals,
 ``#`` starts a comment.  Files written here use 17 significant digits, so
 every matrix the tool writes re-parses to bit-identical doubles.  The writer
 accepts only what the reader accepts back: a nonempty, finite, square matrix,
-symmetric to within ``SYMMETRY_RTOL``.  It formats the upper triangle once
-into a table of fixed-width cells and gathers each line from the cells of its
-entries, mirrored below the diagonal.  Reports are JSON documents with sorted
-keys and the same fixed float formatting, collected as a list of pieces and
-joined once, making byte-identical output a function of the inputs alone.
+symmetric to within ``SYMMETRY_RTOL``, or a ``JointCovariance``.  It formats
+the upper triangle once, by row tiles, into a table of fixed-width cells and
+gathers each line from the cells of its entries, mirrored below the diagonal;
+a joint's tiles come from its factor, so the cell table alone sets the peak
+memory.  Reports are JSON documents with sorted keys and the same fixed float
+formatting, collected as a list of pieces and joined once, making
+byte-identical output a function of the inputs alone.
 
 Float arrays in files and reports are formatted by one numpy kernel that gives
 exactly the text of ``FLOAT_FORMAT % x`` for each entry.  In its fast range,
@@ -30,7 +32,7 @@ import functools
 import json
 import math
 import os
-import tempfile
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,16 +134,15 @@ def format_float(x: float) -> str:
 
 
 def _atomic_write(path, chunks) -> None:
-    """Write the text chunks to a temp file beside ``path``, then rename it."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".bwgeom-", suffix=".tmp")
+    """Write the text chunks to a new file beside ``path``, its mode set by the umask, then rename it."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".bwgeom-{secrets.token_hex(8)}.tmp")
+    f = open(tmp, "x", encoding="utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
+        with f:
             f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -293,45 +294,43 @@ def _format_cells(x: np.ndarray, out: np.ndarray) -> None:
         _cells(x[s : s + _BLOCK], out[s : s + _BLOCK])
 
 
-def _upper_index(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """Position of entry ``(min(i, j), max(i, j))`` of an n x n matrix in its
-    upper triangle in ``np.triu_indices`` order."""
-    lo = np.minimum(i, j)
-    return lo * n - lo * (lo + 1) // 2 + np.maximum(i, j)
+def _symmetric_rows(n: int, tiles):
+    """Yield the text of a symmetric n x n matrix file in blocks of whole lines.
 
-
-def _symmetric_rows(m: np.ndarray):
-    """Yield the text of a symmetric matrix file in blocks of whole lines.
-
-    The upper triangle is formatted once into a table of cells in
-    ``np.triu_indices`` order.  Line i gathers the cells of entries
-    ``(min(i, j), max(i, j))``, so entry (j, i) below the diagonal repeats the
-    text of (i, j).
+    ``tiles`` are pairs ``(r0, t)``, t the next rows from column r0 on.  Their
+    upper triangles, checked to be finite, are formatted into a table of cells
+    in ``np.triu_indices`` order: (i, j), i <= j, is cell ``start[i] + j``.
+    Line i gathers the cells of entries ``(min(i, j), max(i, j))``, so entry
+    (j, i) below the diagonal repeats the text of (i, j).
     """
-    n = m.shape[0]
     cols = np.arange(n)
+    start = cols * n - cols * (cols + 1) // 2
     table = np.empty((n * (n + 1) // 2, _CELL), np.uint8)
     table[:, -1] = ord(",")
-    _format_cells(m[cols[:, None] <= cols], table)
+    for r0, t in tiles:
+        upper = t[cols[: len(t), None] <= cols[: n - r0]]
+        if not np.isfinite(upper).all():
+            raise ValueError("cannot write a matrix with non-finite entries")
+        _format_cells(upper, table[start[r0] + r0 :][: upper.size])
     cells = table.view(f"V{_CELL}").ravel()
     step = max(1, _BLOCK // n)
-    for r0 in range(0, n, step):
-        lines = np.take(cells, _upper_index(cols[r0 : r0 + step, None], cols, n))
+    for i in np.split(cols[:, None], range(step, n, step)):
+        lines = np.take(cells, start[np.minimum(i, cols)] + np.maximum(i, cols))
         lines = lines.view(np.uint8).reshape(-1, n, _CELL)
         lines[:, -1, -1] = ord("\n")
-        text = lines.tobytes()
-        del lines
-        yield text.translate(None, _PADDING).decode("ascii")
+        yield lines.tobytes().translate(None, _PADDING).decode("ascii")
 
 
 def write_matrix(path, a) -> None:
     """Write a symmetric matrix file atomically (temp file plus rename).
 
-    Raises ``ValueError`` for what ``read_matrix`` would refuse: an empty or
-    non-square array, non-finite entries, or asymmetry beyond
-    ``SYMMETRY_RTOL``.  Within that
-    tolerance the upper triangle is written and mirrored.
+    ``a`` is a square array or a ``JointCovariance``, written from its
+    ``upper_tiles``.  Raises ``ValueError`` for what ``read_matrix`` would
+    refuse: an empty or non-square array, non-finite entries, or asymmetry
+    beyond ``SYMMETRY_RTOL``, within which the upper triangle is mirrored.
     """
+    if hasattr(a, "upper_tiles"):
+        return _atomic_write(path, _symmetric_rows(a.n * a.dim, a.upper_tiles()))
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
         raise ValueError(f"cannot write a {m.shape} array as a matrix file: expected nonempty square")
@@ -344,7 +343,8 @@ def write_matrix(path, a) -> None:
             f"cannot write an asymmetric matrix: ({i + 1}, {j + 1}) is "
             f"{float(m[i, j])!r} vs {float(m[j, i])!r}"
         )
-    _atomic_write(path, _symmetric_rows(m))
+    step = max(1, _BLOCK // len(m))
+    _atomic_write(path, _symmetric_rows(len(m), ((r, m[r : r + step, r:]) for r in range(0, len(m), step))))
 
 
 @dataclass(frozen=True)

@@ -464,7 +464,8 @@ def _pairwise_trace_cost(full, n, d):
     return total / (2.0 * n * n)
 
 
-@pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (4, 5), (7, 3)])
+# (13, 7) spans two row tiles of the joint.
+@pytest.mark.parametrize("n, d", [(1, 3), (2, 2), (4, 5), (7, 3), (13, 7)])
 def test_joint_covariance_matches_blockwise_reference(rng, n, d):
     fam = [make_spd(d, rng) for _ in range(n)]
     mean = mean_fixed_point(fam).mean

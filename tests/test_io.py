@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 from decimal import Decimal
 
 import hypothesis.extra.numpy as hnp
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bwgeom.barycenter as bwgeom_barycenter
 import bwgeom.io as bwgeom_io
-from bwgeom import DimMismatchError, MatrixParseError
+from bwgeom import DimMismatchError, MatrixParseError, validate_psd
+from bwgeom.barycenter import JointCovariance
 from bwgeom.io import (
     FLOAT_FORMAT,
     Manifest,
@@ -420,6 +423,62 @@ def test_write_matrix_mirrors_the_upper_triangle_text(tmp_path):
     p = tmp_path / "m.txt"
     write_matrix(p, a)
     assert p.read_bytes() == ((",".join(["0.5"] * 30) + "\n") * 30).encode("utf-8")
+
+
+def synthetic_joint(n, d, rng):
+    """A joint covariance of n random maps of dimension d about a random mean."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    mean = validate_psd((q * rng.uniform(0.5, 2.0, size=d)) @ q.T)
+    return JointCovariance(mean=mean, maps=np.eye(d) + 0.3 * rng.standard_normal((n, d, d)))
+
+
+# n * d below one 64-row tile, equal to it, one past it and not a multiple of it.
+@pytest.mark.parametrize("n, d", [(5, 3), (8, 8), (13, 5), (13, 7)])
+@pytest.mark.parametrize("tile", [1, 3, None])
+def test_joint_file_is_the_file_of_its_full_matrix(tmp_path, rng, monkeypatch, n, d, tile):
+    if tile is not None:
+        monkeypatch.setattr(bwgeom_barycenter, "_TILE", tile)
+    joint = synthetic_joint(n, d, rng)
+    p, q = tmp_path / "joint.txt", tmp_path / "full.txt"
+    write_matrix(p, joint)
+    write_matrix(q, joint.full())
+    assert p.read_bytes() == q.read_bytes()
+    rows = [line.split(",") for line in p.read_text().splitlines()]
+    assert len(rows) == n * d and rows == [list(col) for col in zip(*rows)]
+
+
+def test_joint_with_a_non_finite_entry_is_refused(tmp_path, rng):
+    joint = synthetic_joint(13, 7, rng)
+    joint.maps[-1, -1, -1] = math.nan  # only the last tile holds it
+    with pytest.raises(ValueError, match="non-finite"):
+        write_matrix(tmp_path / "joint.txt", joint)
+    assert os.listdir(tmp_path) == []
+
+
+def test_joint_file_peak_memory_is_its_cell_table(tmp_path, rng):
+    # 40 maps of dimension 30: the joint is 1200 x 1200, 11.5 MB as a dense array.
+    joint = synthetic_joint(40, 30, rng)
+    n = 1200
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "joint.txt", joint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = n * (n + 1) // 2 * bwgeom_io._CELL
+    assert peak < table + 0.75 * n * n * 8
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, mask, mode):
+    old = os.umask(mask)
+    try:
+        write_matrix(tmp_path / "m.txt", np.eye(2))
+        write_manifest(tmp_path / "manifest.json", ["m.txt"])
+    finally:
+        os.umask(old)
+    for name in ("m.txt", "manifest.json"):
+        assert os.stat(tmp_path / name).st_mode & 0o777 == mode
 
 
 def _report(value):
