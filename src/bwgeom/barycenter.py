@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bures import kernel_leaks, optimal_map, product_root, transport_matrix
+from .bures import kernel_leaks, optimal_map, product_root, rank_groups, transport_matrix
 from .errors import (
     DimMismatchError,
     EmptyFamilyError,
@@ -75,8 +75,8 @@ class MeanResult:
     non-decreasing while its functional sequence, starting point included, is
     non-increasing.  On a deflated (common-kernel) run the minimum eigenvalues
     are measured on the reduced problem.  ``product_roots`` is the read-only
-    (n, d, d) stack ``(M^{1/2} S_i M^{1/2})^{1/2}`` at the mean M, or None when
-    the run was deflated or M is rank-deficient at the solver's ``rank_tol``.
+    (n, d, d) stack ``(M^{1/2} S_i M^{1/2})^{1/2}`` at the mean M on every
+    run, lifted back to the full space on a deflated one.
     """
 
     mean: Covariance
@@ -87,7 +87,7 @@ class MeanResult:
     min_eig_of_iterates: np.ndarray
     converged: bool
     algorithm: str
-    product_roots: np.ndarray | None
+    product_roots: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,6 @@ class JointCovariance:
     def dim(self) -> int:
         return self.maps.shape[1]
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        return self.maps[i] @ self.mean.mat @ self.maps[j]
-
     def upper_tiles(self):
         """``symmetrize(F mean F^T)`` by ``_TILE`` rows R = [r0, r0 + _TILE), as pairs
         ``(r0, (FM[R] F[r0:]^T + F[R] FM[r0:]^T) / 2)`` with ``FM = F mean``."""
@@ -140,12 +137,6 @@ class JointCovariance:
         f, r = self.maps.reshape(self.n * self.dim, self.dim), sqrt_psd(self.mean)
         w = float(np.linalg.eigvalsh(symmetrize(r @ (f.T @ f) @ r))[0])
         return w if self.n == 1 else min(w, 0.0)
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """Read-only (n, n, d, d) view of ``full()``."""
-        n, d = self.n, self.dim
-        return readonly(self.full().reshape(n, d, n, d).transpose(0, 2, 1, 3))
 
 
 def coerce_family(family) -> list[Covariance]:
@@ -192,52 +183,48 @@ def fixed_point_residual(s, family) -> float:
 
 
 class _Family:
-    """Members with their (n, d, d) stack and full-rank mask at ``rank_tol``."""
+    """Members' (n, d, d) stack and their ``rank_groups`` at ``rank_tol``."""
 
     def __init__(self, members: list[Covariance], rank_tol=None):
-        self.members, self.mats = members, np.stack([m.mat for m in members])
-        self.full = np.array([numerical_rank(m, rank_tol) == m.dim for m in members])
+        self.mats, self.groups = np.stack([m.mat for m in members]), rank_groups(members, rank_tol)
 
 
 class _Evaluation:
     """A candidate mean S and the family's product roots, read from one root.
 
-    The product roots ``G_i = (S^{1/2} S_i S^{1/2})^{1/2}`` give the Frechet
-    functional from their traces, ``(1/2N) sum_i (tr S + tr S_i - 2 tr G_i)``,
-    their average ``gbar`` and the trace-norm residual ``||S - gbar||_1``,
-    summed in member order.  S is rooted on its numerical range at
-    ``rank_tol``; at a full-rank S the full-rank members' roots are one
-    stacked ``product_root``.  Otherwise, with Q a basis of that range and D
-    the roots of its eigenvalues, ``G_i = Q (D C_i D)^{1/2} Q^T`` for
-    ``C_i = Q^T S_i Q``: no root of a rounding-level eigenvalue enters.
+    The product roots ``G_i = (S^{1/2} S_i S^{1/2})^{1/2}``, the stack ``gs``,
+    give the functional ``(1/2N) sum_i (tr S + tr S_i - 2 tr G_i)``, their
+    average ``gbar`` and the residual ``||S - gbar||_1``, in member order.  At
+    a full-rank S each of the family's rank groups is one ``product_root``.
+    Otherwise, with Q a basis of the numerical range of S at ``rank_tol`` and
+    D the roots of its eigenvalues, ``G_i = Q (D C_i D)^{1/2} Q^T`` over the rank
+    groups of ``C_i = Q^T S_i Q``: no root of a rounding-level eigenvalue enters.
     """
 
     __slots__ = ("point", "functional", "gbar", "residual", "gs")
 
     def __init__(self, point: Covariance, fam: _Family, rank_tol=None):
-        r = numerical_rank(point, rank_tol)
-        gs = np.zeros((len(fam.members), point.dim, point.dim))
+        r, gs = numerical_rank(point, rank_tol), np.zeros(fam.mats.shape)
         if r == point.dim:
-            root = sqrt_psd(point)
-            gs[fam.full] = product_root(root, fam.mats[fam.full])
-            for i in np.flatnonzero(~fam.full):
-                gs[i] = product_root(root, fam.members[i], rank_tol)
+            for idx, stack in fam.groups:
+                gs[idx] = product_root(sqrt_psd(point), stack, rank_tol)
         elif r:
-            q = point.spectrum.vectors[:, :r]
-            root = np.diag(np.sqrt(point.spectrum.values[:r]))
-            for i, m in enumerate(fam.members):
-                gs[i] = q @ product_root(root, cov_from_product(q.T @ m.mat @ q), rank_tol) @ q.T
+            q, root = point.spectrum.vectors[:, :r], np.diag(np.sqrt(point.spectrum.values[:r]))
+            for idx, stack in rank_groups(cov_from_product(q.T @ fam.mats @ q), rank_tol):
+                gs[idx] = q @ product_root(root, stack, rank_tol) @ q.T
         d2 = point.trace + fam.mats.trace(axis1=1, axis2=2) - 2.0 * gs.trace(axis1=1, axis2=2)
-        self.point, self.gs = point, readonly(gs) if r == point.dim else None
+        self.point, self.gs = point, readonly(gs)
         self.functional = float(np.cumsum(np.maximum(0.0, d2))[-1]) / (2.0 * len(gs))
         self.gbar = np.add.accumulate(gs)[-1] / len(gs)
         self.residual = trace_norm(point.mat - self.gbar)
 
 
-def _result(evals: list[_Evaluation], finish, converged: bool, algorithm: str) -> MeanResult:
-    """Diagnostics from the evaluations, starting point first; the mean is
-    ``finish`` applied to the last evaluated point."""
-    produced, mean = [e.point for e in evals[1:]], finish(evals[-1].point)
+def _result(evals: list[_Evaluation], q, converged: bool, algorithm: str) -> MeanResult:
+    """Diagnostics from the evaluations, starting point first; the mean and its
+    roots are the last evaluation's, lifted back through a deflation's basis q."""
+    produced, mean, roots = [e.point for e in evals[1:]], evals[-1].point, evals[-1].gs
+    if q is not None:
+        mean, roots = cov_from_product(q @ mean.mat @ q.T), readonly(q @ roots @ q.T)
     freeze = lambda xs: np.asarray(xs, dtype=np.float64)
     return MeanResult(
         mean=mean,
@@ -248,7 +235,7 @@ def _result(evals: list[_Evaluation], finish, converged: bool, algorithm: str) -
         min_eig_of_iterates=freeze([float(p.spectrum.values[-1]) for p in produced]),
         converged=converged,
         algorithm=algorithm,
-        product_roots=evals[-1].gs if mean is evals[-1].point else None,
+        product_roots=roots,
     )
 
 
@@ -261,15 +248,12 @@ def _solve(family, cfg: MeanConfig, rank_tol, start, algorithm: str) -> MeanResu
     euclidean = lambda ms: sum(m.mat for m in ms) / len(ms)
     # The common kernel is read off the euclidean mean's null space; without
     # deflation that mean is also the descent's start.
-    point = cov_from_product(euclidean(members))
+    point, q = cov_from_product(euclidean(members)), None
     rank = numerical_rank(point, rank_tol)
     if 0 < rank < members[0].dim:
         q = point.spectrum.vectors[:, :rank]
-        members = [cov_from_product(q.T @ m.mat @ q) for m in members]
-        finish = lambda p: cov_from_product(q @ p.mat @ q.T)
+        members = cov_from_product(q.T @ np.stack([m.mat for m in members]) @ q)
         start = start or euclidean
-    else:
-        finish = lambda p: p
     if start:
         point = cov_from_product(start(members))
 
@@ -286,7 +270,7 @@ def _solve(family, cfg: MeanConfig, rank_tol, start, algorithm: str) -> MeanResu
     certified = lambda e, scale: e.residual <= scale * e.point.trace
     evals = [evaluate(point, 0)]
     if certified(evals[0], cfg.rel_tol):
-        return _result(evals, finish, True, algorithm)
+        return _result(evals, q, True, algorithm)
     for k in range(1, cfg.max_iter + 1):
         prev = evals[-1]
         step = transport_matrix(prev.point, prev.gbar, rank_tol)
@@ -295,13 +279,13 @@ def _solve(family, cfg: MeanConfig, rank_tol, start, algorithm: str) -> MeanResu
         if improvement < 0.0 and certified(prev, res_cert):
             # The step no longer lowers the functional: evaluation roundoff
             # dominates and the residual already certifies the current iterate.
-            return _result(evals, finish, True, algorithm)
+            return _result(evals, q, True, algorithm)
         prev.gs = None  # only the newest accepted point keeps its roots
         evals.append(cand)
         settled = 0.0 <= improvement <= cfg.rel_tol * max(prev.functional, cand.functional, 1e-30)
         if certified(cand, cfg.rel_tol) or (settled and certified(cand, res_cert)):
-            return _result(evals, finish, True, algorithm)
-    raise MaxIterExceeded(_result(evals, finish, False, algorithm))
+            return _result(evals, q, True, algorithm)
+    raise MaxIterExceeded(_result(evals, q, False, algorithm))
 
 
 def mean_fixed_point(family, cfg: MeanConfig | None = None, rank_tol: float | None = None) -> MeanResult:

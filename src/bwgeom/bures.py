@@ -163,22 +163,36 @@ def kernel_condition(s1, s2, rank_tol: float | None = None) -> bool:
     return not kernel_leaks(kernel, b.mat, rank_tol)
 
 
-def product_root(root: np.ndarray, target, rank_tol: float | None = None) -> np.ndarray:
-    """``(R S R)^{1/2}`` for symmetric ``R = root`` and PSD ``S = target``, or a stack of full-rank S.
+def _operand(c: Covariance, rank_tol: float | None = None) -> np.ndarray:
+    """``product_root``'s operand: the target's matrix at full rank, else its exact-rank factor (d, r)."""
+    r = numerical_rank(c, rank_tol)
+    return c.mat if r == c.dim else _range_factor(c, r)
 
-    The product is PSD in exact arithmetic, so rounding negatives are clamped.
-    A rank-deficient target is evaluated through its exact-rank factor L
-    (S = L L^T): with B = R L, ``(B B^T)^{1/2} = B (B^T B)^{-1/2} B^T``, which
-    avoids square roots of the spurious near-zero eigenvalues of R S R.
-    """
-    r = numerical_rank(target, rank_tol) if isinstance(target, Covariance) else len(root)
-    if r == 0:
-        return np.zeros_like(root)
-    if r == len(root):
-        spec = sym_eigen(root @ np.asarray(target) @ root)
+
+def rank_groups(members: list[Covariance], rank_tol: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Members of equal numerical rank r, highest r first, as ``(positions, stack)``
+    pairs; the stack holds their ``_operand`` (k, d, r) for ``product_root``."""
+    ops = [_operand(m, rank_tol) for m in members]
+    ranks = [x.shape[1] for x in ops]
+    groups = [np.flatnonzero(np.equal(ranks, r)) for r in sorted(set(ranks), reverse=True)]
+    return [(idx, np.stack([ops[i] for i in idx])) for idx in groups]
+
+
+def product_root(root: np.ndarray, stack: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
+    """``(R S R)^{1/2}`` for symmetric ``R = root`` and the PSD S of an ``_operand``,
+    or of each of a ``rank_groups`` stack with one ``sym_eigen``.  Rounding
+    negatives are clamped.  Below full rank, with B = R L for the factor L of
+    S = L L^T, ``B (B^T B)^{-1/2} B^T`` avoids roots of the spurious near-zero
+    eigenvalues of R S R; rank 0 gives 0."""
+    d, r = stack.shape[-2:]
+    if r == d:
+        spec = sym_eigen(root @ stack @ root)
         return from_spectrum(spec.vectors, np.sqrt(np.maximum(spec.values, 0.0)))
-    b = root @ _range_factor(target, r)
-    return symmetrize(b @ pinv_sqrt(cov_from_product(b.T @ b), rank_tol) @ b.T)
+    if r == 0:
+        return np.zeros(stack.shape[:-1] + (d,))
+    b = root @ stack.reshape(-1, d, r)
+    inv = np.stack([pinv_sqrt(c, rank_tol) for c in cov_from_product(b.swapaxes(-1, -2) @ b)])
+    return symmetrize(b @ inv @ b.swapaxes(-1, -2)).reshape(stack.shape[:-1] + (d,))
 
 
 def transport_matrix(source: Covariance, mid: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
@@ -204,5 +218,5 @@ def optimal_map(s1, s2, rank_tol: float | None = None) -> np.ndarray:
         raise KernelConditionError(
             "kernel of the source covariance is not contained in the kernel of the target"
         )
-    mid = product_root(sqrt_psd(a), b, rank_tol)
+    mid = product_root(sqrt_psd(a), _operand(b, rank_tol), rank_tol)
     return readonly(transport_matrix(a, mid, rank_tol))

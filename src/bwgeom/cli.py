@@ -57,7 +57,7 @@ from .simulate import (
     projection_stability_experiment,
 )
 from .spectral import Covariance, _condition, cov_from_product, from_spectrum, validate_psd
-from .tpca import lift, reconstruction_errors, tangent_pca
+from .tpca import reconstruction_errors, tangent_pca
 
 
 def _validated(names, mats) -> list[Covariance]:
@@ -216,8 +216,7 @@ def load_pca(args):
 
 def cmd_pca(args, covs, k, res):
     """tangent PCA of a manifest at its Frechet mean"""
-    roots, tol, eye = res.product_roots, args.rank_tol, np.eye(res.mean.dim)
-    lifted = lift(covs, res.mean, tol) if roots is None else transport_matrix(res.mean, roots, tol) - eye
+    lifted = transport_matrix(res.mean, res.product_roots, args.rank_tol) - np.eye(res.mean.dim)
     pca = tangent_pca(lifted, res.mean, k)
     components = {f"component_{i + 1:02d}.txt": comp for i, comp in enumerate(pca.components)}
     results = {

@@ -174,7 +174,7 @@ def projection_stability_experiment(
     for r in ranks:
         try:
             q = q_full[:, :r]
-            sub = [cov_from_product(q.T @ m.mat @ q) for m in members]
+            sub = cov_from_product(q.T @ np.stack([m.mat for m in members]) @ q)
             res = mean_fixed_point(sub, cfg)
             mean_gap.append(trace_norm(q @ res.mean.mat @ q.T - full.mean.mat))
             pair_sub = pairwise_distances(sub)

@@ -4,9 +4,9 @@ Public functions accept plain arrays or ``Covariance`` instances; input is
 coerced to float64 and symmetrized on entry.  Only a covariance carries more
 than its entries (its cached spectrum): roots, transport maps and tangent
 directions are read-only, exactly symmetric float64 arrays, and a family of
-them is one read-only (n, d, d) stack.  ``sym_eigen``, ``from_spectrum`` and
-``validate_psd`` take such a stack in one LAPACK call, each matrix bit for bit
-as alone: a mean solver's evaluation is one stacked eigendecomposition.
+them is one read-only (n, d, d) stack.  ``sym_eigen``, ``from_spectrum``,
+``validate_psd`` and ``cov_from_product`` take such a stack in one LAPACK call,
+each matrix bit for bit as alone: one per rank group in a mean's evaluation.
 
 One rank rule serves the whole package: the numerical kernel of a covariance
 is spanned by the eigenvectors whose eigenvalues are at or below
@@ -227,12 +227,15 @@ def cov_from_product(a) -> Covariance:
 
     Products such as ``R @ S @ R`` (R symmetric, S PSD) can have negative
     eigenvalues only through rounding, so they are clamped without a
-    tolerance gate and the matrix is rebuilt from the clamped spectrum; the
-    result is PSD by construction.
+    tolerance gate and the matrix is rebuilt from the clamped spectrum.  A
+    stack (n, d, d) gives a list of n covariances, like ``validate_psd``.
     """
     spec = sym_eigen(a)
     w = readonly(np.maximum(spec.values, 0.0))
-    return Covariance(readonly(from_spectrum(spec.vectors, w)), Spectrum(w, spec.vectors))
+    mats = readonly(from_spectrum(spec.vectors, w))
+    if w.ndim == 1:
+        return Covariance(mats, Spectrum(w, spec.vectors))
+    return [Covariance(m, Spectrum(*x)) for m, x in zip(mats, zip(w, spec.vectors))]
 
 
 def trace_norm(a) -> float:

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from bwgeom import sqrt_psd, validate_psd
-from bwgeom.bures import product_root
-from bwgeom.spectral import EPS, _condition, cov_from_product, numerical_rank, trace_norm
+from bwgeom.spectral import (
+    EPS,
+    _condition,
+    cov_from_product,
+    from_spectrum,
+    numerical_rank,
+    pinv_sqrt,
+    sym_eigen,
+    symmetrize,
+    trace_norm,
+)
 
 
 def make_spd(d, rng, scale=1.0):
@@ -39,18 +48,29 @@ def eigvalsh_cone_test(base, b, rank_tol=None):
 
 def loop_evaluation(point, members, rank_tol=None):
     """Reference for ``barycenter._Evaluation``: the functional, ``gbar`` and
-    residual at ``point`` from one ``product_root`` per member, summed in a
-    loop, as evaluated before the members were stacked."""
+    residual at ``point`` from a product root spelled out per member, summed
+    in a loop, as evaluated before the members were grouped by rank."""
+
+    def product_root(root, m):
+        r = numerical_rank(m, rank_tol)
+        if r == 0:
+            return np.zeros_like(root)
+        if r == m.dim:
+            spec = sym_eigen(root @ m.mat @ root)
+            return from_spectrum(spec.vectors, np.sqrt(np.maximum(spec.values, 0.0)))
+        b = root @ (m.spectrum.vectors[:, :r] * np.sqrt(m.spectrum.values[:r]))
+        return symmetrize(b @ pinv_sqrt(cov_from_product(b.T @ b), rank_tol) @ b.T)
+
     r = numerical_rank(point, rank_tol)
     if r == point.dim:
         root = sqrt_psd(point)
-        product = lambda m: product_root(root, m, rank_tol)
+        product = lambda m: product_root(root, m)
     elif r == 0:
         product = lambda m: np.zeros_like(point.mat)
     else:
         q = point.spectrum.vectors[:, :r]
         root = np.diag(np.sqrt(point.spectrum.values[:r]))
-        product = lambda m: q @ product_root(root, cov_from_product(q.T @ m.mat @ q), rank_tol) @ q.T
+        product = lambda m: q @ product_root(root, cov_from_product(q.T @ m.mat @ q)) @ q.T
     f, gsum = 0.0, np.zeros_like(point.mat)
     for m in members:
         g = product(m)

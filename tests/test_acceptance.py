@@ -220,9 +220,9 @@ def test_c08_multicoupling_marginals_psd_and_cost_identity():
         fam = [rand_spd(d, rng) for _ in range(n)]
         mean = mean_fixed_point(fam, MeanConfig(max_iter=1000, rel_tol=1e-12)).mean
         joint = multicoupling(mean, fam)
-        for i in range(n):
-            assert float(np.max(np.abs(joint.blocks[i, i] - fam[i]))) <= 1e-8
         full = joint.full()
+        for i in range(n):
+            assert float(np.max(np.abs(full[i * d : (i + 1) * d, i * d : (i + 1) * d] - fam[i]))) <= 1e-8
         tr_full = float(np.trace(full))
         lam_min = float(np.linalg.eigvalsh(0.5 * (full + full.T))[0])
         assert lam_min >= -1e-8 * (1.0 + tr_full)

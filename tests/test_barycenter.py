@@ -26,7 +26,7 @@ from bwgeom import (
     validate_psd,
 )
 from bwgeom.barycenter import RESIDUAL_CERT, _Evaluation, _Family
-from bwgeom.bures import product_root, transport_matrix
+from bwgeom.bures import _operand, product_root, transport_matrix
 from bwgeom.spectral import trace_norm
 
 from conftest import loop_evaluation, make_psd_rank, make_spd
@@ -182,17 +182,25 @@ def test_product_roots_give_the_optimal_maps_bit_for_bit(rng, solver, ranks, ran
         assert np.array_equal(transport_matrix(res.mean, roots, rank_tol), maps)
 
 
-def test_product_roots_are_none_when_deflated_or_rank_deficient(rng):
-    p = np.zeros((5, 5))
-    p[:3, :3] = np.eye(3)
-    common_kernel = [p @ np.asarray(make_spd(5, rng)) @ p for _ in range(3)]
-    for solver in (mean_fixed_point, mean_procrustes_averaging):
-        assert solver(common_kernel).product_roots is None
-        assert solver(common_kernel_family(1)).product_roots is None
-        # The zero family is not deflated: its mean, of rank 0, is the start.
-        assert solver([np.zeros((3, 3))] * 2).product_roots is None
-    family = [make_spd(4, rng) for _ in range(3)]
-    assert _Evaluation(make_psd_rank(4, 2, rng), _Family(family)).gs is None
+@pytest.mark.parametrize("solver", [mean_fixed_point, mean_procrustes_averaging])
+@pytest.mark.parametrize("rank_tol", [None, 1e-10])
+def test_product_roots_on_deflated_and_zero_runs(solver, rank_tol):
+    # A deflated run lifts the roots of the reduced problem back to the full space.
+    p = np.diag([1.0, 1.0, 0.0])
+    gen = np.random.default_rng(5)
+    families = [common_kernel_family(seed) for seed in range(60)]
+    families.append([p @ (x @ x.T + np.eye(3)) @ p for x in gen.standard_normal((4, 3, 3))])
+    worst = 0.0
+    for family in families:
+        res = solver(family, rank_tol=rank_tol)
+        roots = res.product_roots
+        assert roots.shape == (len(family), res.mean.dim, res.mean.dim) and not roots.flags.writeable
+        maps = np.stack([optimal_map(res.mean, m, rank_tol) for m in family])
+        worst = max(worst, np.max(np.abs(transport_matrix(res.mean, roots, rank_tol) - maps)) / np.max(np.abs(maps)))
+    assert worst <= 1e-11
+    # The zero family is not deflated: its mean, of rank 0, is the start.
+    roots = solver([np.zeros((3, 3))] * 2, rank_tol=rank_tol).product_roots
+    assert roots.shape == (2, 3, 3) and not roots.any() and not roots.flags.writeable
 
 
 def test_mean_deflates_common_kernel(rng):
@@ -415,7 +423,7 @@ def test_multicoupling_oracle():
     res = mean_fixed_point([A41, B14])
     joint = multicoupling(res.mean, [A41, B14])
     assert joint.n == 2 and joint.dim == 2
-    assert np.allclose(joint.block(0, 1), np.diag([2.0, 2.0]), atol=1e-8)
+    assert np.allclose(joint.maps[0] @ joint.mean.mat @ joint.maps[1], np.diag([2.0, 2.0]), atol=1e-8)
     assert multicoupling_cost(joint) == pytest.approx(0.25, abs=1e-8)
 
 
@@ -426,7 +434,7 @@ def test_multicoupling_contract(rng):
     full = joint.full()
     assert np.max(np.abs(full - full.T)) <= 1e-12
     for i, m in enumerate(fam):
-        assert np.max(np.abs(joint.block(i, i) - m.mat)) <= 1e-8 * (1.0 + m.trace)
+        assert np.max(np.abs(full[4 * i : 4 * i + 4, 4 * i : 4 * i + 4] - m.mat)) <= 1e-8 * (1.0 + m.trace)
     lam_min = float(np.linalg.eigvalsh(0.5 * (full + full.T))[0])
     assert lam_min >= -1e-8 * (1.0 + float(np.trace(full)))
     g = multicoupling_cost(joint)
@@ -476,11 +484,10 @@ def test_joint_covariance_matches_blockwise_reference(rng, n, d):
     full = joint.full()
     assert np.max(np.abs(full - ref)) <= 1e-13 * scale
     assert np.array_equal(full, full.T)
-    blocks = joint.blocks
-    assert blocks.shape == (n, n, d, d) and not blocks.flags.writeable
+    blocks = full.reshape(n, d, n, d).transpose(0, 2, 1, 3)
     for i in range(n):
         for j in range(n):
-            assert np.max(np.abs(blocks[i, j] - joint.block(i, j))) <= 1e-13 * scale
+            assert np.max(np.abs(blocks[i, j] - joint.maps[i] @ mean.mat @ joint.maps[j])) <= 1e-13 * scale
     cost = multicoupling_cost(joint)
     want = _pairwise_trace_cost(ref, n, d)
     if n == 1:
@@ -508,7 +515,7 @@ def old_evaluation(s, family):
     """Functional and residual from the product roots of the full PSD root of
     S, the evaluation used before S was rooted on its numerical range."""
     root = sqrt_psd(s)
-    gs = [product_root(root, m) for m in family]
+    gs = [product_root(root, _operand(m)) for m in family]
     f = sum(max(0.0, s.trace + m.trace - 2.0 * float(np.trace(g))) for m, g in zip(family, gs))
     gbar = sum(gs) / len(gs)
     return f / (2.0 * len(family)), trace_norm(s.mat - gbar)
@@ -601,17 +608,22 @@ def test_stacked_evaluation_reproduces_the_member_loop(case, rank_tol):
     assert ev.residual == residual
 
 
-@pytest.mark.parametrize("solver", [mean_fixed_point, mean_procrustes_averaging])
-def test_mean_makes_one_eigendecomposition_per_evaluation(rng, monkeypatch, solver):
-    family = [make_spd(4, rng).mat for _ in range(12)]
-    calls = []
-    eigh = np.linalg.eigh
+def count_eigh_calls(monkeypatch) -> list:
+    """Shapes of the arrays passed to ``np.linalg.eigh`` from now on."""
+    calls, eigh = [], np.linalg.eigh
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+@pytest.mark.parametrize("solver", [mean_fixed_point, mean_procrustes_averaging])
+def test_mean_makes_one_eigendecomposition_per_evaluation(rng, monkeypatch, solver):
+    family = [make_spd(4, rng).mat for _ in range(12)]
+    calls = count_eigh_calls(monkeypatch)
     res = solver(family)
     # One stacked validation, the euclidean mean, GPA's start and the start's
     # evaluation; then each iteration's iterate and its evaluation.  The
@@ -619,3 +631,31 @@ def test_mean_makes_one_eigendecomposition_per_evaluation(rng, monkeypatch, solv
     # stacked an evaluation alone took one per member.
     assert len(calls) <= (4 if solver is mean_procrustes_averaging else 3) + 2 * res.iterations
     assert sum(len(shape) == 3 for shape in calls) == 2 + res.iterations
+
+
+def test_evaluation_makes_one_eigendecomposition_per_rank_group(rng, monkeypatch):
+    family = [make_spd(6, rng)] + [make_psd_rank(6, r, rng) for r in (4, 2, 4, 2, 2)]
+    fam, point = _Family(family), make_spd(6, rng)
+    calls = count_eigh_calls(monkeypatch)
+    _Evaluation(point, fam)
+    # The full-rank member's R S R, then B^T B of each factor group, highest rank first.
+    assert calls == [(1, 6, 6), (2, 4, 4), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("solver", [mean_fixed_point, mean_procrustes_averaging])
+def test_mixed_rank_mean_makes_one_eigendecomposition_per_rank_group(rng, monkeypatch, solver):
+    # One full-rank member and the others truncated to rank 3, so the mean is
+    # of full rank and no deflation takes place.
+    family = [make_spd(8, rng).mat]
+    for _ in range(9):
+        m = make_spd(8, rng)
+        v = m.spectrum.vectors[:, :3]
+        family.append((v * m.spectrum.values[:3]) @ v.T)
+    calls = count_eigh_calls(monkeypatch)
+    res = solver(family)
+    assert res.iterations >= 3
+    # One stacked validation, the euclidean mean and GPA's start; then two
+    # rank groups per evaluation and one eigendecomposition per iterate.
+    # Before the members were grouped, each rank-3 member took its own.
+    start = 3 if solver is mean_procrustes_averaging else 2
+    assert len(calls) == start + 2 * (res.iterations + 1) + res.iterations

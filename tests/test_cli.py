@@ -1,5 +1,4 @@
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -240,40 +239,46 @@ def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monk
     assert len(calls) == 1
 
 
-def _pca_outputs(tmp_path, capsys, argv, name):
-    """Exit code, stdout and written files of ``pca`` into ``tmp_path / name``."""
-    code, out, _ = run_cli(capsys, "pca", *argv, "--output", str(tmp_path / name))
-    files = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
-    return code, out.replace(str(tmp_path / name), "OUT"), files
+def _pca_with_lift_reference(tmp_path, capsys, monkeypatch, manifest, flag):
+    """``pca``'s reported variances, its ``optimal_map`` calls, and the
+    variances of ``tangent_pca`` over ``lift``'s maps at the solve's own mean."""
+    import bwgeom.cli
+    from bwgeom.tpca import lift, tangent_pca
+
+    solve, solved = bwgeom.cli._solve_mean, []
+
+    def recording(covs, args):
+        solved.append((covs, solve(covs, args)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(bwgeom.cli, "_solve_mean", recording)
+    calls = count_optimal_map_calls(monkeypatch)
+    code, out, _ = run_cli(capsys, "pca", manifest, *flag, "--output", str(tmp_path / "pca"))
+    assert code == 0
+    made = len(calls)
+    [(covs, res)] = solved
+    tol = float(flag[1]) if flag else None
+    want = tangent_pca(lift(covs, res.mean, tol), res.mean, len(covs)).variances
+    return np.array(json.loads(out)["results"]["variances"]), made, want
 
 
 @pytest.mark.parametrize("flag", [[], ["--rank-tol", "1e-10"]])
 def test_pca_command_lifts_from_the_solves_product_roots(tmp_path, capsys, monkeypatch, flag):
-    import bwgeom.cli
-
     rng = np.random.default_rng(5)
     manifest = write_family(tmp_path, [x @ x.T + np.eye(3) for x in rng.standard_normal((6, 3, 3))])
-    calls = count_optimal_map_calls(monkeypatch)
-    roots = _pca_outputs(tmp_path, capsys, [manifest, *flag], "roots")
-    assert roots[0] == 0 and calls == []
-    # Without the roots pca lifts through multicoupling, one map per member,
-    # and reports and writes the same bytes.
-    solve = bwgeom.cli._solve_mean
-    monkeypatch.setattr(
-        bwgeom.cli, "_solve_mean", lambda *a: dataclasses.replace(solve(*a), product_roots=None)
-    )
-    assert _pca_outputs(tmp_path, capsys, [manifest, *flag], "lift") == roots
-    assert len(calls) == 6
+    got, calls, want = _pca_with_lift_reference(tmp_path, capsys, monkeypatch, manifest, flag)
+    # At a full-rank mean the roots give lift's maps bit for bit.
+    assert calls == 0 and np.array_equal(got, want)
 
 
-def test_pca_command_on_a_common_kernel_lifts_through_the_maps(tmp_path, capsys, monkeypatch):
-    # The run is deflated, so the solve returns no roots and lift computes each map.
+@pytest.mark.parametrize("flag", [[], ["--rank-tol", "1e-10"]])
+def test_pca_command_on_a_common_kernel_lifts_from_the_roots(tmp_path, capsys, monkeypatch, flag):
+    # The run is deflated; its roots are lifted back to the full space.
     p = np.diag([1.0, 1.0, 0.0])
     rng = np.random.default_rng(5)
     manifest = write_family(tmp_path, [p @ (x @ x.T + np.eye(3)) @ p for x in rng.standard_normal((4, 3, 3))])
-    calls = count_optimal_map_calls(monkeypatch)
-    code, _, _ = run_cli(capsys, "pca", manifest, "--output", str(tmp_path / "pca"))
-    assert code == 0 and len(calls) == 4
+    got, calls, want = _pca_with_lift_reference(tmp_path, capsys, monkeypatch, manifest, flag)
+    assert calls == 0 and np.max(np.abs(got - want)) <= 1e-10
 
 
 def test_geodesic_command_solves_one_cross_trace_stack_per_grid_point(tmp_path, capsys, monkeypatch):
