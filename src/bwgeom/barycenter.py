@@ -215,7 +215,7 @@ class _Evaluation:
         d2 = point.trace + fam.mats.trace(axis1=1, axis2=2) - 2.0 * gs.trace(axis1=1, axis2=2)
         self.point, self.gs = point, readonly(gs)
         self.functional = float(np.cumsum(np.maximum(0.0, d2))[-1]) / (2.0 * len(gs))
-        self.gbar = np.add.accumulate(gs)[-1] / len(gs)
+        self.gbar = gs.sum(axis=0) / len(gs)
         self.residual = trace_norm(point.mat - self.gbar)
 
 
@@ -316,7 +316,7 @@ def mean_procrustes_averaging(family, cfg: MeanConfig | None = None, rank_tol: f
     def start(members):
         vectors = np.stack([m.spectrum.vectors for m in members])
         roots = from_spectrum(vectors, np.sqrt(np.stack([m.spectrum.values for m in members])))
-        avg = np.add.accumulate(roots)[-1] / len(members)
+        avg = roots.sum(axis=0) / len(members)
         return avg @ avg.T
 
     return _solve(family, cfg or MeanConfig(), rank_tol, start, "procrustes_averaging")

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DimMismatchError, KernelConditionError, NonFiniteError
 from .spectral import (
     Covariance,
-    cov_from_product,
+    Spectrum,
     from_spectrum,
     numerical_rank,
     pinv_sqrt,
@@ -183,16 +183,17 @@ def product_root(root: np.ndarray, stack: np.ndarray, rank_tol: float | None = N
     or of each of a ``rank_groups`` stack with one ``sym_eigen``.  Rounding
     negatives are clamped.  Below full rank, with B = R L for the factor L of
     S = L L^T, ``B (B^T B)^{-1/2} B^T`` avoids roots of the spurious near-zero
-    eigenvalues of R S R; rank 0 gives 0."""
+    eigenvalues of R S R, with one stacked ``pinv_sqrt``; rank 0 gives 0."""
     d, r = stack.shape[-2:]
     if r == d:
         spec = sym_eigen(root @ stack @ root)
         return from_spectrum(spec.vectors, np.sqrt(np.maximum(spec.values, 0.0)))
     if r == 0:
         return np.zeros(stack.shape[:-1] + (d,))
-    b = root @ stack.reshape(-1, d, r)
-    inv = np.stack([pinv_sqrt(c, rank_tol) for c in cov_from_product(b.swapaxes(-1, -2) @ b)])
-    return symmetrize(b @ inv @ b.swapaxes(-1, -2)).reshape(stack.shape[:-1] + (d,))
+    b = root @ stack
+    spec = sym_eigen(b.swapaxes(-1, -2) @ b)
+    inv = pinv_sqrt(Spectrum(np.maximum(spec.values, 0.0), spec.vectors), rank_tol)
+    return symmetrize(b @ inv @ b.swapaxes(-1, -2))
 
 
 def transport_matrix(source: Covariance, mid: np.ndarray, rank_tol: float | None = None) -> np.ndarray:

@@ -82,19 +82,15 @@ def deformation_family(s, n: int, eps: float, rng: RngSpec) -> DeformationFamily
     if not 0.0 <= eps < 1.0:
         raise OutOfRangeError(f"deformation size eps={eps} outside [0, 1)")
     d = c.dim
-    gen = rng.generator()
     iu = np.triu_indices(d)
-    draws = []
-    for _ in range(n):
-        g = np.zeros((d, d))
-        g[iu] = gen.uniform(-1.0, 1.0, size=iu[0].size)
-        draws.append(g + np.triu(g, 1).T)
-    gbar = sum(draws) / n
-    centred = [g - gbar for g in draws]
-    scale = max(operator_norm(a) for a in centred)
+    g = np.zeros((n, d, d))
+    g[:, iu[0], iu[1]] = rng.generator().uniform(-1.0, 1.0, size=(n, iu[0].size))
+    g += np.triu(g, 1).swapaxes(-1, -2)
+    centred = g - g.sum(axis=0) / n
+    scale = operator_norm(centred)
     identity = eps == 0.0 or scale == 0.0
-    maps = readonly(np.eye(d) + (0.0 if identity else eps / scale) * np.array(centred))
-    deformed = [c] * n if identity else [cov_from_product(t @ c.mat @ t) for t in maps]
+    maps = readonly(np.eye(d) + (0.0 if identity else eps / scale) * centred)
+    deformed = [c] * n if identity else cov_from_product(maps @ c.mat @ maps)
     return DeformationFamily(template=c, maps=maps, deformed=deformed)
 
 

@@ -5,8 +5,9 @@ coerced to float64 and symmetrized on entry.  Only a covariance carries more
 than its entries (its cached spectrum): roots, transport maps and tangent
 directions are read-only, exactly symmetric float64 arrays, and a family of
 them is one read-only (n, d, d) stack.  ``sym_eigen``, ``from_spectrum``,
-``validate_psd`` and ``cov_from_product`` take such a stack in one LAPACK call,
-each matrix bit for bit as alone: one per rank group in a mean's evaluation.
+``validate_psd``, ``cov_from_product``, ``pinv_sqrt`` and ``rank_cutoff`` take
+such a stack (of spectra, for the last two), each matrix bit for bit as alone:
+one LAPACK call per rank group in a mean's evaluation.
 
 One rank rule serves the whole package: the numerical kernel of a covariance
 is spanned by the eigenvectors whose eigenvalues are at or below
@@ -169,10 +170,10 @@ def rank_rel(dim: int, rank_tol: float | None = None) -> float:
     return float(rank_tol)
 
 
-def rank_cutoff(values: np.ndarray, rank_tol: float | None = None) -> float:
-    """Absolute eigenvalue cutoff ``rank_rel * lambda_max`` of a descending spectrum."""
-    rel = rank_rel(values.size, rank_tol)
-    return rel * float(values[0]) if values.size else 0.0
+def rank_cutoff(values: np.ndarray, rank_tol: float | None = None):
+    """Absolute eigenvalue cutoff ``rank_rel * lambda_max`` of a descending
+    spectrum, or of each row of a stack (..., d) of them."""
+    return rank_rel(values.shape[-1], rank_tol) * values[..., 0]
 
 
 def numerical_rank(c: Covariance, rank_tol: float | None = None) -> int:
@@ -208,18 +209,16 @@ def sqrt_psd(s) -> np.ndarray:
 
 
 def pinv_sqrt(s, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse square root.
-
-    Eigenvalues above the rank cutoff map to ``1 / sqrt(lambda)``, the rest to
-    zero, so the read-only result inverts the root of ``s`` on its numerical
-    range and vanishes on the numerical kernel.
-    """
-    c = validate_psd(s)
-    values, vectors = c.spectrum.values, c.spectrum.vectors
-    inv = np.zeros_like(values)
-    r = numerical_rank(c, rank_tol)
-    inv[:r] = 1.0 / np.sqrt(values[:r])
-    return readonly(from_spectrum(vectors, inv))
+    """Moore-Penrose inverse square root of a PSD matrix, or of a nonnegative
+    ``Spectrum`` (or a stack of spectra, values (n, d), vectors (n, d, d)):
+    eigenvalues above the rank cutoff, per row, map to ``1 / sqrt(lambda)``,
+    the rest to zero, so the read-only result inverts the root on its
+    numerical range and vanishes on its kernel."""
+    spec = s if isinstance(s, Spectrum) else validate_psd(s).spectrum
+    values = spec.values
+    keep = values > rank_cutoff(values, rank_tol)[..., None]
+    inv = np.divide(1.0, np.sqrt(values), out=np.zeros_like(values), where=keep)
+    return readonly(from_spectrum(spec.vectors, inv))
 
 
 def cov_from_product(a) -> Covariance:
@@ -244,5 +243,6 @@ def trace_norm(a) -> float:
 
 
 def operator_norm(a) -> float:
+    """Largest absolute eigenvalue of a symmetric matrix, or the largest over a stack."""
     w = np.linalg.eigvalsh(symmetrize(a))
     return float(np.max(np.abs(w))) if w.size else 0.0

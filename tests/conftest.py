@@ -46,31 +46,45 @@ def eigvalsh_cone_test(base, b, rank_tol=None):
     return w[..., 0] < -min(base.dim * EPS * kappa, 1e-3) * np.max(np.abs(w), axis=-1), w[..., 0]
 
 
+def count_eigh_calls(monkeypatch) -> list:
+    """Shapes of the arrays passed to ``np.linalg.eigh`` from now on."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def loop_product_root(root, m, rank_tol=None):
+    """Reference for ``bures.product_root``: ``(R S R)^{1/2}`` of one member S,
+    with one ``Covariance`` and one ``pinv_sqrt`` of its own below full rank."""
+    r = numerical_rank(m, rank_tol)
+    if r == 0:
+        return np.zeros_like(root)
+    if r == m.dim:
+        spec = sym_eigen(root @ m.mat @ root)
+        return from_spectrum(spec.vectors, np.sqrt(np.maximum(spec.values, 0.0)))
+    b = root @ (m.spectrum.vectors[:, :r] * np.sqrt(m.spectrum.values[:r]))
+    return symmetrize(b @ pinv_sqrt(cov_from_product(b.T @ b), rank_tol) @ b.T)
+
+
 def loop_evaluation(point, members, rank_tol=None):
     """Reference for ``barycenter._Evaluation``: the functional, ``gbar`` and
-    residual at ``point`` from a product root spelled out per member, summed
-    in a loop, as evaluated before the members were grouped by rank."""
-
-    def product_root(root, m):
-        r = numerical_rank(m, rank_tol)
-        if r == 0:
-            return np.zeros_like(root)
-        if r == m.dim:
-            spec = sym_eigen(root @ m.mat @ root)
-            return from_spectrum(spec.vectors, np.sqrt(np.maximum(spec.values, 0.0)))
-        b = root @ (m.spectrum.vectors[:, :r] * np.sqrt(m.spectrum.values[:r]))
-        return symmetrize(b @ pinv_sqrt(cov_from_product(b.T @ b), rank_tol) @ b.T)
-
+    residual at ``point`` from ``loop_product_root`` per member, summed in a
+    loop, as evaluated before the members were grouped by rank."""
     r = numerical_rank(point, rank_tol)
     if r == point.dim:
         root = sqrt_psd(point)
-        product = lambda m: product_root(root, m)
+        product = lambda m: loop_product_root(root, m, rank_tol)
     elif r == 0:
         product = lambda m: np.zeros_like(point.mat)
     else:
         q = point.spectrum.vectors[:, :r]
         root = np.diag(np.sqrt(point.spectrum.values[:r]))
-        product = lambda m: q @ product_root(root, cov_from_product(q.T @ m.mat @ q)) @ q.T
+        product = lambda m: q @ loop_product_root(root, cov_from_product(q.T @ m.mat @ q), rank_tol) @ q.T
     f, gsum = 0.0, np.zeros_like(point.mat)
     for m in members:
         g = product(m)

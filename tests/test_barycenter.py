@@ -25,11 +25,12 @@ from bwgeom import (
     tangent_norm,
     validate_psd,
 )
+from bwgeom import bures
 from bwgeom.barycenter import RESIDUAL_CERT, _Evaluation, _Family
-from bwgeom.bures import _operand, product_root, transport_matrix
-from bwgeom.spectral import trace_norm
+from bwgeom.bures import _operand, product_root, rank_groups, transport_matrix
+from bwgeom.spectral import pinv_sqrt, trace_norm
 
-from conftest import loop_evaluation, make_psd_rank, make_spd
+from conftest import count_eigh_calls, loop_evaluation, loop_product_root, make_psd_rank, make_spd
 
 A41 = np.diag([4.0, 1.0])
 B14 = np.diag([1.0, 4.0])
@@ -608,18 +609,6 @@ def test_stacked_evaluation_reproduces_the_member_loop(case, rank_tol):
     assert ev.residual == residual
 
 
-def count_eigh_calls(monkeypatch) -> list:
-    """Shapes of the arrays passed to ``np.linalg.eigh`` from now on."""
-    calls, eigh = [], np.linalg.eigh
-
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    return calls
-
-
 @pytest.mark.parametrize("solver", [mean_fixed_point, mean_procrustes_averaging])
 def test_mean_makes_one_eigendecomposition_per_evaluation(rng, monkeypatch, solver):
     family = [make_spd(4, rng).mat for _ in range(12)]
@@ -640,6 +629,19 @@ def test_evaluation_makes_one_eigendecomposition_per_rank_group(rng, monkeypatch
     _Evaluation(point, fam)
     # The full-rank member's R S R, then B^T B of each factor group, highest rank first.
     assert calls == [(1, 6, 6), (2, 4, 4), (3, 2, 2)]
+
+
+@pytest.mark.parametrize("rank_tol", [None, 1e-10])
+def test_product_root_takes_one_inverse_root_per_rank_group(rng, monkeypatch, rank_tol):
+    family = [make_psd_rank(6, 3, rng) for _ in range(5)]
+    [(_, stack)] = rank_groups(family, rank_tol)
+    root = sqrt_psd(make_spd(6, rng))
+    calls = []
+    monkeypatch.setattr(bures, "pinv_sqrt", lambda *args: calls.append(args) or pinv_sqrt(*args))
+    roots = product_root(root, stack, rank_tol)
+    # Before the group's spectra were stacked, each member took its own.
+    assert len(calls) == 1
+    assert np.array_equal(roots, np.stack([loop_product_root(root, m, rank_tol) for m in family]))
 
 
 @pytest.mark.parametrize("solver", [mean_fixed_point, mean_procrustes_averaging])

@@ -21,8 +21,8 @@ from bwgeom import (
     projection_stability_experiment,
     sample_gaussian,
 )
-from bwgeom.spectral import operator_norm
-from conftest import make_spd
+from bwgeom.spectral import cov_from_product, operator_norm
+from conftest import count_eigh_calls, make_spd
 
 
 def test_rng_spec_reproducible_and_stream_separated():
@@ -80,6 +80,30 @@ def test_deformation_eps_zero_copies_template(rng):
     fam = deformation_family(s, 3, 0.0, RngSpec(4))
     for m in fam.deformed:
         np.testing.assert_array_equal(np.asarray(m), np.asarray(fam.template))
+
+
+def test_deformation_family_makes_one_eigendecomposition(rng, monkeypatch):
+    s = make_spd(30, rng)
+    calls = count_eigh_calls(monkeypatch)
+    fam = deformation_family(s, 40, 0.3, RngSpec(1, "deform"))
+    # The members' one stacked cov_from_product; before, one per map.
+    assert calls == [(40, 30, 30)]
+    # Reference: the family drawn, centred, scaled and deformed one map at a time.
+    gen, iu = RngSpec(1, "deform").generator(), np.triu_indices(30)
+    draws = []
+    for _ in range(40):
+        g = np.zeros((30, 30))
+        g[iu] = gen.uniform(-1.0, 1.0, size=iu[0].size)
+        draws.append(g + np.triu(g, 1).T)
+    centred = [g - sum(draws) / 40 for g in draws]
+    scale = max(operator_norm(a) for a in centred)
+    maps = [np.eye(30) + 0.3 / scale * a for a in centred]
+    assert np.array_equal(fam.maps, maps)
+    for m, t in zip(fam.deformed, maps):
+        want = cov_from_product(t @ s.mat @ t)
+        assert np.array_equal(m.mat, want.mat)
+        assert np.array_equal(m.spectrum.values, want.spectrum.values)
+        assert np.array_equal(m.spectrum.vectors, want.spectrum.vectors)
 
 
 def test_deformation_rejects_bad_parameters(rng):

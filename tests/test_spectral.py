@@ -12,9 +12,9 @@ from bwgeom import (
     sym_eigen,
     validate_psd,
 )
-from bwgeom.spectral import from_spectrum, numerical_rank, pinv_sqrt
+from bwgeom.spectral import Spectrum, from_spectrum, numerical_rank, pinv_sqrt
 
-from conftest import make_spd
+from conftest import make_psd_rank, make_spd
 
 
 def test_sym_eigen_diagonal():
@@ -178,6 +178,26 @@ def test_pinv_sqrt_examples():
     assert np.allclose(pinv_sqrt(np.diag([4.0, 1.0])), np.diag([0.5, 1.0]))
     assert np.allclose(pinv_sqrt(np.diag([4.0, 0.0])), np.diag([0.5, 0.0]))
     assert np.allclose(pinv_sqrt(np.eye(3)), np.eye(3))
+
+
+@pytest.mark.parametrize("rank_tol", [None, 0.0, 1e-10])
+def test_pinv_sqrt_of_a_stack_of_spectra_is_each_row_alone(rng, rank_tol):
+    # Rank 0, a rank-2 member, an eigenvalue between d eps and 1e-10 relative
+    # to the largest (range at rank_tol None and 0, kernel at 1e-10), full rank.
+    q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+    members = [
+        validate_psd(np.zeros((4, 4))),
+        make_psd_rank(4, 2, rng),
+        validate_psd((q * [2.0, 1.0, 1e-12, 0.5]) @ q.T),
+        make_spd(4, rng),
+    ]
+    spec = Spectrum(np.stack([m.spectrum.values for m in members]), np.stack([m.spectrum.vectors for m in members]))
+    stacked = pinv_sqrt(spec, rank_tol)
+    assert stacked.shape == (4, 4, 4) and not stacked.flags.writeable
+    assert not stacked[0].any()
+    for row, m in zip(stacked, members):
+        assert np.array_equal(row, pinv_sqrt(m, rank_tol))
+        assert np.array_equal(row, pinv_sqrt(m.spectrum, rank_tol))
 
 
 @pytest.mark.parametrize("rank_tol", [math.nan, -1.0, 1.0, math.inf])
