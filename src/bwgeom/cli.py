@@ -42,7 +42,7 @@ from .barycenter import (
 from .bures import optimal_map, pairwise_distances, transport_matrix
 from .bures import procrustes_distance, procrustes_distance_via_alignment
 from .errors import BwGeomError, MatrixParseError, MaxIterExceeded, NotPSDError, OutOfRangeError
-from .geometry import exp_map, log_map
+from .geometry import geodesic
 from .io import Manifest, load_family, read_manifest, render_report, write_manifest, write_matrix
 from .simulate import (
     RngSpec,
@@ -186,20 +186,18 @@ def load_geodesic(args):
 def cmd_geodesic(args, a, b):
     """points along the geodesic between two covariances"""
     grid = np.linspace(0.0, 1.0, args.steps)
-    direction = log_map(a, b, args.rank_tol)
-    points = [exp_map(a, float(t) * direction, args.rank_tol) for t in grid]
+    points = geodesic(a, b, grid, args.rank_tol)
     dist = procrustes_distance(a, b)
-    speed_table = [
-        [float(grid[i]), float(grid[j]), abs(seg - (grid[j] - grid[i]) * dist)]
-        for (i, j), seg in pairwise_distances(points).items()
-    ]
+    pairs = pairwise_distances(points)
+    (i, j), seg = np.array(list(pairs)).T, np.fromiter(pairs.values(), np.float64)
+    speed_table = np.stack([grid[i], grid[j], np.abs(seg - (grid[j] - grid[i]) * dist)], axis=1)
     endpoint_gap = float(max(np.max(np.abs(points[0].mat - a.mat)), np.max(np.abs(points[-1].mat - b.mat))))
     results = {
         "distance": dist,
         "grid": [float(t) for t in grid],
         "points": np.stack([p.mat for p in points]),
         "speed_table": speed_table,
-        "max_speed_deviation": max(row[2] for row in speed_table),
+        "max_speed_deviation": float(np.max(speed_table[:, 2])),
     }
     return results, {"dim": a.dim, "endpoint_gap": endpoint_gap}, {}
 
@@ -284,7 +282,6 @@ def load_deform(args):
 
 def cmd_simulate_deform(args, family, template, maps, res):
     """identity-mean deformations of a template covariance"""
-    avg_map = sum(maps) / len(maps)
     results = {
         "template_file": "template.txt",
         "manifest_file": "manifest.json",
@@ -295,7 +292,7 @@ def cmd_simulate_deform(args, family, template, maps, res):
         "residual_at_template": fixed_point_residual(template, family),
     }
     diagnostics = {
-        "map_identity_gap": float(np.max(np.abs(avg_map - np.eye(template.dim)))),
+        "map_identity_gap": float(np.max(np.abs(maps.mean(axis=0) - np.eye(template.dim)))),
         "template_trace": template.trace,
         "seed": args.seed,
     }

@@ -6,11 +6,12 @@ is passed alongside it.  The exponential map sends A to (I + A) S (I + A); its
 inverse at injective base points, ``log_map``, is the optimal transport map
 minus the identity.  Geodesics are McCann interpolations: the point at time t
 is ``exp_map(S0, t log_map(S0, S1))``, which stays in the cone because
-(1 - t) I + t T is PSD for t in [0, 1].  ``_cone_test`` is the one test of
-whether a retraction stays in the cone: ``exp_map`` applies it to one point,
-``tpca.reconstruction_errors`` to a stack.  It accepts on a successful
-Cholesky factorization, whose backward error of order d eps max|lambda| is
-inside its tolerance, and otherwise applies the eigenvalue test.
+(1 - t) I + t T is PSD for t in [0, 1].  ``exp_map`` retracts one direction
+or a stack, such as a whole ``geodesic`` grid or a ``deformation_family``.
+``_cone_test`` is the one test of whether a retraction, or a stack of them,
+stays in the cone (``exp_map``, ``tpca.reconstruction_errors``).  It accepts
+on a successful Cholesky factorization, whose backward error of order
+d eps max|lambda| is inside its tolerance, else applies the eigenvalue test.
 ``_tangent_gram`` is the one place that evaluates the inner product, for
 whole stacks of directions at once.
 """
@@ -27,6 +28,7 @@ from .spectral import (
     EPS,
     Covariance,
     _condition,
+    as_matrix,
     as_symmetric,
     cov_from_product,
     numerical_rank,
@@ -37,10 +39,8 @@ from .spectral import (
 
 def _direction(base: Covariance, a) -> np.ndarray:
     d = as_symmetric(a)
-    if len(d) != base.dim:
-        raise DimMismatchError(
-            f"tangent direction dimension {len(d)} does not match base dimension {base.dim}"
-        )
+    if d.shape[-1] != base.dim:
+        raise DimMismatchError(f"tangent direction of dimension {d.shape[-1]} at a base of dimension {base.dim}")
     return d
 
 
@@ -58,7 +58,7 @@ def _tangent_gram(base: Covariance, xs: np.ndarray, ys: np.ndarray) -> np.ndarra
 def tangent_inner(base, a, b) -> float:
     """Inner product tr(A S B) of two tangent directions at the base point."""
     s = validate_psd(base)
-    return float(_tangent_gram(s, _direction(s, a)[None], _direction(s, b)[None])[0, 0])
+    return float(_tangent_gram(s, _direction(s, as_matrix(a))[None], _direction(s, as_matrix(b))[None])[0, 0])
 
 
 def tangent_norm(base, a) -> float:
@@ -87,14 +87,15 @@ def _cone_test(base: Covariance, b: np.ndarray, rank_tol: float | None = None):
     return w[..., 0] < -min(base.dim * EPS * kappa, 1e-3) * np.max(np.abs(w), axis=-1), w[..., 0]
 
 
-def exp_map(base, a, rank_tol: float | None = None) -> Covariance:
-    """Exponential map (I + A) S (I + A) at the base covariance S; raises
-    ``LeavesConeError`` when ``_cone_test`` rejects I + A."""
+def exp_map(base, a, rank_tol: float | None = None) -> Covariance | list[Covariance]:
+    """Exponential map (I + A) S (I + A) at the base covariance S, or the list of
+    those of a stack (n, d, d) from one ``_cone_test`` and one ``cov_from_product``;
+    raises ``LeavesConeError`` with the ``lambda_min`` of the first I + A rejected."""
     s = validate_psd(base)
     b = np.eye(s.dim) + _direction(s, a)
     rejected, lambda_min = _cone_test(s, b, rank_tol)
-    if rejected:
-        raise LeavesConeError(lambda_min=float(lambda_min))
+    if np.any(rejected):
+        raise LeavesConeError(lambda_min=float(np.ravel(lambda_min)[np.argmax(rejected)]))
     return cov_from_product(b @ s.mat @ b)
 
 
@@ -105,14 +106,15 @@ def log_map(base, target, rank_tol: float | None = None) -> np.ndarray:
     return readonly(optimal_map(s, target, rank_tol) - np.eye(s.dim))
 
 
-def geodesic(s0, s1, t: float, rank_tol: float | None = None) -> Covariance:
-    """Point at parameter ``t`` on the geodesic from S0 to S1.
-
-    The exponential at S0 of ``t`` times the logarithm of S1 at S0.  ``t``
-    must lie in [0, 1]; the curve has constant speed, with distance (t - s)
-    times the endpoint distance between parameters s <= t.
+def geodesic(s0, s1, t, rank_tol: float | None = None) -> Covariance | list[Covariance]:
+    """Point at parameter ``t`` on the geodesic from S0 to S1, or the list of
+    points of a 1-D grid ``t``: one ``exp_map`` at S0 of ``t`` times one
+    ``log_map`` of S1 at S0.  Each ``t`` must lie in [0, 1]; the curve has
+    constant speed, with distance (t - s) times the endpoint distance between
+    parameters s <= t.
     """
-    if not 0.0 <= float(t) <= 1.0:
-        raise OutOfRangeError(f"geodesic parameter t={t} outside [0, 1]")
+    ts = np.asarray(t, dtype=np.float64)
+    if ts.ndim > 1 or not np.all((ts >= 0.0) & (ts <= 1.0)):
+        raise OutOfRangeError(f"geodesic parameter t={t} is not a number or a 1-D grid in [0, 1]")
     a = validate_psd(s0)
-    return exp_map(a, float(t) * log_map(a, s1, rank_tol), rank_tol)
+    return exp_map(a, ts[..., None, None] * log_map(a, s1, rank_tol), rank_tol)

@@ -16,6 +16,7 @@ import numpy as np
 from .barycenter import MeanConfig, coerce_family, mean_fixed_point
 from .bures import _check_pair, pairwise_distances, procrustes_distance
 from .errors import BwGeomError, DegenerateError, OutOfRangeError
+from .geometry import exp_map
 from .spectral import (
     EPS,
     Covariance,
@@ -73,8 +74,8 @@ def deformation_family(s, n: int, eps: float, rng: RngSpec) -> DeformationFamily
 
     The A_i are centred i.i.d. symmetric draws (uniform upper triangles),
     rescaled so the largest operator norm equals ``eps``; ``eps`` below one
-    keeps every map positive definite.  ``eps = 0`` is the degenerate family of
-    identity maps.
+    keeps every map positive definite.  The members are ``exp_map`` of the A_i
+    at the template.  ``eps = 0`` is the degenerate family of identity maps.
     """
     c = validate_psd(s)
     if n < 2:
@@ -89,8 +90,9 @@ def deformation_family(s, n: int, eps: float, rng: RngSpec) -> DeformationFamily
     centred = g - g.sum(axis=0) / n
     scale = operator_norm(centred)
     identity = eps == 0.0 or scale == 0.0
-    maps = readonly(np.eye(d) + (0.0 if identity else eps / scale) * centred)
-    deformed = [c] * n if identity else cov_from_product(maps @ c.mat @ maps)
+    a = (0.0 if identity else eps / scale) * centred
+    maps = readonly(np.eye(d) + a)
+    deformed = [c] * n if identity else exp_map(c, a)
     return DeformationFamily(template=c, maps=maps, deformed=deformed)
 
 

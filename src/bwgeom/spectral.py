@@ -5,9 +5,10 @@ coerced to float64 and symmetrized on entry.  Only a covariance carries more
 than its entries (its cached spectrum): roots, transport maps and tangent
 directions are read-only, exactly symmetric float64 arrays, and a family of
 them is one read-only (n, d, d) stack.  ``sym_eigen``, ``from_spectrum``,
-``validate_psd``, ``cov_from_product``, ``pinv_sqrt`` and ``rank_cutoff`` take
-such a stack (of spectra, for the last two), each matrix bit for bit as alone:
-one LAPACK call per rank group in a mean's evaluation.
+``validate_psd``, ``cov_from_product``, ``as_symmetric``, ``pinv_sqrt`` and
+``rank_cutoff`` take such a stack (of spectra, for the last two), each matrix
+bit for bit as alone: one LAPACK call per rank group in a mean's evaluation,
+one for a whole geodesic grid.
 
 One rank rule serves the whole package: the numerical kernel of a covariance
 is spanned by the eigenvectors whose eigenvalues are at or below
@@ -46,9 +47,8 @@ def readonly(a: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(m) -> np.ndarray:
-    """Underlying square float64 array of a matrix-like object."""
-    if isinstance(m, Covariance):
-        return m.mat
+    """Underlying square float64 array of a matrix-like object, such as the
+    matrix of a ``Covariance`` itself."""
     a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -68,9 +68,12 @@ class Spectrum:
 
 
 def as_symmetric(a) -> np.ndarray:
-    """Read-only ``(a + a^T) / 2`` of a square matrix with finite entries, so
-    that ``m[i, j] == m[j, i]`` holds exactly."""
-    m = as_matrix(a)
+    """Read-only ``(a + a^T) / 2`` of a square matrix with finite entries, or of
+    each of a stack (..., d, d), so that ``m[..., i, j] == m[..., j, i]`` holds
+    exactly."""
+    m = np.asarray(a, dtype=np.float64)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DimMismatchError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise NonFiniteError("matrix entries must be finite")
     return readonly(symmetrize(m))
@@ -114,12 +117,7 @@ def sym_eigen(m) -> Spectrum:
     row index of each eigenvector's largest-magnitude component (first index on
     further ties).  Signs are fixed so that component is positive.
     """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimMismatchError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteError("matrix entries must be finite")
-    w, v = np.linalg.eigh(symmetrize(a))
+    w, v = np.linalg.eigh(as_symmetric(m))
     dom = np.argmax(np.abs(v), axis=-2)
     order = np.lexsort((dom, -w), axis=-1)
     if w.ndim == 1:

@@ -22,6 +22,7 @@ from .errors import DimMismatchError, EmptyFamilyError, LeavesConeError, OutOfRa
 from .geometry import _cone_test, _tangent_gram, exp_map
 from .spectral import (
     Covariance,
+    as_matrix,
     as_symmetric,
     cov_from_product,
     numerical_rank,
@@ -112,7 +113,7 @@ def principal_geodesic(base, component, s: float) -> Covariance:
     ``exp_map``'s cone test rejects the step, ``LeavesConeError`` reports
     that interval.
     """
-    comp = as_symmetric(component)
+    comp = as_symmetric(as_matrix(component))
     try:
         return exp_map(base, float(s) * comp)
     except LeavesConeError as e:

@@ -25,6 +25,8 @@ from bwgeom import (
 from bwgeom.cli import build_parser, main
 from bwgeom.io import read_matrix, write_manifest, write_matrix
 
+from conftest import count_eigh_calls
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -227,6 +229,7 @@ def count_optimal_map_calls(monkeypatch) -> list:
 
 def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monkeypatch):
     calls = count_optimal_map_calls(monkeypatch)
+    eighs = count_eigh_calls(monkeypatch)
     rng = np.random.default_rng(3)
     for name in ("a.txt", "b.txt"):
         x = rng.standard_normal((4, 4))
@@ -237,6 +240,8 @@ def test_geodesic_command_computes_the_transport_map_once(tmp_path, capsys, monk
     assert code == 0
     assert len(json.loads(out)["results"]["points"]) == 11
     assert len(calls) == 1
+    # The validation of both inputs, the transport map, and the whole grid at once.
+    assert eighs == [(2, 4, 4), (4, 4), (11, 4, 4)]
 
 
 def _pca_with_lift_reference(tmp_path, capsys, monkeypatch, manifest, flag):
@@ -606,13 +611,14 @@ def test_mean_gpa_converges_on_the_near_kernel_family_and_honours_rank_tol(tmp_p
 
 
 def test_geodesic_step_off_the_cone_exits_2(tmp_path, capsys, monkeypatch):
-    import bwgeom.cli
+    import bwgeom.geometry
     from bwgeom import LeavesConeError
 
     def rejecting(*args, **kwargs):
         raise LeavesConeError(lambda_min=-0.5)
 
-    monkeypatch.setattr(bwgeom.cli, "exp_map", rejecting)
+    # The command retracts its grid through geometry.geodesic's exp_map.
+    monkeypatch.setattr(bwgeom.geometry, "exp_map", rejecting)
     for name in ("a.txt", "b.txt"):
         write_matrix(tmp_path / name, np.eye(2))
     code, out, err = run_cli(capsys, "geodesic", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"))

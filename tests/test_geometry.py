@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bwgeom import (
+    DimMismatchError,
     KernelConditionError,
     LeavesConeError,
     OutOfRangeError,
@@ -34,6 +35,9 @@ def test_tangent_inner_examples(rng):
     s = make_spd(3, rng)
     assert tangent_inner(s, np.eye(3), np.eye(3)) == pytest.approx(s.trace)
     assert tangent_inner(np.diag([2.0, 3.0]), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])) == 0.0
+    # exp_map takes a stack of directions; the inner product does not.
+    with pytest.raises(DimMismatchError):
+        tangent_inner(np.eye(2), np.zeros((3, 2, 2)), np.eye(2))
 
 
 def test_tangent_inner_bilinear_symmetric(rng):
@@ -131,9 +135,24 @@ def test_geodesic_endpoints_and_midpoint(rng):
 
 def test_geodesic_rejects_out_of_range(rng):
     s0, s1 = make_spd(2, rng), make_spd(2, rng)
-    for t in (-0.1, 1.1):
+    for t in (-0.1, 1.1, np.nan):
         with pytest.raises(OutOfRangeError):
             geodesic(s0, s1, t)
+        with pytest.raises(OutOfRangeError):
+            geodesic(s0, s1, np.array([0.0, t, 1.0]))
+
+
+def test_geodesic_of_a_grid_is_each_point_bit_for_bit(rng):
+    for d in (1, 3, 6):
+        s0, s1 = make_spd(d, rng), make_spd(d, rng)
+        grid = np.linspace(0.0, 1.0, 7)
+        points = geodesic(s0, s1, grid)
+        assert len(points) == len(grid)
+        for t, p in zip(grid, points):
+            alone = geodesic(s0, s1, float(t))
+            assert np.array_equal(p.mat, alone.mat)
+            assert np.array_equal(p.spectrum.values, alone.spectrum.values)
+            assert np.array_equal(p.spectrum.vectors, alone.spectrum.vectors)
 
 
 def test_geodesic_constant_speed_batch(rng):

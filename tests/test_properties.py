@@ -300,8 +300,17 @@ def test_geodesic_distance_is_proportional(pair, s, t):
 def test_exp_map_accepts_every_geodesic_point(pair, rank_tol):
     a, b = pair
     direction = log_map(a, b, rank_tol)
-    for t in np.linspace(0.0, 1.0, 11):
-        assert exp_map(a, t * direction, rank_tol).spectrum.values[-1] >= 0.0
+    grid = np.linspace(0.0, 1.0, 11)
+    points = [exp_map(a, t * direction, rank_tol) for t in grid]
+    for p in points:
+        assert p.spectrum.values[-1] >= 0.0
+    # The whole grid as one stack gives each point bit for bit as alone.
+    stacked = exp_map(a, grid[:, None, None] * direction, rank_tol)
+    assert len(stacked) == len(points)
+    for got, want in zip(stacked, points):
+        assert np.array_equal(got.mat, want.mat)
+        assert np.array_equal(got.spectrum.values, want.spectrum.values)
+        assert np.array_equal(got.spectrum.vectors, want.spectrum.vectors)
 
 
 @given(_ill_conditioned_pair(), st.integers(0, 2**32 - 1))
@@ -311,8 +320,14 @@ def test_exp_map_rejects_a_fold_at_an_ill_conditioned_base(pair, seed):
     a, _ = pair
     d = len(a)
     q = _orthogonal(seed, d)
-    with pytest.raises(LeavesConeError):
-        exp_map(a, (q * np.linspace(-1e-2, 1.0, d)) @ q.T - np.eye(d))
+    fold = (q * np.linspace(-1e-2, 1.0, d)) @ q.T - np.eye(d)
+    with pytest.raises(LeavesConeError) as alone:
+        exp_map(a, fold)
+    # In a stack the first rejected direction names lambda_min, here the fold
+    # at position 1 and not the deeper one (lambda_min near -1.02) after it.
+    with pytest.raises(LeavesConeError) as stacked:
+        exp_map(a, np.stack([np.zeros((d, d)), fold, 2.0 * fold]))
+    assert stacked.value.lambda_min == alone.value.lambda_min
 
 
 def test_mean_scale_equivariance_at_tiny_scale():

@@ -272,6 +272,9 @@ def test_principal_geodesic_reports_admissible_interval():
     assert lo == pytest.approx(-math.sqrt(2.0))
     assert hi == pytest.approx(math.sqrt(2.0))
     assert exc.value.lambda_min == pytest.approx(1.0 - math.sqrt(2.0))
+    # One component has one interval: a stack, which exp_map would take, is refused.
+    with pytest.raises(DimMismatchError):
+        principal_geodesic(base, np.stack([comp, comp]), 2.0)
 
 
 def test_maps_and_lifts_are_plain_symmetric_matrices(rng):
