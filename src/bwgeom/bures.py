@@ -61,13 +61,14 @@ def _squared_distances(a: Covariance, bs: list[Covariance]) -> list[float]:
     evaluation, each bit for bit as alone."""
     ra, rbs = numerical_rank(a), [numerical_rank(b) for b in bs]
     up = [k for k, rb in enumerate(rbs) if ra <= rb]
-    cross = np.empty(len(bs))
+    stack, cross = np.stack([b.mat for b in bs]), np.empty(len(bs))
     if up:
-        cross[up] = _cross_trace(_range_factor(a, ra), np.stack([bs[k].mat for k in up]))
+        cross[up] = _cross_trace(_range_factor(a, ra), stack[up])
     for k, rb in enumerate(rbs):
         if rb < ra:
             cross[k] = _cross_trace(_range_factor(bs[k], rb), a.mat)
-    return [max(0.0, a.trace + b.trace - 2.0 * float(x)) for b, x in zip(bs, cross)]
+    ta, tbs = a.trace, np.trace(stack, axis1=1, axis2=2).tolist()
+    return [max(0.0, ta + tb - 2.0 * float(x)) for tb, x in zip(tbs, cross)]
 
 
 def procrustes_distance_squared(s1, s2) -> float:
@@ -90,7 +91,7 @@ def pairwise_distances(family) -> dict[tuple[int, int], float]:
         _check_pair(members[0], m)
     return {
         (i, j): math.sqrt(d2)
-        for i, a in enumerate(members)
+        for i, a in enumerate(members[:-1])
         for j, d2 in enumerate(_squared_distances(a, members[i + 1 :]), i + 1)
     }
 

@@ -25,6 +25,7 @@ iteration cap was reached, and the best iterate is still written.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -61,9 +62,9 @@ from .tpca import reconstruction_errors, tangent_pca
 
 
 def _validated(names, mats) -> list[Covariance]:
-    """``validate_psd`` of the stacked matrices, naming the entry of the first that fails."""
+    """``validate_psd`` of an (n, d, d) stack, naming the entry of the first that fails."""
     try:
-        return validate_psd(np.stack(mats))
+        return validate_psd(mats)
     except NotPSDError as e:
         raise NotPSDError(e.lambda_min, f"{names[e.index]}: {e}") from None
 
@@ -396,7 +397,10 @@ def _command(sub, name: str, load, handler, solve=False, solver_flags=False, ran
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later one:
+    each subcommand's ``load`` and ``handler`` defaults are bound at that first build."""
     parser = argparse.ArgumentParser(
         prog="bwgeom",
         description="Geometry of covariance matrices under the Bures-Wasserstein metric.",

@@ -1,7 +1,10 @@
 """Matrix and manifest files plus deterministic report rendering.
 
 Matrix files are plain text: one row per line, comma-separated decimals,
-``#`` starts a comment.  Files written here use 17 significant digits, so
+``#`` starts a comment.  A family of them is one ``np.loadtxt`` parse, which
+rounds like ``float()`` (both call CPython's correctly rounded dtoa); files
+it refuses, comments for one, are read one by one, entry by entry, to name
+the first fault.  Files written here use 17 significant digits, so
 every matrix the tool writes re-parses to bit-identical doubles.  The writer
 accepts only what the reader accepts back: a nonempty, finite, square matrix,
 symmetric to within ``SYMMETRY_RTOL``, or a ``JointCovariance``.  It formats
@@ -34,10 +37,11 @@ import math
 import os
 import secrets
 from dataclasses import dataclass
+from io import StringIO
 
 import numpy as np
 
-from .errors import DimMismatchError, MatrixParseError
+from .errors import DimMismatchError, EmptyFamilyError, MatrixParseError
 from .spectral import symmetrize
 
 # Relative asymmetry allowed in an input matrix before it is rejected.
@@ -77,8 +81,33 @@ def _asymmetric_entry(a: np.ndarray) -> tuple[int, int] | None:
     return int(i), int(j)
 
 
-def read_matrix(path) -> np.ndarray:
-    """Parse a symmetric matrix file; returns the symmetrized array."""
+def _parse(paths) -> np.ndarray | None:
+    """The (n, d, d) stack of the files from one ``np.loadtxt`` over their
+    joined text (one string: a list of line strings raised the later peak
+    RSS), or ``None`` where it refuses them (see ``read_matrix``)."""
+    texts = []
+    try:
+        for path in paths:
+            with open(path, "r", encoding="utf-8") as f:
+                text = f.read()
+            text += "" if text.endswith("\n") else "\n"
+            # As many lines as the first has entries; a blank line, which loadtxt skips, fails the
+            # reshape, and a blank first one is refused here (blank lines alone make loadtxt warn).
+            if text[0] == "\n" or text.count("\n") != text[: text.index("\n")].count(",") + 1:
+                return None
+            texts.append(text)
+        a = np.loadtxt(StringIO("".join(texts)), delimiter=",", comments=None, ndmin=2)
+        a = a.reshape(len(paths), a.shape[1], a.shape[1])
+    except (OSError, ValueError):
+        return None
+    if not np.isfinite(a).all():
+        return None
+    gap = np.abs(a - np.swapaxes(a, 1, 2)).max(axis=(1, 2))
+    return None if (gap > SYMMETRY_RTOL * np.abs(a).max(axis=(1, 2))).any() else symmetrize(a)
+
+
+def _read_one(path) -> np.ndarray:
+    """Parse one symmetric matrix file entry by entry, naming the first fault."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw_lines = f.readlines()
@@ -89,22 +118,16 @@ def read_matrix(path) -> np.ndarray:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            entries = list(map(float, line.split(",")))
-        except ValueError:
-            entries = [math.nan]
-        if not math.isfinite(sum(entries)):
-            # Again entry by entry, to name the bad column; a finite row whose sum overflows passes.
-            entries = []
-            for colno, part in enumerate(line.split(","), 1):
-                text = part.strip()
-                try:
-                    x = float(text)
-                except ValueError:
-                    raise MatrixParseError(path, f"not a number: {text!r}", row=lineno, col=colno) from None
-                if not math.isfinite(x):
-                    raise MatrixParseError(path, f"non-finite entry {text!r}", row=lineno, col=colno)
-                entries.append(x)
+        entries = []
+        for colno, part in enumerate(line.split(","), 1):
+            text = part.strip()
+            try:
+                x = float(text)
+            except ValueError:
+                raise MatrixParseError(path, f"not a number: {text!r}", row=lineno, col=colno) from None
+            if not math.isfinite(x):
+                raise MatrixParseError(path, f"non-finite entry {text!r}", row=lineno, col=colno)
+            entries.append(x)
         rows.append((lineno, entries))
     if not rows:
         raise MatrixParseError(path, "no matrix rows found")
@@ -126,6 +149,29 @@ def read_matrix(path) -> np.ndarray:
             col=j + 1,
         )
     return symmetrize(a)
+
+
+def read_matrix(path) -> np.ndarray:
+    """Parse a symmetric matrix file into its symmetrized (d, d) array, or a
+    list of files into their (n, d, d) stack, by one ``np.loadtxt`` over all of
+    them.  Where it refuses them (a blank or comment line, a token it cannot
+    read but ``float()`` may, a non-square, non-finite or asymmetric member, or
+    members of different dimensions), ``_read_one`` reads them one by one and
+    raises the first fault; then a member whose dimension is not the first's
+    is a ``DimMismatchError``."""
+    family = isinstance(path, (list, tuple))
+    paths = list(path) if family else [path]
+    if not paths:
+        raise EmptyFamilyError("no matrix files to read")
+    stack = _parse(paths)
+    if stack is None:
+        mats = [_read_one(p) for p in paths]
+        d = len(mats[0])
+        for p, m in zip(paths, mats):
+            if len(m) != d:
+                raise DimMismatchError(f"operator {p!r} is {len(m)}x{len(m)}, expected {d}x{d}")
+        stack = np.stack(mats)
+    return stack if family else stack[0]
 
 
 def format_float(x: float) -> str:
@@ -388,16 +434,9 @@ def read_manifest(path) -> Manifest:
     return Manifest(operators=list(ops), labels=list(labels) if labels else None, resolved=resolved)
 
 
-def load_family(manifest: Manifest) -> list[np.ndarray]:
-    """Read all operator files of a manifest and check matching dimensions."""
-    mats = [read_matrix(p) for p in manifest.resolved]
-    d = mats[0].shape[0]
-    for name, m in zip(manifest.operators, mats):
-        if m.shape[0] != d:
-            raise DimMismatchError(
-                f"operator {name!r} is {m.shape[0]}x{m.shape[0]}, expected {d}x{d}"
-            )
-    return mats
+def load_family(manifest: Manifest) -> np.ndarray:
+    """The (n, d, d) stack of a manifest's operator files, from one ``read_matrix`` call."""
+    return read_matrix(manifest.resolved)
 
 
 def write_manifest(path, operators: list[str], labels: list[str] | None = None) -> None:

@@ -1,7 +1,9 @@
 import argparse
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from bwgeom import (
     OutOfRangeError,
     __version__,
 )
+import bwgeom.cli as bwgeom_cli
 from bwgeom.cli import build_parser, main
 from bwgeom.io import read_matrix, write_manifest, write_matrix
 
@@ -61,6 +64,22 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, capsys):
+    write_matrix(tmp_path / "a.txt", np.eye(2))
+    build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "distance", str(tmp_path / "a.txt"), str(tmp_path / "a.txt"))[0] == 0
+    assert build_parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(Path(bwgeom_cli.__file__).parents[1])
+    code = "import bwgeom.cli as c; print(c.build_parser.cache_info().misses)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    assert out.stdout == "0\n"
 
 
 def test_mean_command_writes_file_and_converges(tmp_path, capsys):

@@ -2,7 +2,9 @@ import json
 import math
 import os
 import tracemalloc
+import warnings
 from decimal import Decimal
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 import bwgeom.barycenter as bwgeom_barycenter
 import bwgeom.io as bwgeom_io
-from bwgeom import DimMismatchError, MatrixParseError, validate_psd
+from bwgeom import DimMismatchError, EmptyFamilyError, MatrixParseError, validate_psd
 from bwgeom.barycenter import JointCovariance
 from bwgeom.io import (
     FLOAT_FORMAT,
@@ -521,3 +523,120 @@ def _float_arrays(draw, dtype):
 def test_render_report_arrays_match_their_lists_on_any_shape(dtype, data):
     a = data.draw(_float_arrays(dtype))
     assert render_report(_report(a)) == render_report(_report(a.tolist()))
+
+
+def _float_reference(path) -> np.ndarray:
+    """A matrix file parsed entry by entry with ``float()``, as the reader did before one
+    ``np.loadtxt`` parsed whole families."""
+    with open(path, encoding="utf-8") as f:
+        lines = [line.split("#", 1)[0].strip() for line in f]
+    return np.array([[float(t) for t in line.split(",")] for line in lines if line])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(data=st.data())
+def test_read_matrix_families_match_a_float_reference_bit_for_bit(data, tmp_path_factory):
+    n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
+    # Below half the largest double, where symmetrizing on read cannot overflow.
+    finite = st.floats(-8e307, 8e307, allow_nan=False)
+    mats = data.draw(hnp.arrays(np.float64, (n, d, d), elements=finite))
+    mats = np.triu(mats) + np.swapaxes(np.triu(mats, 1), 1, 2)
+    directory = tmp_path_factory.mktemp("family")
+    paths = [str(directory / f"m{k}.txt") for k in range(n)]
+    for path, m in zip(paths, mats):
+        write_matrix(path, m)
+    got = read_matrix(paths)
+    want = np.stack([_float_reference(p) for p in paths])
+    assert got.shape == (n, d, d) and got.tobytes() == want.tobytes() == mats.tobytes()
+    assert read_matrix(paths[-1]).tobytes() == want[-1].tobytes()
+
+
+# Comments, blank lines, CRLF ends, signs, spaces, exponents and an underscore,
+# which float() reads and np.loadtxt does not.
+_HAND_WRITTEN = [
+    "# a comment\r\n\r\n+2.0, 1e0 # trailing\r\n 1 ,\t3E+0\r\n",
+    "2.5e-1,-1_0\n-10,  +4\n\n",
+    "1.0,0.5\n0.5,2.0",
+]
+
+
+@pytest.mark.parametrize("text", _HAND_WRITTEN)
+def test_read_matrix_hand_written_members_parse_as_float_reads_them(tmp_path, text):
+    clean = tmp_path / "clean.txt"
+    write_matrix(clean, np.diag([1.0, 2.0]))
+    member = tmp_path / "member.txt"
+    member.write_bytes(text.encode("utf-8"))
+    want = _float_reference(member)
+    assert read_matrix(member).tobytes() == want.tobytes()
+    stack = read_matrix([str(clean), str(member), str(clean)])
+    np.testing.assert_array_equal(stack, [np.diag([1.0, 2.0]), want, np.diag([1.0, 2.0])])
+
+
+_CLEAN = "2,0,0\n0,2,0\n0,0,2\n"
+# Text of a faulty member -> (row, col) of the error.
+_FAULTS = {
+    "1,0,0\n0,abc,0\n0,0,1\n": (2, 2),
+    "1,0,0\n0,1,0\n0,0,nan\n": (3, 3),
+    "1,0,0\n0,1\n0,0,1\n": (2, None),
+    "1,0,0\n0,1,0\n": (None, None),
+    "# no data\n\n": (None, None),
+    "": (None, None),
+    "1,0,0.5\n0,1,0\n0,0,1\n": (1, 3),
+    None: (None, None),
+}
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("fault", list(_FAULTS), ids=lambda t: repr(t))
+def test_read_matrix_names_the_faulty_member_of_a_family(tmp_path, fault, k):
+    paths = [str(tmp_path / f"m{i}.txt") for i in range(5)]
+    for i, path in enumerate(paths):
+        if i != k or fault is not None:
+            Path(path).write_text(fault if i == k else _CLEAN, encoding="utf-8")
+    with pytest.raises(MatrixParseError) as exc:
+        read_matrix(paths)
+    assert (exc.value.path, exc.value.row, exc.value.col) == (paths[k], *_FAULTS[fault])
+
+
+def test_read_matrix_does_not_pair_a_short_member_with_a_long_one(tmp_path):
+    # The six rows of width 3 would fill a (2, 3, 3) stack of identities.
+    paths = [str(tmp_path / "short.txt"), str(tmp_path / "long.txt")]
+    Path(paths[0]).write_text("1,0,0\n0,1,0\n")
+    Path(paths[1]).write_text("0,0,1\n1,0,0\n0,1,0\n0,0,1\n")
+    with pytest.raises(MatrixParseError, match="matrix is 2x3, expected square") as exc:
+        read_matrix(paths)
+    assert exc.value.path == paths[0]
+
+
+def test_read_matrix_of_no_files_is_an_empty_family():
+    with pytest.raises(EmptyFamilyError):
+        read_matrix([])
+
+
+def test_read_matrix_reports_faults_in_file_order_before_dimensions(tmp_path):
+    paths = [str(tmp_path / f"m{i}.txt") for i in range(1, 6)]
+    Path(paths[0]).write_text(_CLEAN)
+    Path(paths[1]).write_text("1,0,0\n0,1,0\n0,abc,1\n")
+    Path(paths[2]).write_text("1,0\n0,1\n")
+    Path(paths[4]).write_text(_CLEAN)
+    with pytest.raises(MatrixParseError) as exc:
+        read_matrix(paths)
+    assert (exc.value.path, exc.value.row, exc.value.col) == (paths[1], 3, 2)
+    Path(paths[1]).write_text(_CLEAN)
+    with pytest.raises(MatrixParseError) as exc:
+        read_matrix(paths)
+    assert (exc.value.path, exc.value.row) == (paths[3], None)
+    Path(paths[3]).write_text(_CLEAN)
+    with pytest.raises(DimMismatchError):
+        read_matrix(paths)
+
+
+@pytest.mark.parametrize("empty", ["", "\n", "\n\n", "  \n"])
+def test_read_matrix_of_an_empty_member_raises_no_numpy_warning(tmp_path, empty):
+    Path(tmp_path / "a.txt").write_text(_CLEAN)
+    Path(tmp_path / "b.txt").write_text(empty)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for paths in ([str(tmp_path / "b.txt")], [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]):
+            with pytest.raises(MatrixParseError, match="no matrix rows found"):
+                read_matrix(paths)
