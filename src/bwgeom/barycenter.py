@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bures import kernel_leaks, optimal_map, product_root, rank_groups, transport_matrix
+from .bures import kernel_leaks, optimal_map, product_root, rank_groups, stack_spectra, transport_matrix
 from .errors import (
     DimMismatchError,
     EmptyFamilyError,
@@ -314,8 +314,8 @@ def mean_procrustes_averaging(family, cfg: MeanConfig | None = None, rank_tol: f
     """
 
     def start(members):
-        vectors = np.stack([m.spectrum.vectors for m in members])
-        roots = from_spectrum(vectors, np.sqrt(np.stack([m.spectrum.values for m in members])))
+        spec = stack_spectra(members)
+        roots = from_spectrum(spec.vectors, np.sqrt(spec.values))
         avg = roots.sum(axis=0) / len(members)
         return avg @ avg.T
 

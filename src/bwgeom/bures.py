@@ -23,6 +23,7 @@ from .spectral import (
     from_spectrum,
     numerical_rank,
     pinv_sqrt,
+    rank_cutoff,
     rank_rel,
     readonly,
     sqrt_psd,
@@ -40,16 +41,21 @@ def _check_pair(s1, s2) -> tuple[Covariance, Covariance]:
     return a, b
 
 
-def _range_factor(c: Covariance, r: int) -> np.ndarray:
-    """Exact-rank factor L of ``c = L L^T``, r its numerical rank: the leading
-    r cached eigenvectors scaled by the roots of their eigenvalues."""
-    return c.spectrum.vectors[:, :r] * np.sqrt(c.spectrum.values[:r])
+def _range_factor(spec: Spectrum, r: int) -> np.ndarray:
+    """Exact-rank factor L of ``S = L L^T``, r its numerical rank, from its spectrum, or the
+    stack (k, d, r) of a stack of spectra: the leading r eigenvectors times the roots of their values."""
+    return spec.vectors[..., :r] * np.sqrt(spec.values[..., None, :r])
+
+
+def stack_spectra(covs: list[Covariance]) -> Spectrum:
+    """The spectra of a list of covariances as one stack: values (n, d), vectors (n, d, d)."""
+    return Spectrum(np.stack([c.spectrum.values for c in covs]), np.stack([c.spectrum.vectors for c in covs]))
 
 
 def _cross_trace(l: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Cross trace ``tr (S^{1/2} H S^{1/2})^{1/2}`` for one H or each of a
-    stack (..., d, d), from the spectrum of ``L^T H L`` with ``S = L L^T``."""
-    w = np.linalg.eigvalsh(symmetrize(l.T @ hs @ l))
+    """Cross trace ``tr (S^{1/2} H S^{1/2})^{1/2}`` for one H or each of a stack
+    (..., d, d), from the spectrum of ``L^T H L`` with ``S = L L^T``, or L a stack."""
+    w = np.linalg.eigvalsh(symmetrize(l.swapaxes(-1, -2) @ hs @ l))
     return np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
 
 
@@ -63,10 +69,10 @@ def _squared_distances(a: Covariance, bs: list[Covariance]) -> list[float]:
     up = [k for k, rb in enumerate(rbs) if ra <= rb]
     stack, cross = np.stack([b.mat for b in bs]), np.empty(len(bs))
     if up:
-        cross[up] = _cross_trace(_range_factor(a, ra), stack[up])
+        cross[up] = _cross_trace(_range_factor(a.spectrum, ra), stack[up])
     for k, rb in enumerate(rbs):
         if rb < ra:
-            cross[k] = _cross_trace(_range_factor(bs[k], rb), a.mat)
+            cross[k] = _cross_trace(_range_factor(bs[k].spectrum, rb), a.mat)
     ta, tbs = a.trace, np.trace(stack, axis1=1, axis2=2).tolist()
     return [max(0.0, ta + tb - 2.0 * float(x)) for tb, x in zip(tbs, cross)]
 
@@ -164,19 +170,26 @@ def kernel_condition(s1, s2, rank_tol: float | None = None) -> bool:
     return not kernel_leaks(kernel, b.mat, rank_tol)
 
 
-def _operand(c: Covariance, rank_tol: float | None = None) -> np.ndarray:
-    """``product_root``'s operand: the target's matrix at full rank, else its exact-rank factor (d, r)."""
-    r = numerical_rank(c, rank_tol)
-    return c.mat if r == c.dim else _range_factor(c, r)
+def _operand(covs: list[Covariance], values: np.ndarray, r: int) -> np.ndarray:
+    """``product_root``'s operands (k, d, r) of covariances of numerical rank r with stacked
+    eigenvalues ``values``: their matrices at full rank, else their exact-rank factors."""
+    if r == values.shape[-1]:
+        return np.stack([c.mat for c in covs])
+    return _range_factor(Spectrum(values, np.stack([c.spectrum.vectors for c in covs])), r)
+
+
+def rank_positions(values: np.ndarray, rank_tol: float | None = None) -> list[tuple[int, np.ndarray]]:
+    """Rows of a stack (n, d) of descending spectra by numerical rank r, highest first, as ``(r, positions)``."""
+    ranks = np.count_nonzero(values > rank_cutoff(values, rank_tol)[:, None], axis=1)
+    return [(r, np.flatnonzero(ranks == r)) for r in sorted(set(ranks.tolist()), reverse=True)]
 
 
 def rank_groups(members: list[Covariance], rank_tol: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Members of equal numerical rank r, highest r first, as ``(positions, stack)``
-    pairs; the stack holds their ``_operand`` (k, d, r) for ``product_root``."""
-    ops = [_operand(m, rank_tol) for m in members]
-    ranks = [x.shape[1] for x in ops]
-    groups = [np.flatnonzero(np.equal(ranks, r)) for r in sorted(set(ranks), reverse=True)]
-    return [(idx, np.stack([ops[i] for i in idx])) for idx in groups]
+    """Members of equal numerical rank r, highest r first (``rank_positions``), as ``(positions,
+    stack)`` pairs; the stack holds their ``_operand`` (k, d, r) for ``product_root``."""
+    values = np.stack([m.spectrum.values for m in members])
+    groups = rank_positions(values, rank_tol)
+    return [(idx, _operand([members[i] for i in idx], values[idx], r)) for r, idx in groups]
 
 
 def product_root(root: np.ndarray, stack: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
@@ -220,5 +233,5 @@ def optimal_map(s1, s2, rank_tol: float | None = None) -> np.ndarray:
         raise KernelConditionError(
             "kernel of the source covariance is not contained in the kernel of the target"
         )
-    mid = product_root(sqrt_psd(a), _operand(b, rank_tol), rank_tol)
+    mid = product_root(sqrt_psd(a), _operand([b], b.spectrum.values, numerical_rank(b, rank_tol))[0], rank_tol)
     return readonly(transport_matrix(a, mid, rank_tol))

@@ -103,11 +103,11 @@ def _parse(paths) -> np.ndarray | None:
     if not np.isfinite(a).all():
         return None
     gap = np.abs(a - np.swapaxes(a, 1, 2)).max(axis=(1, 2))
-    return None if (gap > SYMMETRY_RTOL * np.abs(a).max(axis=(1, 2))).any() else symmetrize(a)
+    return None if (gap > SYMMETRY_RTOL * np.abs(a).max(axis=(1, 2))).any() else a
 
 
 def _read_one(path) -> np.ndarray:
-    """Parse one symmetric matrix file entry by entry, naming the first fault."""
+    """Parse one symmetric matrix file entry by entry, naming the first fault; ``read_matrix`` symmetrizes."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw_lines = f.readlines()
@@ -148,7 +148,7 @@ def _read_one(path) -> np.ndarray:
             row=rows[i][0],
             col=j + 1,
         )
-    return symmetrize(a)
+    return a
 
 
 def read_matrix(path) -> np.ndarray:
@@ -171,7 +171,11 @@ def read_matrix(path) -> np.ndarray:
             if len(m) != d:
                 raise DimMismatchError(f"operator {p!r} is {len(m)}x{len(m)}, expected {d}x{d}")
         stack = np.stack(mats)
-    return stack if family else stack[0]
+    with np.errstate(over="ignore"):
+        sym = symmetrize(stack)
+    big = np.isinf(sym)  # a + a^T overflowed, where 0.5 a + 0.5 a^T is exact
+    sym[big] = 0.5 * stack[big] + 0.5 * np.swapaxes(stack, 1, 2)[big]
+    return sym if family else sym[0]
 
 
 def format_float(x: float) -> str:

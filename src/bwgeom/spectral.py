@@ -8,7 +8,7 @@ them is one read-only (n, d, d) stack.  ``sym_eigen``, ``from_spectrum``,
 ``validate_psd``, ``cov_from_product``, ``as_symmetric``, ``pinv_sqrt`` and
 ``rank_cutoff`` take such a stack (of spectra, for the last two), each matrix
 bit for bit as alone: one LAPACK call per rank group in a mean's evaluation,
-one for a whole geodesic grid.
+one for a whole geodesic grid, and one PSD test for a whole family.
 
 One rank rule serves the whole package: the numerical kernel of a covariance
 is spanned by the eigenvectors whose eigenvalues are at or below
@@ -135,25 +135,29 @@ def validate_psd(m):
     Eigenvalues in ``[-tol, 0)`` are set to zero and the matrix is rebuilt from
     the clamped spectrum; an eigenvalue below ``-tol`` raises ``NotPSDError``.
     A matrix with no negative eigenvalues is passed through unchanged.  A stack
-    (n, d, d) gives n covariances from one stacked ``sym_eigen``, or names the
-    first indefinite matrix in the error's ``index``.
+    (n, d, d) gives n covariances, each as alone, from one stacked ``sym_eigen``, PSD test,
+    ``symmetrize`` and rebuild of the clamped members, or names the first indefinite in ``index``.
     """
     if isinstance(m, Covariance):
         return m
     spec, a = sym_eigen(m), np.asarray(m, dtype=np.float64)
-    if a.ndim == 2:
-        return _checked(a, spec.values, spec.vectors)
-    return [_checked(*x, index=i) for i, x in enumerate(zip(a, spec.values, spec.vectors))]
+    values, lam_min = spec.values, spec.values[..., -1]
+    bad = lam_min < -values.shape[-1] * EPS * np.abs(values).max(axis=-1)
+    if bad.any():
+        raise NotPSDError(float(np.ravel(lam_min)[bad.argmax()]), index=int(bad.argmax()) if a.ndim > 2 else None)
+    mats, neg = symmetrize(a), lam_min < 0.0
+    if neg.any():
+        values = np.where(neg[..., None], np.maximum(values, 0.0), values)
+        mats[neg] = from_spectrum(spec.vectors[neg], values[neg])
+    return _covariances(mats, values, spec.vectors)
 
 
-def _checked(a: np.ndarray, values: np.ndarray, vectors: np.ndarray, index=None) -> Covariance:
-    lam_min = float(values[-1])
-    if lam_min < -values.size * EPS * float(np.max(np.abs(values))):
-        raise NotPSDError(lam_min, index=index)
-    if lam_min < 0.0:
-        values = readonly(np.maximum(values, 0.0))
-        return Covariance(readonly(from_spectrum(vectors, values)), Spectrum(values, vectors))
-    return Covariance(readonly(symmetrize(a)), Spectrum(values, vectors))
+def _covariances(mats: np.ndarray, values: np.ndarray, vectors: np.ndarray):
+    """The ``Covariance`` of a matrix and its spectrum, or the list of those of a stack, read-only."""
+    mats, values = readonly(mats), readonly(values)
+    if values.ndim == 1:
+        return Covariance(mats, Spectrum(values, vectors))
+    return [Covariance(*x) for x in zip(mats, map(Spectrum, values, vectors))]
 
 
 def rank_rel(dim: int, rank_tol: float | None = None) -> float:
@@ -228,11 +232,8 @@ def cov_from_product(a) -> Covariance:
     stack (n, d, d) gives a list of n covariances, like ``validate_psd``.
     """
     spec = sym_eigen(a)
-    w = readonly(np.maximum(spec.values, 0.0))
-    mats = readonly(from_spectrum(spec.vectors, w))
-    if w.ndim == 1:
-        return Covariance(mats, Spectrum(w, spec.vectors))
-    return [Covariance(m, Spectrum(*x)) for m, x in zip(mats, zip(w, spec.vectors))]
+    w = np.maximum(spec.values, 0.0)
+    return _covariances(from_spectrum(spec.vectors, w), w, spec.vectors)
 
 
 def trace_norm(a) -> float:

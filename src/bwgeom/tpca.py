@@ -5,8 +5,8 @@ Family members are lifted through the logarithm map to the symmetric matrices
 under the tangent metric.  Components are pushed back to matrix space,
 orthonormalized in that metric, and can be retracted to covariances along
 principal geodesics.  The Gram matrix, the orthonormalization, the scores and
-each member's row of reconstruction errors are one stacked evaluation each;
-the rows apply ``exp_map``'s cone test.
+each block of members' rows of reconstruction errors are one stacked
+evaluation each; the rows apply ``exp_map``'s cone test.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycenter import coerce_point_and_family, multicoupling
-from .bures import _cross_trace, _range_factor
+from .bures import _cross_trace, _range_factor, rank_positions, stack_spectra
 from .errors import DimMismatchError, EmptyFamilyError, LeavesConeError, OutOfRangeError
 from .geometry import _cone_test, _tangent_gram, exp_map
 from .spectral import (
     Covariance,
+    Spectrum,
     as_matrix,
     as_symmetric,
     cov_from_product,
@@ -30,6 +31,8 @@ from .spectral import (
     symmetrize,
     validate_psd,
 )
+
+_BLOCK_ENTRIES = 1 << 16  # of a block's (members, K + 1, d, d) stacks: a size limit, not a knob
 
 
 @dataclass(frozen=True)
@@ -66,20 +69,23 @@ def tangent_pca(lifted, mean, k: int) -> PcaResult:
     variances; rank deficiency is not an error.  ``lifted`` is any sequence
     of symmetric matrices, such as the stack ``lift`` returns.
     """
-    c = validate_psd(mean)
-    dirs = [as_symmetric(a) for a in lifted]
-    n = len(dirs)
+    c, n = validate_psd(mean), len(lifted)
     if n == 0:
         raise EmptyFamilyError("no lifted directions")
     d = c.dim
-    for i, a in enumerate(dirs):
-        if a.shape != (d, d):
-            raise DimMismatchError(f"lifted direction {i} has shape {a.shape}, expected {(d, d)}")
+    try:
+        stack = as_symmetric(lifted)
+    except ValueError:  # numpy cannot stack directions of different shapes
+        if all(np.shape(a) == (d, d) for a in lifted):
+            raise
+        stack = None
+    if stack is None or stack.shape != (n, d, d):
+        i, shape = next((i, np.shape(a)) for i, a in enumerate(lifted) if np.shape(a) != (d, d))
+        raise DimMismatchError(f"lifted direction {i} has shape {shape}, expected {(d, d)}")
     k_cap = min(n, d * (d + 1) // 2)
     if not 1 <= k <= k_cap:
         raise OutOfRangeError(f"component count k={k} outside 1..{k_cap}")
 
-    stack = np.array(dirs)
     abar = stack.mean(axis=0)
     centred = stack - abar
     gcov = cov_from_product(_tangent_gram(c, centred, centred))
@@ -140,22 +146,26 @@ def reconstruct(mean, pca: PcaResult, index: int, k: int, rank_tol: float | None
 def reconstruction_errors(mean, pca: PcaResult, family, rank_tol: float | None = None) -> np.ndarray:
     """Distances of member i from ``reconstruct(mean, pca, i, k, rank_tol)``,
     k = 0..K with K the effective component count; NaN where that leaves the
-    cone.  A member's K + 1 retractions ``B M B`` are one stack ``B = I + v``:
-    one cone test (a Cholesky factorization, and the eigenvalue test only
-    when that fails) and one ``eigvalsh`` for the cross traces.
+    cone.  Members of equal numerical rank go in blocks that keep B within ``_BLOCK_ENTRIES``
+    entries (at least one member); the K + 1 retractions ``B M B`` of each member of a block
+    are one stack ``B = I + v``: one cone test (Cholesky, the eigenvalue test only where that
+    fails) and one ``eigvalsh`` of the cross traces.
     """
     c, members = coerce_point_and_family(mean, family, "mean")
-    if len(members) != len(pca.scores):
-        raise DimMismatchError(f"family of {len(members)} members for a PCA of {len(pca.scores)}")
-    k = len(pca.components)
-    out, b = np.empty((len(members), k + 1)), np.empty((k + 1, c.dim, c.dim))
-    for i, member in enumerate(members):
-        b[0] = pca.mean_direction
-        np.multiply(pca.scores[i, :, None, None], pca.components, out=b[1:])
-        np.cumsum(b, axis=0, out=b)
-        b += np.eye(c.dim)
-        bm = b @ c.mat
-        cross = _cross_trace(_range_factor(member, numerical_rank(member)), bm @ b)
-        d2 = np.sum(bm * b, axis=(1, 2)) + member.trace - 2.0 * cross
-        out[i] = np.where(_cone_test(c, b, rank_tol)[0], np.nan, np.sqrt(np.maximum(d2, 0.0)))
+    n, k, d = len(members), len(pca.components), c.dim
+    if n != len(pca.scores):
+        raise DimMismatchError(f"family of {n} members for a PCA of {len(pca.scores)}")
+    step, traces = max(1, _BLOCK_ENTRIES // ((k + 1) * d * d)), np.array([m.trace for m in members])
+    out, buf = np.empty((n, k + 1)), np.empty((min(step, n), k + 1, d, d))
+    spec = stack_spectra(members)
+    for r, idx in rank_positions(spec.values):
+        for rows in np.split(idx, range(step, len(idx), step)):
+            b = buf[: len(rows)]
+            b[:, 0] = pca.mean_direction
+            np.multiply(pca.scores[rows, :, None, None], pca.components, out=b[:, 1:])
+            np.add(np.cumsum(b, axis=1, out=b), np.eye(d), out=b)
+            bm = b @ c.mat
+            l = _range_factor(Spectrum(spec.values[rows], spec.vectors[rows]), r)[:, None]
+            d2 = np.sum(bm * b, axis=(2, 3)) + traces[rows, None] - 2.0 * _cross_trace(l, bm @ b)
+            out[rows] = np.where(_cone_test(c, b, rank_tol)[0], np.nan, np.sqrt(np.maximum(d2, 0.0)))
     return out

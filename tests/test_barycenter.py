@@ -27,8 +27,8 @@ from bwgeom import (
 )
 from bwgeom import bures
 from bwgeom.barycenter import RESIDUAL_CERT, _Evaluation, _Family
-from bwgeom.bures import _operand, product_root, rank_groups, transport_matrix
-from bwgeom.spectral import pinv_sqrt, trace_norm
+from bwgeom.bures import product_root, rank_groups, transport_matrix
+from bwgeom.spectral import numerical_rank, pinv_sqrt, trace_norm
 
 from conftest import count_eigh_calls, loop_evaluation, loop_product_root, make_psd_rank, make_spd
 
@@ -512,11 +512,18 @@ def test_joint_min_eigenvalue_matches_the_full_spectrum(rng, n, d):
         assert joint.min_eigenvalue() == 0.0
 
 
+def member_operand(m, rank_tol=None):
+    """``product_root``'s operand of one member on its own: its matrix at full
+    rank, else its exact-rank factor, the leading eigenvectors times the roots."""
+    r = numerical_rank(m, rank_tol)
+    return m.mat if r == m.dim else m.spectrum.vectors[:, :r] * np.sqrt(m.spectrum.values[:r])
+
+
 def old_evaluation(s, family):
     """Functional and residual from the product roots of the full PSD root of
     S, the evaluation used before S was rooted on its numerical range."""
     root = sqrt_psd(s)
-    gs = [product_root(root, _operand(m)) for m in family]
+    gs = [product_root(root, member_operand(m)) for m in family]
     f = sum(max(0.0, s.trace + m.trace - 2.0 * float(np.trace(g))) for m, g in zip(family, gs))
     gbar = sum(gs) / len(gs)
     return f / (2.0 * len(family)), trace_norm(s.mat - gbar)
@@ -629,6 +636,27 @@ def test_evaluation_makes_one_eigendecomposition_per_rank_group(rng, monkeypatch
     _Evaluation(point, fam)
     # The full-rank member's R S R, then B^T B of each factor group, highest rank first.
     assert calls == [(1, 6, 6), (2, 4, 4), (3, 2, 2)]
+
+
+def loop_rank_groups(members, rank_tol=None):
+    """Reference for ``bures.rank_groups``: each member's operand on its own,
+    grouped by its width, highest first, as before the spectra were stacked."""
+    ops = [member_operand(m, rank_tol) for m in members]
+    ranks = [x.shape[1] for x in ops]
+    groups = [np.flatnonzero(np.equal(ranks, r)) for r in sorted(set(ranks), reverse=True)]
+    return [(idx, np.stack([ops[i] for i in idx])) for idx in groups]
+
+
+@given(mixed_rank_cases(), st.sampled_from([None, 1e-10]))
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+def test_rank_groups_from_stacked_spectra_match_the_per_member_operands(case, rank_tol):
+    # Full-rank, lower-rank and rank-0 members, in any mix.
+    family, _ = mixed_rank_family_and_point(*case)
+    got, want = rank_groups(family, rank_tol), loop_rank_groups(family, rank_tol)
+    assert len(got) == len(want)
+    for (idx, stack), (ref_idx, ref_stack) in zip(got, want):
+        assert np.array_equal(idx, ref_idx)
+        assert stack.shape == ref_stack.shape and stack.tobytes() == ref_stack.tobytes()
 
 
 @pytest.mark.parametrize("rank_tol", [None, 1e-10])

@@ -537,8 +537,9 @@ def _float_reference(path) -> np.ndarray:
 @given(data=st.data())
 def test_read_matrix_families_match_a_float_reference_bit_for_bit(data, tmp_path_factory):
     n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
-    # Below half the largest double, where symmetrizing on read cannot overflow.
-    finite = st.floats(-8e307, 8e307, allow_nan=False)
+    # The full finite range: above half the largest double an entry and its
+    # mirror overflow their sum, and the reader takes their halves' sum instead.
+    finite = st.floats(allow_nan=False, allow_infinity=False)
     mats = data.draw(hnp.arrays(np.float64, (n, d, d), elements=finite))
     mats = np.triu(mats) + np.swapaxes(np.triu(mats, 1), 1, 2)
     directory = tmp_path_factory.mktemp("family")
@@ -549,6 +550,22 @@ def test_read_matrix_families_match_a_float_reference_bit_for_bit(data, tmp_path
     want = np.stack([_float_reference(p) for p in paths])
     assert got.shape == (n, d, d) and got.tobytes() == want.tobytes() == mats.tobytes()
     assert read_matrix(paths[-1]).tobytes() == want[-1].tobytes()
+
+
+@pytest.mark.parametrize("text", ["", "# a comment\n"], ids=["one_pass", "per_file"])
+def test_read_matrix_entries_above_half_the_largest_double_round_trip(tmp_path, text):
+    # a + a^T overflows here; the symmetrized entry must still be the entry itself,
+    # with no overflow warning, through the one-pass parse and the per-file reader.
+    big = np.array([[9e307, -1.7976931348623157e308], [-1.7976931348623157e308, 1e-310]])
+    path = tmp_path / "big.txt"
+    write_matrix(path, big)
+    path.write_text(text + path.read_text())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert read_matrix(path).tobytes() == big.tobytes()
+        assert read_matrix([str(path)] * 2).tobytes() == np.stack([big, big]).tobytes()
+    write_matrix(path, [[9e307]])
+    assert read_matrix(path).tobytes() == np.array([[9e307]]).tobytes()
 
 
 # Comments, blank lines, CRLF ends, signs, spaces, exponents and an underscore,

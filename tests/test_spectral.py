@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwgeom import (
     DimMismatchError,
@@ -12,7 +14,7 @@ from bwgeom import (
     sym_eigen,
     validate_psd,
 )
-from bwgeom.spectral import Spectrum, from_spectrum, numerical_rank, pinv_sqrt
+from bwgeom.spectral import EPS, Covariance, Spectrum, from_spectrum, numerical_rank, pinv_sqrt, symmetrize
 
 from conftest import make_psd_rank, make_spd
 
@@ -134,6 +136,65 @@ def test_validate_psd_of_a_stack_matches_each_matrix_and_names_the_first_failure
     with pytest.raises(NotPSDError) as err:
         validate_psd(np.array(mats))
     assert err.value.index == 1 and err.value.lambda_min == pytest.approx(-0.5)
+
+
+def _checked_reference(m):
+    """``validate_psd`` of one matrix as before stacks were checked at once:
+    its own PSD test, clamp and rebuild."""
+    spec = sym_eigen(m)
+    values, lam_min = spec.values, float(spec.values[-1])
+    if lam_min < -values.size * EPS * float(np.max(np.abs(values))):
+        raise NotPSDError(lam_min)
+    if lam_min < 0.0:
+        values = np.maximum(values, 0.0)
+        return Covariance(from_spectrum(spec.vectors, values), Spectrum(values, spec.vectors))
+    return Covariance(symmetrize(np.asarray(m, dtype=np.float64)), Spectrum(values, spec.vectors))
+
+
+@st.composite
+def _psd_test_stacks(draw):
+    """Stacks of 1 to 6 members of dimension 1 to 5: each diagonal (exact
+    eigenvalues) or rotated, with eigenvalues positive, zero, negative within
+    the tolerance (clamped) or far below it (indefinite)."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    mats = []
+    for _ in range(n):
+        w = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d)))
+        kind = draw(st.sampled_from(["positive", "zero", "clamped", "indefinite"]))
+        if kind == "zero":
+            w[-1] = 0.0
+        elif kind == "clamped":
+            w[-1] = -draw(st.floats(1e-3, 0.9)) * d * EPS * np.max(w)
+        elif kind == "indefinite":
+            w[-1] = -draw(st.floats(1e-6, 1.0)) * np.max(w)
+        if draw(st.booleans()):
+            q = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((d, d)))[0]
+            mats.append((q * w) @ q.T)
+        else:
+            mats.append(np.diag(w))
+    return np.array(mats)
+
+
+@given(_psd_test_stacks())
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+def test_validate_psd_of_a_stack_is_the_per_matrix_check_bit_for_bit(stack):
+    want = []
+    for i, m in enumerate(stack):
+        try:
+            want.append(_checked_reference(m))
+        except NotPSDError as e:
+            with pytest.raises(NotPSDError) as err:
+                validate_psd(stack)
+            # The first indefinite member, with the lambda_min of its own check.
+            assert err.value.index == i and err.value.lambda_min == e.lambda_min
+            return
+    got = validate_psd(stack)
+    assert len(got) == len(stack)
+    for c, one, ref in zip(got, [validate_psd(m) for m in stack], want):
+        for x in (c, one):
+            assert x.mat.tobytes() == ref.mat.tobytes() and not x.mat.flags.writeable
+            assert x.spectrum.values.tobytes() == ref.spectrum.values.tobytes()
+            assert x.spectrum.vectors.tobytes() == ref.spectrum.vectors.tobytes()
 
 
 def test_sym_eigen_rejects_nonfinite():

@@ -25,8 +25,9 @@ from bwgeom import (
 from bwgeom.geometry import _tangent_gram
 from bwgeom.simulate import RngSpec, deformation_family
 from bwgeom.spectral import EPS, cov_from_product, numerical_rank, rank_cutoff, validate_psd
+from bwgeom import tpca
 from bwgeom.tpca import PcaResult
-from conftest import eigvalsh_cone_test, make_spd
+from conftest import eigvalsh_cone_test, make_psd_rank, make_spd
 
 
 def total_centred_variance(base, lifted):
@@ -315,6 +316,19 @@ def test_tangent_pca_rejects_bad_k(rng):
         tangent_pca(lifted, mean, k=5)
 
 
+def test_tangent_pca_names_the_direction_of_the_wrong_shape(rng):
+    fam = [make_spd(3, rng) for _ in range(4)]
+    mean = mean_fixed_point(fam).mean
+    lifted = list(lift(fam, mean))
+    # A ragged list, which numpy cannot stack, and a stack of the wrong width.
+    for bad, index in ((lifted[:2] + [np.eye(2)] + lifted[3:], 2), (np.zeros((4, 2, 2)), 0)):
+        with pytest.raises(DimMismatchError, match=f"lifted direction {index} has shape"):
+            tangent_pca(bad, mean, k=2)
+    # A fault other than a shape is numpy's own, as for each direction alone.
+    with pytest.raises(ValueError, match="could not convert"):
+        tangent_pca([np.full((3, 3), "x")] + lifted[1:], mean, k=2)
+
+
 def test_reconstruct_rejects_bad_arguments(rng):
     fam = [make_spd(3, rng) for _ in range(4)]
     mean = mean_fixed_point(fam).mean
@@ -335,6 +349,8 @@ FAMILIES = {
     "shared_kernel": _shared_kernel_family,
     # Member 6 rebuilt from 3 components leaves the cone, as in the CLI test.
     "leaves_cone": lambda rng: deformation_family(np.eye(3), 6, 0.99, RngSpec(1, "x")).deformed,
+    # Ranks 4, 3, 2, 3, 2: three rank groups.
+    "mixed_rank": lambda rng: [make_spd(4, rng)] + [make_psd_rank(4, r, rng) for r in (3, 2, 3, 2)],
 }
 
 
@@ -358,33 +374,67 @@ def test_reconstruction_errors_match_entrywise_reconstruction(rng, name):
             pos = member.spectrum.values[: numerical_rank(member)]
             floor = math.sqrt(EPS * (rec.trace + member.trace) * pos[0] / pos[-1])
             assert abs(table[i, k] - procrustes_distance(rec, member)) <= 2.0 * floor
-    assert np.isnan(table).any() == (name == "leaves_cone")
+    # Lower-rank members' partial reconstructions leave the cone too.
+    assert np.isnan(table).any() == (name in ("leaves_cone", "mixed_rank"))
+
+
+def _pca_of(name, rng):
+    fam = [validate_psd(m) for m in FAMILIES[name](rng)]
+    mean = mean_fixed_point(fam).mean
+    return fam, mean, tangent_pca(lift(fam, mean), mean, k=len(fam))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_reconstruction_errors_solve_eigenvalues_only_for_cross_traces(rng, name, monkeypatch):
-    fam = [validate_psd(m) for m in FAMILIES[name](rng)]
-    mean = mean_fixed_point(fam).mean
-    pca = tangent_pca(lift(fam, mean), mean, k=len(fam))
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+    fam, mean, pca = _pca_of(name, rng)
+    ranks = [numerical_rank(m) for m in fam]
+    calls, solved = [], []
+    eigvalsh, cone_test = np.linalg.eigvalsh, tpca._cone_test
 
     def counting(a, *args, **kwargs):
         calls.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    def recording(*args):
+        rejected, lambda_min = cone_test(*args)
+        solved.append(lambda_min is not None)
+        return rejected, lambda_min
+
+    # Blocks hold members of one rank: in these small families one block per
+    # rank group, highest rank first, or one block per member.
+    groups = [[i for i, x in enumerate(ranks) if x == r] for r in sorted(set(ranks), reverse=True)]
+    for entries, blocks in ((tpca._BLOCK_ENTRIES, groups), (1, [[i] for g in groups for i in g])):
+        calls.clear(), solved.clear()
+        monkeypatch.setattr(tpca, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(tpca, "_cone_test", recording)
+        table = reconstruction_errors(mean, pca, fam)
+        n_calls = len(calls)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(tpca, "_cone_test", eigvalsh_cone_test)
+        # Every cell, null ones included, as with the cone test by eigenvalues alone.
+        np.testing.assert_array_equal(table, reconstruction_errors(mean, pca, fam))
+        # One cone test per block, which solves eigenvalues only for a block
+        # with a cell off the cone; and one solve per block for its cross traces.
+        off_cone = [bool(np.isnan(table[blk]).any()) for blk in blocks]
+        if name == "mixed_rank":
+            # A rank-deficient member's full reconstruction B is singular, on the
+            # cone's boundary, where a Cholesky factorization may fail or not; the
+            # full-rank member's block takes none.
+            assert not solved[0] and all(s for s, off in zip(solved, off_cone) if off)
+        else:
+            assert solved == off_cone
+        assert n_calls == len(blocks) + sum(solved)
+    assert np.isnan(table).any() == (name in ("leaves_cone", "mixed_rank"))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_reconstruction_errors_table_is_the_same_block_by_block(rng, name, monkeypatch):
+    fam, mean, pca = _pca_of(name, rng)
+    assert (len(pca.components) + 1) * 4 * 4 * len(fam) <= tpca._BLOCK_ENTRIES
     table = reconstruction_errors(mean, pca, fam)
-    n_calls = len(calls)
-    monkeypatch.setattr("bwgeom.tpca._cone_test", eigvalsh_cone_test)
-    # Every cell, null ones included, as with the cone test by eigenvalues alone.
-    np.testing.assert_array_equal(table, reconstruction_errors(mean, pca, fam))
-    if name == "leaves_cone":
-        # Only a member with a cell off the cone takes the eigenvalue test.
-        assert np.isnan(table).any() and n_calls == len(fam) + np.isnan(table).any(axis=1).sum()
-    else:
-        # One solve per member, for its cross traces.
-        assert n_calls == len(fam)
+    monkeypatch.setattr(tpca, "_BLOCK_ENTRIES", 1)
+    assert reconstruction_errors(mean, pca, fam).tobytes() == table.tobytes()
 
 
 def test_reconstruction_errors_cone_test_follows_the_callers_rank_tol():
