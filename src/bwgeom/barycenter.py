@@ -29,6 +29,7 @@ from .spectral import (
     as_matrix,
     cov_from_product,
     from_spectrum,
+    member_sum,
     numerical_rank,
     readonly,
     sqrt_psd,
@@ -214,8 +215,8 @@ class _Evaluation:
                 gs[idx] = q @ product_root(root, stack, rank_tol) @ q.T
         d2 = point.trace + fam.mats.trace(axis1=1, axis2=2) - 2.0 * gs.trace(axis1=1, axis2=2)
         self.point, self.gs = point, readonly(gs)
-        self.functional = float(np.cumsum(np.maximum(0.0, d2))[-1]) / (2.0 * len(gs))
-        self.gbar = gs.sum(axis=0) / len(gs)
+        self.functional = float(member_sum(np.maximum(0.0, d2))) / (2.0 * len(gs))
+        self.gbar = member_sum(gs) / len(gs)
         self.residual = trace_norm(point.mat - self.gbar)
 
 
@@ -316,7 +317,7 @@ def mean_procrustes_averaging(family, cfg: MeanConfig | None = None, rank_tol: f
     def start(members):
         spec = stack_spectra(members)
         roots = from_spectrum(spec.vectors, np.sqrt(spec.values))
-        avg = roots.sum(axis=0) / len(members)
+        avg = member_sum(roots) / len(members)
         return avg @ avg.T
 
     return _solve(family, cfg or MeanConfig(), rank_tol, start, "procrustes_averaging")

@@ -57,7 +57,7 @@ from .simulate import (
     projection_error,
     projection_stability_experiment,
 )
-from .spectral import Covariance, _condition, cov_from_product, from_spectrum, validate_psd
+from .spectral import Covariance, _condition, cov_from_product, from_spectrum, member_sum, validate_psd
 from .tpca import reconstruction_errors, tangent_pca
 
 
@@ -237,6 +237,7 @@ def cmd_multicouple(args, covs, res):
     cost = multicoupling_cost(joint)
     functional = float(res.functional_trace[-1])
     block_gap = float(np.max(np.abs(joint.maps @ joint.mean.mat @ joint.maps - np.stack([c.mat for c in covs]))))
+    maps = np.stack([optimal_map(res.mean, c, args.rank_tol) for c in covs])
     results = {
         "joint_file": "multicoupling.txt",
         "cost": cost,
@@ -248,9 +249,7 @@ def cmd_multicouple(args, covs, res):
     diagnostics = {
         "min_eigenvalue": joint.min_eigenvalue(),
         "diagonal_block_gap": block_gap,
-        "map_conditioning": [
-            _condition(np.linalg.eigvalsh(optimal_map(res.mean, c, args.rank_tol))[::-1]) for c in covs
-        ],
+        "map_conditioning": [_condition(v[::-1]) for v in np.linalg.eigvalsh(maps)],
         "rank_tol": args.rank_tol,
     }
     return results, diagnostics, {"multicoupling.txt": joint}
@@ -293,7 +292,7 @@ def cmd_simulate_deform(args, family, template, maps, res):
         "residual_at_template": fixed_point_residual(template, family),
     }
     diagnostics = {
-        "map_identity_gap": float(np.max(np.abs(maps.mean(axis=0) - np.eye(template.dim)))),
+        "map_identity_gap": float(np.max(np.abs(member_sum(maps) / len(maps) - np.eye(template.dim)))),
         "template_trace": template.trace,
         "seed": args.seed,
     }

@@ -8,10 +8,10 @@ the first fault.  Files written here use 17 significant digits, so
 every matrix the tool writes re-parses to bit-identical doubles.  The writer
 accepts only what the reader accepts back: a nonempty, finite, square matrix,
 symmetric to within ``SYMMETRY_RTOL``, or a ``JointCovariance``.  It formats
-the upper triangle once, by row tiles, into a table of fixed-width cells and
-gathers each line from the cells of its entries, mirrored below the diagonal;
-a joint's tiles come from its factor, so the cell table alone sets the peak
-memory.  Reports are JSON documents with sorted keys and the same fixed float
+the upper triangle once, by row tiles, into a table of fixed-width cells (a
+joint's tiles come from its factor, so the table alone sets the peak memory)
+and gathers each block of lines, mirrored below the diagonal, into one reused
+buffer.  Reports are JSON documents with sorted keys and the same fixed float
 formatting, collected as a list of pieces and joined once, making
 byte-identical output a function of the inputs alone.
 
@@ -24,9 +24,9 @@ doubles, and the digits round half to even as in correctly rounded ``dtoa``.
 Other entries, and arrays of fewer than ``_CROSSOVER`` entries, go through one
 ``FLOAT_FORMAT %`` call.  Each text fills a cell padded with NUL bytes and
 ending in a separator byte: a comma or newline in a matrix file, in a report
-1 + the number of JSON lists that close after the entry.  One
-``bytes.translate`` deletes the padding; in a report one ``str.replace`` per
-nesting level then writes out the text each separator byte stands for.
+1 + the number of JSON lists that close after the entry.  A file's bytes are
+written once one ``bytearray.translate`` deletes the padding; in a report one
+``str.replace`` per nesting level then writes out each separator byte's text.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ _PADDING = b"\0 "
 # whose hundred-odd numpy calls cost about 130 us per call (measured
 # crossover: 256 to 320 entries).
 _CROSSOVER = 300
-# Entries per kernel call, and cells per written block of lines.  It bounds
-# their temporaries, about 130 bytes per entry in the kernel.
-_BLOCK = 4096
+# Entries per kernel call, over which its hundred-odd numpy calls amortize, and
+# cells per written block of lines; kernel temporaries take ~130 bytes per entry.
+_BLOCK = 16384
 # Veltkamp's splitting constant 2**27 + 1 for Dekker's two-product.
 _SPLIT = 134217729.0
 _U64 = np.uint64
@@ -73,7 +73,8 @@ def _asymmetric_entry(a: np.ndarray) -> tuple[int, int] | None:
     """Position of the largest asymmetry of a square array when it exceeds
     ``SYMMETRY_RTOL`` relative to the largest entry, else ``None``."""
     scale = float(np.max(np.abs(a))) if a.size else 0.0
-    gap = a - a.T
+    with np.errstate(over="ignore"):  # an infinite gap is asymmetric
+        gap = a - a.T
     np.abs(gap, out=gap)
     if float(gap.max(initial=0.0)) <= SYMMETRY_RTOL * scale:
         return None
@@ -102,7 +103,8 @@ def _parse(paths) -> np.ndarray | None:
         return None
     if not np.isfinite(a).all():
         return None
-    gap = np.abs(a - np.swapaxes(a, 1, 2)).max(axis=(1, 2))
+    with np.errstate(over="ignore"):  # an infinite gap is asymmetric
+        gap = np.abs(a - np.swapaxes(a, 1, 2)).max(axis=(1, 2))
     return None if (gap > SYMMETRY_RTOL * np.abs(a).max(axis=(1, 2))).any() else a
 
 
@@ -184,9 +186,9 @@ def format_float(x: float) -> str:
 
 
 def _atomic_write(path, chunks) -> None:
-    """Write the text chunks to a new file beside ``path``, its mode set by the umask, then rename it."""
+    """Write the byte chunks to a new file beside ``path``, its mode set by the umask, then rename it."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".bwgeom-{secrets.token_hex(8)}.tmp")
-    f = open(tmp, "x", encoding="utf-8")
+    f = open(tmp, "xb")
     try:
         with f:
             f.writelines(chunks)
@@ -345,7 +347,7 @@ def _format_cells(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _symmetric_rows(n: int, tiles):
-    """Yield the text of a symmetric n x n matrix file in blocks of whole lines.
+    """Yield the bytes of a symmetric n x n matrix file in blocks of whole lines.
 
     ``tiles`` are pairs ``(r0, t)``, t the next rows from column r0 on.  Their
     upper triangles, checked to be finite, are formatted into a table of cells
@@ -362,13 +364,13 @@ def _symmetric_rows(n: int, tiles):
         if not np.isfinite(upper).all():
             raise ValueError("cannot write a matrix with non-finite entries")
         _format_cells(upper, table[start[r0] + r0 :][: upper.size])
-    cells = table.view(f"V{_CELL}").ravel()
-    step = max(1, _BLOCK // n)
+    step = min(n, max(1, _BLOCK // n))
+    buf = bytearray(step * n * _CELL)
+    out = np.frombuffer(buf, np.uint8).reshape(step, n, _CELL)
     for i in np.split(cols[:, None], range(step, n, step)):
-        lines = np.take(cells, start[np.minimum(i, cols)] + np.maximum(i, cols))
-        lines = lines.view(np.uint8).reshape(-1, n, _CELL)
+        lines = np.take(table, start[np.minimum(i, cols)] + np.maximum(i, cols), 0, out[: len(i)], "clip")  # unbuffered
         lines[:, -1, -1] = ord("\n")
-        yield lines.tobytes().translate(None, _PADDING).decode("ascii")
+        yield (buf if len(i) == step else buf[: lines.nbytes]).translate(None, _PADDING)
 
 
 def write_matrix(path, a) -> None:
@@ -447,7 +449,7 @@ def write_manifest(path, operators: list[str], labels: list[str] | None = None) 
     doc: dict = {"operators": list(operators)}
     if labels is not None:
         doc["labels"] = list(labels)
-    _atomic_write(path, [json.dumps(doc, sort_keys=True, indent=2) + "\n"])
+    _atomic_write(path, [(json.dumps(doc, sort_keys=True, indent=2) + "\n").encode("utf-8")])
 
 
 def _pieces(obj, indent: int):
@@ -488,13 +490,13 @@ def _float_pieces(a: np.ndarray, indent: int) -> list[str]:
     down = ["\n" + "  " * (indent + q) for q in range(a.ndim + 1)]
     opening = lambda c: "".join(down[q] + "[" for q in range(a.ndim - c, a.ndim))
     closing = lambda c: "".join(down[q] + "]" for q in reversed(range(a.ndim - c, a.ndim)))
-    cells = np.empty((a.size, _CELL), np.uint8)
-    cells[:, -1] = 1
+    buf = bytearray(a.size * _CELL)
+    cells = np.frombuffer(buf, np.uint8).reshape(a.size, _CELL)
+    cells[:-1, -1] = 1  # the last entry's separator stays a zero, padding
     for width in (math.prod(a.shape[q:]) for q in range(1, a.ndim)):
-        cells[width - 1 :: width, -1] += 1
-    cells[-1, -1] = 0
+        cells[width - 1 : -1 : width, -1] += 1
     _format_cells(a.astype(np.float64).ravel(), cells)
-    text = cells.tobytes().translate(None, _PADDING).decode("ascii")
+    text = buf.translate(None, _PADDING).decode("ascii")
     for c in range(a.ndim):
         text = text.replace(chr(1 + c), closing(c) + "," + opening(c) + down[-1])
     return ["[" + opening(a.ndim - 1) + down[-1], text, closing(a.ndim)]

@@ -21,6 +21,7 @@ from .spectral import (
     EPS,
     Covariance,
     cov_from_product,
+    member_sum,
     numerical_rank,
     operator_norm,
     readonly,
@@ -87,7 +88,7 @@ def deformation_family(s, n: int, eps: float, rng: RngSpec) -> DeformationFamily
     g = np.zeros((n, d, d))
     g[:, iu[0], iu[1]] = rng.generator().uniform(-1.0, 1.0, size=(n, iu[0].size))
     g += np.triu(g, 1).swapaxes(-1, -2)
-    centred = g - g.sum(axis=0) / n
+    centred = g - member_sum(g) / n
     scale = operator_norm(centred)
     identity = eps == 0.0 or scale == 0.0
     a = (0.0 if identity else eps / scale) * centred

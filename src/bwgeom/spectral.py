@@ -46,6 +46,12 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def member_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum over the first axis in member order, as a loop adds: numpy's ``sum`` does so over the leading
+    axis of a C-contiguous stack but adds members of one entry pairwise, so those accumulate."""
+    return np.cumsum(stack, axis=0)[-1] if stack[0].size == 1 else np.ascontiguousarray(stack).sum(axis=0)
+
+
 def as_matrix(m) -> np.ndarray:
     """Underlying square float64 array of a matrix-like object, such as the
     matrix of a ``Covariance`` itself."""

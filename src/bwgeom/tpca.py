@@ -26,6 +26,7 @@ from .spectral import (
     as_matrix,
     as_symmetric,
     cov_from_product,
+    member_sum,
     numerical_rank,
     readonly,
     symmetrize,
@@ -86,7 +87,7 @@ def tangent_pca(lifted, mean, k: int) -> PcaResult:
     if not 1 <= k <= k_cap:
         raise OutOfRangeError(f"component count k={k} outside 1..{k_cap}")
 
-    abar = stack.mean(axis=0)
+    abar = member_sum(stack) / n
     centred = stack - abar
     gcov = cov_from_product(_tangent_gram(c, centred, centred))
     gvals, gvecs = gcov.spectrum.values, gcov.spectrum.vectors

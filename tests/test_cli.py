@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,14 @@ from bwgeom import (
     NotPSDError,
     OutOfRangeError,
     __version__,
+    mean_fixed_point,
+    optimal_map,
+    validate_psd,
 )
 import bwgeom.cli as bwgeom_cli
 from bwgeom.cli import build_parser, main
 from bwgeom.io import read_matrix, write_manifest, write_matrix
+from bwgeom.spectral import _condition
 
 from conftest import count_eigh_calls
 
@@ -151,6 +156,22 @@ def test_exit_codes_for_unusable_inputs(tmp_path, capsys):
         capsys, "simulate", "moments", str(tmp_path / "good.txt"), "--samples", "10"
     )
     assert code == 2
+
+
+def test_exit_code_for_opposite_huge_mirrors_names_the_file(tmp_path, capsys):
+    # a - a^T overflows in the asymmetry test: unusable input, with no overflow warning.
+    huge = tmp_path / "huge.txt"
+    huge.write_text("0,1e308\n-1e308,0\n")
+    write_matrix(tmp_path / "ok.txt", np.eye(2))
+    write_manifest(tmp_path / "fam.json", ["ok.txt", "huge.txt"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (
+            ["distance", str(huge), str(tmp_path / "ok.txt")],
+            ["mean", str(tmp_path / "fam.json"), "--output", str(tmp_path / "out")],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and str(huge) in err and "asymmetric" in err
 
 
 def test_exit_code_dimension_mismatch(tmp_path, capsys):
@@ -824,6 +845,18 @@ def test_multicouple_command_consistency(tmp_path, capsys):
     assert doc["diagnostics"]["diagonal_block_gap"] <= 1e-9
     joint = read_matrix(tmp_path / "mc" / "multicoupling.txt")
     assert joint.shape == (4, 4)
+
+
+def test_multicouple_map_conditioning_is_each_maps_own(tmp_path, capsys, rng):
+    # One stacked eigvalsh over the maps gives each map's spectrum as alone, bit for bit.
+    mats = [x @ x.T + 0.1 * np.eye(4) for x in rng.standard_normal((5, 4, 4))]
+    manifest = write_family(tmp_path, mats)
+    code, out, _ = run_cli(capsys, "multicouple", manifest, "--output", str(tmp_path / "mc"))
+    assert code == 0
+    covs = [validate_psd(m) for m in read_matrix([str(tmp_path / f"op_{i}.txt") for i in range(5)])]
+    mean = mean_fixed_point(covs).mean
+    want = [_condition(np.linalg.eigvalsh(optimal_map(mean, c))[::-1]) for c in covs]
+    assert json.loads(out)["diagnostics"]["map_conditioning"] == want
 
 
 def test_pca_reconstruction_leaving_the_cone_is_null(tmp_path, capsys):

@@ -102,6 +102,21 @@ def test_read_matrix_rejects_asymmetry_and_reports_entries(tmp_path):
     assert "0.5" in msg and "0.75" in msg
 
 
+def test_opposite_mirrors_above_half_the_largest_double_are_asymmetric(tmp_path):
+    # a - a^T overflows to infinity here, with no overflow warning: an infinite gap is asymmetric.
+    p, ok = tmp_path / "m.txt", tmp_path / "ok.txt"
+    p.write_text("0,1e308\n-1e308,0\n")
+    write_matrix(ok, np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arg in (p, [str(p)], [str(ok), str(p)]):
+            with pytest.raises(MatrixParseError, match="asymmetric") as exc:
+                read_matrix(arg)
+            assert exc.value.path == str(p) and exc.value.row == 1 and exc.value.col == 2
+        with pytest.raises(ValueError, match="asymmetric"):
+            write_matrix(tmp_path / "w.txt", [[0.0, 1e308], [-1e308, 0.0]])
+
+
 def test_read_matrix_symmetrizes_tiny_asymmetry(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("1.0, 0.5000000000001\n0.5, 1.0\n")
@@ -122,6 +137,15 @@ def test_manifest_round_trip_with_labels(tmp_path):
     assert man.operators == ["a.txt", "b.txt"]
     assert man.labels == ["first", "second"]
     assert man.resolved == [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+
+
+def test_write_manifest_bytes_with_labels(tmp_path):
+    p = tmp_path / "fam.json"
+    write_manifest(p, ["a.txt", "dir/b.txt"], labels=["first", "zweite \u00c4"])
+    assert p.read_bytes() == (
+        b'{\n  "labels": [\n    "first",\n    "zweite \\u00c4"\n  ],\n'
+        b'  "operators": [\n    "a.txt",\n    "dir/b.txt"\n  ]\n}\n'
+    )
 
 
 def test_manifest_relative_paths_resolve_against_manifest_dir(tmp_path):
@@ -395,10 +419,10 @@ def symmetric_fast_range(n, rng):
     return np.triu(a) + np.triu(a, 1).T
 
 
-# 24 * 25 / 2 == _CROSSOVER upper entries; 64 rows of 64 are one block.
-@pytest.mark.parametrize("n", [23, 24, 25, 63, 64, 65])
+# 24 * 25 / 2 == _CROSSOVER upper entries; 128 rows of 128 are one block.
+@pytest.mark.parametrize("n", [23, 24, 25, 127, 128, 129])
 def test_write_matrix_bytes_around_the_crossover_and_the_row_block(tmp_path, rng, n):
-    assert 24 * 25 // 2 == bwgeom_io._CROSSOVER and 64 * 64 == bwgeom_io._BLOCK
+    assert 24 * 25 // 2 == bwgeom_io._CROSSOVER and 128 * 128 == bwgeom_io._BLOCK
     a = symmetric_fast_range(n, rng)
     p = tmp_path / "m.txt"
     write_matrix(p, a)
@@ -469,6 +493,18 @@ def test_joint_file_peak_memory_is_its_cell_table(tmp_path, rng):
         tracemalloc.stop()
     table = n * (n + 1) // 2 * bwgeom_io._CELL
     assert peak < table + 0.75 * n * n * 8
+
+
+def test_small_matrix_file_buffers_only_its_own_lines(tmp_path):
+    # A line block holds min(n, _BLOCK // n) lines: 625 bytes for a 5 x 5 file, not 400 kB.
+    write_matrix(tmp_path / "m.txt", np.eye(5))
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "m.txt", np.eye(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)])

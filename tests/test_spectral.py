@@ -14,7 +14,16 @@ from bwgeom import (
     sym_eigen,
     validate_psd,
 )
-from bwgeom.spectral import EPS, Covariance, Spectrum, from_spectrum, numerical_rank, pinv_sqrt, symmetrize
+from bwgeom.spectral import (
+    EPS,
+    Covariance,
+    Spectrum,
+    from_spectrum,
+    member_sum,
+    numerical_rank,
+    pinv_sqrt,
+    symmetrize,
+)
 
 from conftest import make_psd_rank, make_spd
 
@@ -290,3 +299,16 @@ def test_sym_matrix_immutable(rng):
         assert np.array_equal(m, m.T)
         with pytest.raises(ValueError):
             m[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_member_sum_adds_the_members_in_order(rng, d):
+    # numpy's axis-0 sum of 1 x 1 members, or of a Fortran-ordered stack, is not in
+    # member order; member_sum adds as the loop does.
+    for _ in range(50):
+        g = rng.standard_normal((40, d, d)) * 10.0 ** rng.integers(-8, 8, size=(40, 1, 1))
+        total = g[0].copy()
+        for m in g[1:]:
+            total += m
+        assert member_sum(g).tobytes() == member_sum(np.asfortranarray(g)).tobytes() == total.tobytes()
+    assert member_sum(g[:, 0, 0]).tobytes() == total[0, 0].tobytes()
