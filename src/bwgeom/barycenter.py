@@ -16,17 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bures import kernel_leaks, optimal_map, product_root, rank_groups, stack_spectra, transport_matrix
-from .errors import (
-    DimMismatchError,
-    EmptyFamilyError,
-    KernelConditionError,
-    MaxIterExceeded,
-    OutOfRangeError,
-)
+from .bures import kernel_leaks, optimal_map, product_root, rank_groups, transport_matrix
+from .errors import DimMismatchError, KernelConditionError, MaxIterExceeded, OutOfRangeError
 from .spectral import (
     Covariance,
-    as_matrix,
+    Family,
+    as_family,
     cov_from_product,
     from_spectrum,
     member_sum,
@@ -140,37 +135,22 @@ class JointCovariance:
         return w if self.n == 1 else min(w, 0.0)
 
 
-def coerce_family(family) -> list[Covariance]:
-    """Validate a family of covariances in one stacked pass and check dimensions agree."""
-    members = list(family)
-    if not members:
-        raise EmptyFamilyError("family of covariances is empty")
-    d = len(as_matrix(members[0]))
-    for i, m in enumerate(members):
-        if len(as_matrix(m)) != d:
-            raise DimMismatchError(f"family member {i} has dimension {len(as_matrix(m))}, expected {d}")
-    checked = members if all(isinstance(m, Covariance) for m in members) else validate_psd(np.stack(members))
-    return [m if isinstance(m, Covariance) else c for m, c in zip(members, checked)]
-
-
-def coerce_point_and_family(point, family, role: str) -> tuple[Covariance, list[Covariance]]:
+def coerce_point_and_family(point, family, role: str) -> tuple[Covariance, Family]:
     """Validate a point and a family and check that their dimensions agree.
 
     ``role`` names the point in the error message, e.g. ``"candidate"`` or
     ``"mean"``.
     """
-    c = validate_psd(point)
-    members = coerce_family(family)
-    if c.dim != members[0].dim:
-        raise DimMismatchError(f"{role} dimension {c.dim} does not match family {members[0].dim}")
+    c, members = validate_psd(point), as_family(family)
+    if c.dim != members.mats.shape[-1]:
+        raise DimMismatchError(f"{role} dimension {c.dim} does not match family {members.mats.shape[-1]}")
     return c, members
 
 
 def frechet_functional(s, family) -> float:
     """F(S) = (1/2N) sum_i d^2(S, S_i) for the Procrustes distance d, read
     from the one ``_Evaluation`` of S like ``fixed_point_residual``."""
-    c, members = coerce_point_and_family(s, family, "candidate")
-    return _Evaluation(c, _Family(members)).functional
+    return _Evaluation(*coerce_point_and_family(s, family, "candidate")).functional
 
 
 def fixed_point_residual(s, family) -> float:
@@ -179,15 +159,7 @@ def fixed_point_residual(s, family) -> float:
     Returns ``|| S - (1/N) sum_i (S^{1/2} S_i S^{1/2})^{1/2} ||_1``, which
     vanishes exactly at the Frechet mean of the family.
     """
-    c, members = coerce_point_and_family(s, family, "candidate")
-    return _Evaluation(c, _Family(members)).residual
-
-
-class _Family:
-    """Members' (n, d, d) stack and their ``rank_groups`` at ``rank_tol``."""
-
-    def __init__(self, members: list[Covariance], rank_tol=None):
-        self.mats, self.groups = np.stack([m.mat for m in members]), rank_groups(members, rank_tol)
+    return _Evaluation(*coerce_point_and_family(s, family, "candidate")).residual
 
 
 class _Evaluation:
@@ -204,10 +176,10 @@ class _Evaluation:
 
     __slots__ = ("point", "functional", "gbar", "residual", "gs")
 
-    def __init__(self, point: Covariance, fam: _Family, rank_tol=None):
+    def __init__(self, point: Covariance, fam: Family, rank_tol=None):
         r, gs = numerical_rank(point, rank_tol), np.zeros(fam.mats.shape)
         if r == point.dim:
-            for idx, stack in fam.groups:
+            for idx, stack in rank_groups(fam, rank_tol):
                 gs[idx] = product_root(sqrt_psd(point), stack, rank_tol)
         elif r:
             q, root = point.spectrum.vectors[:, :r], np.diag(np.sqrt(point.spectrum.values[:r]))
@@ -245,27 +217,25 @@ def _solve(family, cfg: MeanConfig, rank_tol, start, algorithm: str) -> MeanResu
     from ``start(members)``, or from their euclidean mean when ``start`` is
     None, until the stopping test of ``mean_fixed_point`` ends the run;
     ``cfg.max_iter`` steps raise ``MaxIterExceeded``."""
-    members = coerce_family(family)
-    euclidean = lambda ms: sum(m.mat for m in ms) / len(ms)
+    members = as_family(family)
+    euclidean = lambda fam: member_sum(fam.mats) / len(fam)
     # The common kernel is read off the euclidean mean's null space; without
     # deflation that mean is also the descent's start.
     point, q = cov_from_product(euclidean(members)), None
     rank = numerical_rank(point, rank_tol)
-    if 0 < rank < members[0].dim:
+    if 0 < rank < point.dim:
         q = point.spectrum.vectors[:, :rank]
-        members = cov_from_product(q.T @ np.stack([m.mat for m in members]) @ q)
+        members = cov_from_product(q.T @ members.mats @ q)
         start = start or euclidean
     if start:
         point = cov_from_product(start(members))
 
-    fam = _Family(members, rank_tol)
-
     def evaluate(point, k):
         kernel = point.spectrum.vectors[:, numerical_rank(point, rank_tol):]
-        leaks = np.flatnonzero(kernel_leaks(kernel, fam.mats, rank_tol))
+        leaks = np.flatnonzero(kernel_leaks(kernel, members.mats, rank_tol))
         if leaks.size:
             raise KernelConditionError(f"iterate {k} lost range inclusion for member {leaks[0]}", index=k)
-        return _Evaluation(point, fam, rank_tol)
+        return _Evaluation(point, members, rank_tol)
 
     res_cert = max(cfg.rel_tol, RESIDUAL_CERT)
     certified = lambda e, scale: e.residual <= scale * e.point.trace
@@ -315,9 +285,7 @@ def mean_procrustes_averaging(family, cfg: MeanConfig | None = None, rank_tol: f
     """
 
     def start(members):
-        spec = stack_spectra(members)
-        roots = from_spectrum(spec.vectors, np.sqrt(spec.values))
-        avg = member_sum(roots) / len(members)
+        avg = member_sum(from_spectrum(members.vectors, np.sqrt(members.values))) / len(members)
         return avg @ avg.T
 
     return _solve(family, cfg or MeanConfig(), rank_tol, start, "procrustes_averaging")

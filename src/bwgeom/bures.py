@@ -19,11 +19,12 @@ import numpy as np
 from .errors import DimMismatchError, KernelConditionError, NonFiniteError
 from .spectral import (
     Covariance,
+    Family,
     Spectrum,
+    as_family,
     from_spectrum,
     numerical_rank,
     pinv_sqrt,
-    rank_cutoff,
     rank_rel,
     readonly,
     sqrt_psd,
@@ -41,15 +42,10 @@ def _check_pair(s1, s2) -> tuple[Covariance, Covariance]:
     return a, b
 
 
-def _range_factor(spec: Spectrum, r: int) -> np.ndarray:
-    """Exact-rank factor L of ``S = L L^T``, r its numerical rank, from its spectrum, or the
-    stack (k, d, r) of a stack of spectra: the leading r eigenvectors times the roots of their values."""
+def _range_factor(spec, r: int) -> np.ndarray:
+    """Exact-rank factor L of ``S = L L^T``, r its numerical rank, from its spectrum, or the stack
+    (k, d, r) of a ``Family`` or stack of spectra: the leading r eigenvectors times the roots of their values."""
     return spec.vectors[..., :r] * np.sqrt(spec.values[..., None, :r])
-
-
-def stack_spectra(covs: list[Covariance]) -> Spectrum:
-    """The spectra of a list of covariances as one stack: values (n, d), vectors (n, d, d)."""
-    return Spectrum(np.stack([c.spectrum.values for c in covs]), np.stack([c.spectrum.vectors for c in covs]))
 
 
 def _cross_trace(l: np.ndarray, hs: np.ndarray) -> np.ndarray:
@@ -59,28 +55,26 @@ def _cross_trace(l: np.ndarray, hs: np.ndarray) -> np.ndarray:
     return np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
 
 
-def _squared_distances(a: Covariance, bs: list[Covariance]) -> list[float]:
-    """Squared Procrustes distances from ``a`` to each of ``bs``, of its
+def _squared_distances(a: Covariance, bs: Family) -> list[float]:
+    """Squared Procrustes distances from ``a`` to each member of ``bs``, of its
     dimension, clamped at zero.  Each cross trace goes through the factor of
     the lower-rank side, which avoids square roots of spurious near-zero
     eigenvalues; those through the factor of ``a`` are one stacked
     evaluation, each bit for bit as alone."""
-    ra, rbs = numerical_rank(a), [numerical_rank(b) for b in bs]
-    up = [k for k, rb in enumerate(rbs) if ra <= rb]
-    stack, cross = np.stack([b.mat for b in bs]), np.empty(len(bs))
-    if up:
-        cross[up] = _cross_trace(_range_factor(a.spectrum, ra), stack[up])
-    for k, rb in enumerate(rbs):
-        if rb < ra:
-            cross[k] = _cross_trace(_range_factor(bs[k].spectrum, rb), a.mat)
-    ta, tbs = a.trace, np.trace(stack, axis1=1, axis2=2).tolist()
+    ra, rbs = numerical_rank(a), numerical_rank(bs)
+    up, cross = ra <= rbs, np.empty(len(bs))
+    if up.any():
+        cross[up] = _cross_trace(_range_factor(a.spectrum, ra), bs.mats[up])
+    for k in np.flatnonzero(~up):
+        cross[k] = _cross_trace(_range_factor(bs[k].spectrum, rbs[k]), a.mat)
+    ta, tbs = a.trace, np.trace(bs.mats, axis1=1, axis2=2).tolist()
     return [max(0.0, ta + tb - 2.0 * float(x)) for tb, x in zip(tbs, cross)]
 
 
 def procrustes_distance_squared(s1, s2) -> float:
-    """Squared Procrustes distance; see ``_squared_distances``."""
-    a, b = _check_pair(s1, s2)
-    return _squared_distances(a, [b])[0]
+    """Squared Procrustes distance, as ``_squared_distances``; the stable sort puts the lower-rank side first."""
+    a, b = sorted(_check_pair(s1, s2), key=numerical_rank)
+    return max(0.0, a.trace + b.trace - 2.0 * float(_cross_trace(_range_factor(a.spectrum, numerical_rank(a)), b.mat)))
 
 
 def procrustes_distance(s1, s2) -> float:
@@ -92,13 +86,11 @@ def pairwise_distances(family) -> dict[tuple[int, int], float]:
     """``procrustes_distance`` of each pair i < j of a family, keyed ``(i, j)``
     in row order, bit for bit; member i's distances to the later members are
     one ``_squared_distances`` evaluation."""
-    members = [validate_psd(m) for m in family]
-    for m in members[1:]:
-        _check_pair(members[0], m)
+    members = as_family(family) if len(family) else ()
     return {
         (i, j): math.sqrt(d2)
-        for i, a in enumerate(members[:-1])
-        for j, d2 in enumerate(_squared_distances(a, members[i + 1 :]), i + 1)
+        for i in range(len(members) - 1)
+        for j, d2 in enumerate(_squared_distances(members[i], members[i + 1 :]), i + 1)
     }
 
 
@@ -170,32 +162,24 @@ def kernel_condition(s1, s2, rank_tol: float | None = None) -> bool:
     return not kernel_leaks(kernel, b.mat, rank_tol)
 
 
-def _operand(covs: list[Covariance], values: np.ndarray, r: int) -> np.ndarray:
-    """``product_root``'s operands (k, d, r) of covariances of numerical rank r with stacked
-    eigenvalues ``values``: their matrices at full rank, else their exact-rank factors."""
-    if r == values.shape[-1]:
-        return np.stack([c.mat for c in covs])
-    return _range_factor(Spectrum(values, np.stack([c.spectrum.vectors for c in covs])), r)
-
-
-def rank_positions(values: np.ndarray, rank_tol: float | None = None) -> list[tuple[int, np.ndarray]]:
-    """Rows of a stack (n, d) of descending spectra by numerical rank r, highest first, as ``(r, positions)``."""
-    ranks = np.count_nonzero(values > rank_cutoff(values, rank_tol)[:, None], axis=1)
+def rank_positions(members: Family, rank_tol: float | None = None) -> list[tuple[int, np.ndarray]]:
+    """Members of a family by numerical rank r, highest first, as ``(r, positions)``."""
+    ranks = numerical_rank(members, rank_tol)
     return [(r, np.flatnonzero(ranks == r)) for r in sorted(set(ranks.tolist()), reverse=True)]
 
 
-def rank_groups(members: list[Covariance], rank_tol: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+def rank_groups(members: Family, rank_tol: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Members of equal numerical rank r, highest r first (``rank_positions``), as ``(positions,
-    stack)`` pairs; the stack holds their ``_operand`` (k, d, r) for ``product_root``."""
-    values = np.stack([m.spectrum.values for m in members])
-    groups = rank_positions(values, rank_tol)
-    return [(idx, _operand([members[i] for i in idx], values[idx], r)) for r, idx in groups]
+    stack)`` pairs; the stack (k, d, r) holds ``product_root``'s operands: their matrices at full
+    rank, else their exact-rank factors."""
+    d, groups = members.mats.shape[-1], rank_positions(members, rank_tol)
+    return [(idx, members.mats[idx] if r == d else _range_factor(members[idx], r)) for r, idx in groups]
 
 
 def product_root(root: np.ndarray, stack: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
-    """``(R S R)^{1/2}`` for symmetric ``R = root`` and the PSD S of an ``_operand``,
-    or of each of a ``rank_groups`` stack with one ``sym_eigen``.  Rounding
-    negatives are clamped.  Below full rank, with B = R L for the factor L of
+    """``(R S R)^{1/2}`` for symmetric ``R = root`` and the PSD S of one operand (S itself, or
+    its exact-rank factor below full rank), or of each of a ``rank_groups`` stack with one
+    ``sym_eigen``.  Rounding negatives are clamped.  Below full rank, with B = R L for the factor L of
     S = L L^T, ``B (B^T B)^{-1/2} B^T`` avoids roots of the spurious near-zero
     eigenvalues of R S R, with one stacked ``pinv_sqrt``; rank 0 gives 0."""
     d, r = stack.shape[-2:]
@@ -233,5 +217,6 @@ def optimal_map(s1, s2, rank_tol: float | None = None) -> np.ndarray:
         raise KernelConditionError(
             "kernel of the source covariance is not contained in the kernel of the target"
         )
-    mid = product_root(sqrt_psd(a), _operand([b], b.spectrum.values, numerical_rank(b, rank_tol))[0], rank_tol)
+    r = numerical_rank(b, rank_tol)
+    mid = product_root(sqrt_psd(a), b.mat if r == b.dim else _range_factor(b.spectrum, r), rank_tol)
     return readonly(transport_matrix(a, mid, rank_tol))

@@ -57,11 +57,11 @@ from .simulate import (
     projection_error,
     projection_stability_experiment,
 )
-from .spectral import Covariance, _condition, cov_from_product, from_spectrum, member_sum, validate_psd
+from .spectral import Covariance, Family, _condition, cov_from_product, from_spectrum, member_sum, validate_psd
 from .tpca import reconstruction_errors, tangent_pca
 
 
-def _validated(names, mats) -> list[Covariance]:
+def _validated(names, mats) -> Family:
     """``validate_psd`` of an (n, d, d) stack, naming the entry of the first that fails."""
     try:
         return validate_psd(mats)
@@ -69,12 +69,12 @@ def _validated(names, mats) -> list[Covariance]:
         raise NotPSDError(e.lambda_min, f"{names[e.index]}: {e}") from None
 
 
-def _load_matrices(*paths) -> list[Covariance]:
+def _load_matrices(*paths) -> Family:
     """Read and validate matrix files named on the command line, as one family."""
     return _validated(paths, load_family(Manifest(list(paths), None, list(paths))))
 
 
-def _load_manifest(args) -> tuple[dict, list[Covariance]]:
+def _load_manifest(args) -> tuple[dict, Family]:
     """Read and validate the family of ``--manifest``; returns the inputs it reports and the members."""
     manifest = read_manifest(args.manifest)
     inputs = {"manifest": args.manifest, "operators": manifest.operators, "labels": manifest.labels}
@@ -196,7 +196,7 @@ def cmd_geodesic(args, a, b):
     results = {
         "distance": dist,
         "grid": [float(t) for t in grid],
-        "points": np.stack([p.mat for p in points]),
+        "points": points.mats,
         "speed_table": speed_table,
         "max_speed_deviation": float(np.max(speed_table[:, 2])),
     }
@@ -236,7 +236,7 @@ def cmd_multicouple(args, covs, res):
     joint = multicoupling(res.mean, covs, args.rank_tol)
     cost = multicoupling_cost(joint)
     functional = float(res.functional_trace[-1])
-    block_gap = float(np.max(np.abs(joint.maps @ joint.mean.mat @ joint.maps - np.stack([c.mat for c in covs]))))
+    block_gap = float(np.max(np.abs(joint.maps @ joint.mean.mat @ joint.maps - covs.mats)))
     maps = np.stack([optimal_map(res.mean, c, args.rank_tol) for c in covs])
     results = {
         "joint_file": "multicoupling.txt",
@@ -296,7 +296,7 @@ def cmd_simulate_deform(args, family, template, maps, res):
         "template_trace": template.trace,
         "seed": args.seed,
     }
-    family_files = _family_files([m.mat for m in family])
+    family_files = _family_files(family.mats)
     return results, diagnostics, {"template.txt": template.mat, **family_files, "recovered.txt": res.mean.mat}
 
 

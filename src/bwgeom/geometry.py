@@ -27,6 +27,7 @@ from .errors import DimMismatchError, LeavesConeError, OutOfRangeError
 from .spectral import (
     EPS,
     Covariance,
+    Family,
     _condition,
     as_matrix,
     as_symmetric,
@@ -87,9 +88,9 @@ def _cone_test(base: Covariance, b: np.ndarray, rank_tol: float | None = None):
     return w[..., 0] < -min(base.dim * EPS * kappa, 1e-3) * np.max(np.abs(w), axis=-1), w[..., 0]
 
 
-def exp_map(base, a, rank_tol: float | None = None) -> Covariance | list[Covariance]:
-    """Exponential map (I + A) S (I + A) at the base covariance S, or the list of
-    those of a stack (n, d, d) from one ``_cone_test`` and one ``cov_from_product``;
+def exp_map(base, a, rank_tol: float | None = None) -> Covariance | Family:
+    """Exponential map (I + A) S (I + A) at the base covariance S, or the ``Family``
+    of those of a stack (n, d, d) from one ``_cone_test`` and one ``cov_from_product``;
     raises ``LeavesConeError`` with the ``lambda_min`` of the first I + A rejected."""
     s = validate_psd(base)
     b = np.eye(s.dim) + _direction(s, a)
@@ -106,9 +107,9 @@ def log_map(base, target, rank_tol: float | None = None) -> np.ndarray:
     return readonly(optimal_map(s, target, rank_tol) - np.eye(s.dim))
 
 
-def geodesic(s0, s1, t, rank_tol: float | None = None) -> Covariance | list[Covariance]:
-    """Point at parameter ``t`` on the geodesic from S0 to S1, or the list of
-    points of a 1-D grid ``t``: one ``exp_map`` at S0 of ``t`` times one
+def geodesic(s0, s1, t, rank_tol: float | None = None) -> Covariance | Family:
+    """Point at parameter ``t`` on the geodesic from S0 to S1, or the ``Family``
+    of points of a 1-D grid ``t``: one ``exp_map`` at S0 of ``t`` times one
     ``log_map`` of S1 at S0.  Each ``t`` must lie in [0, 1]; the curve has
     constant speed, with distance (t - s) times the endpoint distance between
     parameters s <= t.

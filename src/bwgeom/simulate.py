@@ -13,13 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barycenter import MeanConfig, coerce_family, mean_fixed_point
+from .barycenter import MeanConfig, mean_fixed_point
 from .bures import _check_pair, pairwise_distances, procrustes_distance
 from .errors import BwGeomError, DegenerateError, OutOfRangeError
 from .geometry import exp_map
 from .spectral import (
     EPS,
     Covariance,
+    Family,
+    as_family,
     cov_from_product,
     member_sum,
     numerical_rank,
@@ -58,7 +60,7 @@ class DeformationFamily:
 
     template: Covariance
     maps: np.ndarray
-    deformed: list[Covariance]
+    deformed: Family
 
 
 def sample_gaussian(s, n: int, rng: RngSpec) -> np.ndarray:
@@ -93,7 +95,7 @@ def deformation_family(s, n: int, eps: float, rng: RngSpec) -> DeformationFamily
     identity = eps == 0.0 or scale == 0.0
     a = (0.0 if identity else eps / scale) * centred
     maps = readonly(np.eye(d) + a)
-    deformed = [c] * n if identity else exp_map(c, a)
+    deformed = as_family([c] * n) if identity else exp_map(c, a)
     return DeformationFamily(template=c, maps=maps, deformed=deformed)
 
 
@@ -157,11 +159,11 @@ def projection_stability_experiment(
     discrepancy of the compressed family.  Solver failures are recorded per
     rank rather than raised.
     """
-    members = coerce_family(family)
-    d = members[0].dim
+    members = as_family(family)
+    d = members.mats.shape[-1]
     ranks = checked_ranks(ranks, d)
 
-    euclidean = cov_from_product(sum(m.mat for m in members) / len(members))
+    euclidean = cov_from_product(member_sum(members.mats) / len(members))
     q_full = _projector_basis(euclidean, d, basis)
 
     full = mean_fixed_point(members, cfg)
@@ -173,7 +175,7 @@ def projection_stability_experiment(
     for r in ranks:
         try:
             q = q_full[:, :r]
-            sub = cov_from_product(q.T @ np.stack([m.mat for m in members]) @ q)
+            sub = cov_from_product(q.T @ members.mats @ q)
             res = mean_fixed_point(sub, cfg)
             mean_gap.append(trace_norm(q @ res.mean.mat @ q.T - full.mean.mat))
             pair_sub = pairwise_distances(sub)

@@ -9,15 +9,18 @@ them is one read-only (n, d, d) stack.  ``sym_eigen``, ``from_spectrum``,
 ``rank_cutoff`` take such a stack (of spectra, for the last two), each matrix
 bit for bit as alone: one LAPACK call per rank group in a mean's evaluation,
 one for a whole geodesic grid, and one PSD test for a whole family.
+``validate_psd`` and ``cov_from_product`` of a stack return a ``Family``:
+read-only stacks of matrices and spectra, whose ``family[i]`` is a
+``Covariance`` of views.  Only ``as_family`` stacks members.
 
 One rank rule serves the whole package: the numerical kernel of a covariance
 is spanned by the eigenvectors whose eigenvalues are at or below
 ``rank_tol * lambda_max``, with ``rank_tol`` defaulting to ``dim * eps``
 (``rank_rel``, ``rank_cutoff``).  ``numerical_rank`` applies it to the
-spectrum a ``Covariance`` caches: the leading columns of
-``spectrum.vectors`` span the numerical range and the rest the kernel.  The
-kernel condition (``bures.kernel_leaks``) holds when a target's compression
-onto that kernel has operator norm at most ``rank_tol * tr target``.
+spectrum a ``Covariance`` caches, or to each of a ``Family``: the leading
+columns of ``spectrum.vectors`` span the numerical range and the rest the
+kernel.  The kernel condition (``bures.kernel_leaks``) holds when a target's
+compression onto it has operator norm at most ``rank_tol * tr target``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatchError, NonFiniteError, NotPSDError, OutOfRangeError
+from .errors import DimMismatchError, EmptyFamilyError, NonFiniteError, NotPSDError, OutOfRangeError
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -141,10 +144,10 @@ def validate_psd(m):
     Eigenvalues in ``[-tol, 0)`` are set to zero and the matrix is rebuilt from
     the clamped spectrum; an eigenvalue below ``-tol`` raises ``NotPSDError``.
     A matrix with no negative eigenvalues is passed through unchanged.  A stack
-    (n, d, d) gives n covariances, each as alone, from one stacked ``sym_eigen``, PSD test,
-    ``symmetrize`` and rebuild of the clamped members, or names the first indefinite in ``index``.
+    (n, d, d) gives the ``Family`` of its n members, each as alone, from one stacked ``sym_eigen``,
+    PSD test, ``symmetrize`` and rebuild of the clamped members, or names the first indefinite in ``index``.
     """
-    if isinstance(m, Covariance):
+    if isinstance(m, (Covariance, Family)):
         return m
     spec, a = sym_eigen(m), np.asarray(m, dtype=np.float64)
     values, lam_min = spec.values, spec.values[..., -1]
@@ -158,12 +161,52 @@ def validate_psd(m):
     return _covariances(mats, values, spec.vectors)
 
 
+class Family:
+    """A validated family of n covariances as three read-only stacks: ``mats`` (n, d, d) and
+    their spectra, ``values`` (n, d) and ``vectors`` (n, d, d).  ``family[i]`` is member i's
+    ``Covariance``, of views into the stacks; a slice or an index array gives those rows' ``Family``."""
+
+    __slots__ = ("mats", "values", "vectors")
+
+    def __init__(self, mats: np.ndarray, values: np.ndarray, vectors: np.ndarray):
+        self.mats, self.values, self.vectors = readonly(mats), readonly(values), readonly(vectors)
+
+    def __len__(self) -> int:
+        return len(self.mats)
+
+    def __getitem__(self, i):
+        if isinstance(i, (int, np.integer)):
+            return Covariance(self.mats[i], Spectrum(self.values[i], self.vectors[i]))
+        if isinstance(i, slice) or np.ndim(i) == 1:
+            return Family(self.mats[i], self.values[i], self.vectors[i])
+        raise TypeError(f"a family is indexed by an integer, a slice or an index array, not {i!r}")
+
+
 def _covariances(mats: np.ndarray, values: np.ndarray, vectors: np.ndarray):
-    """The ``Covariance`` of a matrix and its spectrum, or the list of those of a stack, read-only."""
-    mats, values = readonly(mats), readonly(values)
-    if values.ndim == 1:
-        return Covariance(mats, Spectrum(values, vectors))
-    return [Covariance(*x) for x in zip(mats, map(Spectrum, values, vectors))]
+    """The read-only ``Covariance`` of a matrix and its spectrum, or the ``Family`` of a stack."""
+    if values.ndim > 1:
+        return Family(mats, values, vectors)
+    return Covariance(readonly(mats), Spectrum(readonly(values), vectors))
+
+
+def as_family(family) -> Family:
+    """A ``Family`` as it is, or a sequence of matrices validated in one stacked pass after a check
+    that it is nonempty and of one dimension; a ``Covariance`` among them keeps its matrix and spectrum."""
+    if isinstance(family, Family):
+        return family
+    members = list(family)
+    if not members:
+        raise EmptyFamilyError("family of covariances is empty")
+    d = len(as_matrix(members[0]))
+    for i, m in enumerate(members):
+        if len(as_matrix(m)) != d:
+            raise DimMismatchError(f"family member {i} has dimension {len(as_matrix(m))}, expected {d}")
+    kept = [isinstance(m, Covariance) for m in members]
+    checked = members if all(kept) else validate_psd(np.stack(members))
+    if not any(kept):
+        return checked
+    members = [m if k else c for m, k, c in zip(members, kept, checked)]
+    return Family(*map(np.stack, zip(*((m.mat, m.spectrum.values, m.spectrum.vectors) for m in members))))
 
 
 def rank_rel(dim: int, rank_tol: float | None = None) -> float:
@@ -184,14 +227,16 @@ def rank_cutoff(values: np.ndarray, rank_tol: float | None = None):
     return rank_rel(values.shape[-1], rank_tol) * values[..., 0]
 
 
-def numerical_rank(c: Covariance, rank_tol: float | None = None) -> int:
-    """Count of eigenvalues above ``rank_cutoff``.
+def numerical_rank(c, rank_tol: float | None = None):
+    """Count of eigenvalues above ``rank_cutoff`` of a ``Covariance``, or the
+    (n,) counts of the members of a ``Family``.
 
     This is the range/kernel split: ``spectrum.vectors[:, :r]`` spans the
     numerical range and ``spectrum.vectors[:, r:]`` the numerical kernel.
     """
-    values = c.spectrum.values
-    return int(np.count_nonzero(values > rank_cutoff(values, rank_tol)))
+    values = c.values if isinstance(c, Family) else c.spectrum.values
+    above = values.T > rank_cutoff(values, rank_tol)
+    return above.sum(axis=0) if isinstance(c, Family) else int(np.count_nonzero(above))
 
 
 def _condition(values: np.ndarray, rank_tol: float | None = None) -> float:
@@ -235,7 +280,7 @@ def cov_from_product(a) -> Covariance:
     Products such as ``R @ S @ R`` (R symmetric, S PSD) can have negative
     eigenvalues only through rounding, so they are clamped without a
     tolerance gate and the matrix is rebuilt from the clamped spectrum.  A
-    stack (n, d, d) gives a list of n covariances, like ``validate_psd``.
+    stack (n, d, d) gives the ``Family`` of n covariances, like ``validate_psd``.
     """
     spec = sym_eigen(a)
     w = np.maximum(spec.values, 0.0)

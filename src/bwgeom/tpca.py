@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycenter import coerce_point_and_family, multicoupling
-from .bures import _cross_trace, _range_factor, rank_positions, stack_spectra
+from .bures import _cross_trace, _range_factor, rank_positions
 from .errors import DimMismatchError, EmptyFamilyError, LeavesConeError, OutOfRangeError
 from .geometry import _cone_test, _tangent_gram, exp_map
 from .spectral import (
@@ -156,17 +156,16 @@ def reconstruction_errors(mean, pca: PcaResult, family, rank_tol: float | None =
     n, k, d = len(members), len(pca.components), c.dim
     if n != len(pca.scores):
         raise DimMismatchError(f"family of {n} members for a PCA of {len(pca.scores)}")
-    step, traces = max(1, _BLOCK_ENTRIES // ((k + 1) * d * d)), np.array([m.trace for m in members])
+    step, traces = max(1, _BLOCK_ENTRIES // ((k + 1) * d * d)), members.mats.trace(axis1=1, axis2=2)
     out, buf = np.empty((n, k + 1)), np.empty((min(step, n), k + 1, d, d))
-    spec = stack_spectra(members)
-    for r, idx in rank_positions(spec.values):
+    for r, idx in rank_positions(members):
         for rows in np.split(idx, range(step, len(idx), step)):
             b = buf[: len(rows)]
             b[:, 0] = pca.mean_direction
             np.multiply(pca.scores[rows, :, None, None], pca.components, out=b[:, 1:])
             np.add(np.cumsum(b, axis=1, out=b), np.eye(d), out=b)
             bm = b @ c.mat
-            l = _range_factor(Spectrum(spec.values[rows], spec.vectors[rows]), r)[:, None]
+            l = _range_factor(Spectrum(members.values[rows], members.vectors[rows]), r)[:, None]
             d2 = np.sum(bm * b, axis=(2, 3)) + traces[rows, None] - 2.0 * _cross_trace(l, bm @ b)
             out[rows] = np.where(_cone_test(c, b, rank_tol)[0], np.nan, np.sqrt(np.maximum(d2, 0.0)))
     return out

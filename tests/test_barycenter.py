@@ -26,9 +26,9 @@ from bwgeom import (
     validate_psd,
 )
 from bwgeom import bures
-from bwgeom.barycenter import RESIDUAL_CERT, _Evaluation, _Family
+from bwgeom.barycenter import RESIDUAL_CERT, _Evaluation
 from bwgeom.bures import product_root, rank_groups, transport_matrix
-from bwgeom.spectral import numerical_rank, pinv_sqrt, trace_norm
+from bwgeom.spectral import as_family, numerical_rank, pinv_sqrt, trace_norm
 
 from conftest import count_eigh_calls, loop_evaluation, loop_product_root, make_psd_rank, make_spd
 
@@ -609,7 +609,7 @@ def mixed_rank_cases(draw):
 @settings(derandomize=True, deadline=None, database=None, max_examples=200)
 def test_stacked_evaluation_reproduces_the_member_loop(case, rank_tol):
     family, point = mixed_rank_family_and_point(*case)
-    ev = _Evaluation(point, _Family(family, rank_tol), rank_tol)
+    ev = _Evaluation(point, as_family(family), rank_tol)
     functional, gbar, residual = loop_evaluation(point, family, rank_tol)
     assert ev.functional == functional
     assert np.array_equal(ev.gbar, gbar)
@@ -631,7 +631,7 @@ def test_mean_makes_one_eigendecomposition_per_evaluation(rng, monkeypatch, solv
 
 def test_evaluation_makes_one_eigendecomposition_per_rank_group(rng, monkeypatch):
     family = [make_spd(6, rng)] + [make_psd_rank(6, r, rng) for r in (4, 2, 4, 2, 2)]
-    fam, point = _Family(family), make_spd(6, rng)
+    fam, point = as_family(family), make_spd(6, rng)
     calls = count_eigh_calls(monkeypatch)
     _Evaluation(point, fam)
     # The full-rank member's R S R, then B^T B of each factor group, highest rank first.
@@ -652,7 +652,7 @@ def loop_rank_groups(members, rank_tol=None):
 def test_rank_groups_from_stacked_spectra_match_the_per_member_operands(case, rank_tol):
     # Full-rank, lower-rank and rank-0 members, in any mix.
     family, _ = mixed_rank_family_and_point(*case)
-    got, want = rank_groups(family, rank_tol), loop_rank_groups(family, rank_tol)
+    got, want = rank_groups(as_family(family), rank_tol), loop_rank_groups(family, rank_tol)
     assert len(got) == len(want)
     for (idx, stack), (ref_idx, ref_stack) in zip(got, want):
         assert np.array_equal(idx, ref_idx)
@@ -662,7 +662,7 @@ def test_rank_groups_from_stacked_spectra_match_the_per_member_operands(case, ra
 @pytest.mark.parametrize("rank_tol", [None, 1e-10])
 def test_product_root_takes_one_inverse_root_per_rank_group(rng, monkeypatch, rank_tol):
     family = [make_psd_rank(6, 3, rng) for _ in range(5)]
-    [(_, stack)] = rank_groups(family, rank_tol)
+    [(_, stack)] = rank_groups(as_family(family), rank_tol)
     root = sqrt_psd(make_spd(6, rng))
     calls = []
     monkeypatch.setattr(bures, "pinv_sqrt", lambda *args: calls.append(args) or pinv_sqrt(*args))

@@ -14,11 +14,12 @@ from bwgeom import (
     procrustes_distance_squared,
     procrustes_distance_via_alignment,
     sqrt_psd,
+    validate_psd,
 )
 from bwgeom.bures import pairwise_distances
 from bwgeom.spectral import _condition, numerical_rank, rank_cutoff, symmetrize
 
-from conftest import commuting_pair, make_psd_rank, make_spd
+from conftest import commuting_pair, count_eigh_calls, make_psd_rank, make_spd
 
 A41 = np.diag([4.0, 1.0])
 B14 = np.diag([1.0, 4.0])
@@ -206,3 +207,12 @@ def test_pairwise_distances_are_those_of_each_pair_bit_for_bit(rng, d):
     assert pairwise_distances(family[:1]) == pairwise_distances([]) == {}
     with pytest.raises(DimMismatchError):
         pairwise_distances([family[-1], np.eye(d + 1)])
+
+
+def test_pairwise_distances_validate_raw_arrays_in_one_stack(rng, monkeypatch):
+    mats = [make_spd(4, rng).mat for _ in range(6)]
+    calls = count_eigh_calls(monkeypatch)
+    got = pairwise_distances(mats)
+    # One stacked validation; each member was once validated on its own.
+    assert calls == [(6, 4, 4)]
+    assert got == pairwise_distances([validate_psd(m) for m in mats])

@@ -17,7 +17,9 @@ from bwgeom import (
 from bwgeom.spectral import (
     EPS,
     Covariance,
+    Family,
     Spectrum,
+    as_family,
     from_spectrum,
     member_sum,
     numerical_rank,
@@ -198,12 +200,45 @@ def test_validate_psd_of_a_stack_is_the_per_matrix_check_bit_for_bit(stack):
             assert err.value.index == i and err.value.lambda_min == e.lambda_min
             return
     got = validate_psd(stack)
-    assert len(got) == len(stack)
+    assert isinstance(got, Family) and len(got) == len(list(got)) == len(stack)
+    assert not any(a.flags.writeable for a in (got.mats, got.values, got.vectors))
     for c, one, ref in zip(got, [validate_psd(m) for m in stack], want):
+        # A member is views into the family's stacks, not a copy.
+        assert np.shares_memory(c.mat, got.mats) and np.shares_memory(c.spectrum.vectors, got.vectors)
         for x in (c, one):
             assert x.mat.tobytes() == ref.mat.tobytes() and not x.mat.flags.writeable
             assert x.spectrum.values.tobytes() == ref.spectrum.values.tobytes()
             assert x.spectrum.vectors.tobytes() == ref.spectrum.vectors.tobytes()
+
+
+def test_family_rows_by_slice_and_index_array(rng):
+    fam = validate_psd(np.array([make_spd(3, rng).mat for _ in range(5)]))
+    cases = [(slice(1, 4), [1, 2, 3]), (np.array([4, 0]), [4, 0]), (np.flatnonzero([1, 0, 1, 0, 0]), [0, 2])]
+    for sub, rows in ((fam[index], rows) for index, rows in cases):
+        assert isinstance(sub, Family) and len(sub) == len(rows)
+        for name in ("mats", "values", "vectors"):
+            part = getattr(sub, name)
+            assert np.array_equal(part, getattr(fam, name)[rows]) and not part.flags.writeable
+    assert np.array_equal(fam[-1].mat, fam.mats[4]) and np.array_equal(fam[np.int64(2)].spectrum.values, fam.values[2])
+    # Any other index is refused rather than read as an integer.
+    for index in (1.0, "1", None):
+        with pytest.raises(TypeError):
+            fam[index]
+
+
+def test_as_family_keeps_a_covariance_bit_for_bit_among_raw_arrays(rng):
+    # A clamped member whose matrix, validated again, gives another spectrum.
+    q = np.linalg.qr(np.random.default_rng(13).standard_normal((3, 3)))[0]
+    clamped = validate_psd((q * [2.0, 1.0, -1e-17]) @ q.T)
+    again = validate_psd(clamped.mat)
+    assert again.spectrum.vectors.tobytes() != clamped.spectrum.vectors.tobytes()
+    raw = [make_spd(3, rng).mat for _ in range(2)]
+    fam = as_family([raw[0], clamped, raw[1]])
+    assert isinstance(fam, Family) and as_family(fam) is fam
+    for member, want in zip(fam, [validate_psd(raw[0]), clamped, validate_psd(raw[1])]):
+        assert member.mat.tobytes() == want.mat.tobytes()
+        assert member.spectrum.values.tobytes() == want.spectrum.values.tobytes()
+        assert member.spectrum.vectors.tobytes() == want.spectrum.vectors.tobytes()
 
 
 def test_sym_eigen_rejects_nonfinite():
