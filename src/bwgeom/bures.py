@@ -48,33 +48,32 @@ def _range_factor(spec, r: int) -> np.ndarray:
     return spec.vectors[..., :r] * np.sqrt(spec.values[..., None, :r])
 
 
-def _cross_trace(l: np.ndarray, hs: np.ndarray) -> np.ndarray:
-    """Cross trace ``tr (S^{1/2} H S^{1/2})^{1/2}`` for one H or each of a stack
-    (..., d, d), from the spectrum of ``L^T H L`` with ``S = L L^T``, or L a stack."""
+def _trace_form(l: np.ndarray, ta, hs: np.ndarray, ths) -> np.ndarray:
+    """Squared distances ``tr A + tr H - 2 tr (L^T H L)^{1/2}``, clamped at zero, from
+    ``A = L L^T`` of trace ``ta`` to one H or each of a stack (..., d, d) of traces ``ths``,
+    or L a stack; the cross traces are the roots of the spectra of ``L^T H L``."""
     w = np.linalg.eigvalsh(symmetrize(l.swapaxes(-1, -2) @ hs @ l))
-    return np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1)
+    return np.maximum(0.0, ta + ths - 2.0 * np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1))
 
 
-def _squared_distances(a: Covariance, bs: Family) -> list[float]:
+def _squared_distances(a: Covariance, bs: Family) -> np.ndarray:
     """Squared Procrustes distances from ``a`` to each member of ``bs``, of its
-    dimension, clamped at zero.  Each cross trace goes through the factor of
+    dimension, as one array from ``_trace_form``.  Each goes through the factor of
     the lower-rank side, which avoids square roots of spurious near-zero
-    eigenvalues; those through the factor of ``a`` are one stacked
-    evaluation, each bit for bit as alone."""
-    ra, rbs = numerical_rank(a), numerical_rank(bs)
-    up, cross = ra <= rbs, np.empty(len(bs))
-    if up.any():
-        cross[up] = _cross_trace(_range_factor(a.spectrum, ra), bs.mats[up])
-    for k in np.flatnonzero(~up):
-        cross[k] = _cross_trace(_range_factor(bs[k].spectrum, rbs[k]), a.mat)
-    ta, tbs = a.trace, np.trace(bs.mats, axis1=1, axis2=2).tolist()
-    return [max(0.0, ta + tb - 2.0 * float(x)) for tb, x in zip(tbs, cross)]
+    eigenvalues: every member through the factor of ``a`` in one stacked
+    evaluation, each bit for bit as alone, then those of lower rank than ``a``
+    again through their own."""
+    ra, rbs, tbs = numerical_rank(a), numerical_rank(bs), bs.mats.trace(axis1=1, axis2=2)
+    d2 = _trace_form(_range_factor(a.spectrum, ra), a.trace, bs.mats, tbs)
+    for k in np.flatnonzero(rbs < ra):
+        d2[k] = _trace_form(_range_factor(bs[k].spectrum, rbs[k]), tbs[k], a.mat, a.trace)
+    return d2
 
 
 def procrustes_distance_squared(s1, s2) -> float:
-    """Squared Procrustes distance, as ``_squared_distances``; the stable sort puts the lower-rank side first."""
-    a, b = sorted(_check_pair(s1, s2), key=numerical_rank)
-    return max(0.0, a.trace + b.trace - 2.0 * float(_cross_trace(_range_factor(a.spectrum, numerical_rank(a)), b.mat)))
+    """Squared Procrustes distance: ``_squared_distances`` from S1 to the one-member family of S2."""
+    a, b = _check_pair(s1, s2)
+    return float(_squared_distances(a, Family(b.mat[None], b.spectrum.values[None], b.spectrum.vectors[None]))[0])
 
 
 def procrustes_distance(s1, s2) -> float:

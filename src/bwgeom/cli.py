@@ -44,7 +44,7 @@ from .bures import optimal_map, pairwise_distances, transport_matrix
 from .bures import procrustes_distance, procrustes_distance_via_alignment
 from .errors import BwGeomError, MatrixParseError, MaxIterExceeded, NotPSDError, OutOfRangeError
 from .geometry import geodesic
-from .io import Manifest, load_family, read_manifest, render_report, write_manifest, write_matrix
+from .io import read_manifest, read_matrix, render_report, write_manifest, write_matrix
 from .simulate import (
     RngSpec,
     checked_ranks,
@@ -71,14 +71,14 @@ def _validated(names, mats) -> Family:
 
 def _load_matrices(*paths) -> Family:
     """Read and validate matrix files named on the command line, as one family."""
-    return _validated(paths, load_family(Manifest(list(paths), None, list(paths))))
+    return _validated(paths, read_matrix(list(paths)))
 
 
 def _load_manifest(args) -> tuple[dict, Family]:
     """Read and validate the family of ``--manifest``; returns the inputs it reports and the members."""
     manifest = read_manifest(args.manifest)
     inputs = {"manifest": args.manifest, "operators": manifest.operators, "labels": manifest.labels}
-    return inputs, _validated(manifest.operators, load_family(manifest))
+    return inputs, _validated(manifest.operators, read_matrix(manifest.resolved))
 
 
 def _solve_mean(covs, args):

@@ -35,7 +35,6 @@ import functools
 import json
 import math
 import os
-import secrets
 from dataclasses import dataclass
 from io import StringIO
 
@@ -187,7 +186,7 @@ def format_float(x: float) -> str:
 
 def _atomic_write(path, chunks) -> None:
     """Write the byte chunks to a new file beside ``path``, its mode set by the umask, then rename it."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".bwgeom-{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".bwgeom-{os.urandom(8).hex()}.tmp")
     f = open(tmp, "xb")
     try:
         with f:
@@ -438,11 +437,6 @@ def read_manifest(path) -> Manifest:
     base = os.path.dirname(os.path.abspath(path))
     resolved = [p if os.path.isabs(p) else os.path.join(base, p) for p in ops]
     return Manifest(operators=list(ops), labels=list(labels) if labels else None, resolved=resolved)
-
-
-def load_family(manifest: Manifest) -> np.ndarray:
-    """The (n, d, d) stack of a manifest's operator files, from one ``read_matrix`` call."""
-    return read_matrix(manifest.resolved)
 
 
 def write_manifest(path, operators: list[str], labels: list[str] | None = None) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycenter import coerce_point_and_family, multicoupling
-from .bures import _cross_trace, _range_factor, rank_positions
+from .bures import _range_factor, _trace_form, rank_positions
 from .errors import DimMismatchError, EmptyFamilyError, LeavesConeError, OutOfRangeError
 from .geometry import _cone_test, _tangent_gram, exp_map
 from .spectral import (
@@ -74,15 +74,10 @@ def tangent_pca(lifted, mean, k: int) -> PcaResult:
     if n == 0:
         raise EmptyFamilyError("no lifted directions")
     d = c.dim
-    try:
-        stack = as_symmetric(lifted)
-    except ValueError:  # numpy cannot stack directions of different shapes
-        if all(np.shape(a) == (d, d) for a in lifted):
-            raise
-        stack = None
-    if stack is None or stack.shape != (n, d, d):
-        i, shape = next((i, np.shape(a)) for i, a in enumerate(lifted) if np.shape(a) != (d, d))
-        raise DimMismatchError(f"lifted direction {i} has shape {shape}, expected {(d, d)}")
+    for i, a in enumerate(lifted):
+        if np.shape(a) != (d, d):
+            raise DimMismatchError(f"lifted direction {i} has shape {np.shape(a)}, expected {(d, d)}")
+    stack = as_symmetric(lifted)
     k_cap = min(n, d * (d + 1) // 2)
     if not 1 <= k <= k_cap:
         raise OutOfRangeError(f"component count k={k} outside 1..{k_cap}")
@@ -150,7 +145,7 @@ def reconstruction_errors(mean, pca: PcaResult, family, rank_tol: float | None =
     cone.  Members of equal numerical rank go in blocks that keep B within ``_BLOCK_ENTRIES``
     entries (at least one member); the K + 1 retractions ``B M B`` of each member of a block
     are one stack ``B = I + v``: one cone test (Cholesky, the eigenvalue test only where that
-    fails) and one ``eigvalsh`` of the cross traces.
+    fails) and one ``_trace_form`` of their squared distances.
     """
     c, members = coerce_point_and_family(mean, family, "mean")
     n, k, d = len(members), len(pca.components), c.dim
@@ -166,6 +161,6 @@ def reconstruction_errors(mean, pca: PcaResult, family, rank_tol: float | None =
             np.add(np.cumsum(b, axis=1, out=b), np.eye(d), out=b)
             bm = b @ c.mat
             l = _range_factor(Spectrum(members.values[rows], members.vectors[rows]), r)[:, None]
-            d2 = np.sum(bm * b, axis=(2, 3)) + traces[rows, None] - 2.0 * _cross_trace(l, bm @ b)
-            out[rows] = np.where(_cone_test(c, b, rank_tol)[0], np.nan, np.sqrt(np.maximum(d2, 0.0)))
+            d2 = _trace_form(l, traces[rows, None], bm @ b, np.sum(bm * b, axis=(2, 3)))
+            out[rows] = np.where(_cone_test(c, b, rank_tol)[0], np.nan, np.sqrt(d2))
     return out

@@ -344,8 +344,9 @@ def test_geodesic_command_solves_one_cross_trace_stack_per_grid_point(tmp_path, 
     )
     assert code == 0
     assert len(json.loads(out)["results"]["speed_table"]) == 55
-    # The endpoint distance alone, then the 10 - i later points of grid point i as one stack.
-    assert calls == [(4, 4)] + [(10 - i, 4, 4) for i in range(10)]
+    # The endpoint distance as a one-member stack, then the 10 - i later
+    # points of grid point i as one stack.
+    assert calls == [(1, 4, 4)] + [(10 - i, 4, 4) for i in range(10)]
 
 
 @pytest.mark.parametrize(

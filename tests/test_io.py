@@ -20,7 +20,6 @@ from bwgeom.io import (
     FLOAT_FORMAT,
     Manifest,
     format_float,
-    load_family,
     read_manifest,
     read_matrix,
     render_report,
@@ -155,7 +154,7 @@ def test_manifest_relative_paths_resolve_against_manifest_dir(tmp_path):
     write_matrix(sub / "b.txt", 2.0 * np.eye(2))
     write_manifest(sub / "fam.json", ["a.txt", "b.txt"])
     man = read_manifest(sub / "fam.json")
-    mats = load_family(man)
+    mats = read_matrix(man.resolved)
     np.testing.assert_array_equal(mats[0], np.eye(2))
     np.testing.assert_array_equal(mats[1], 2.0 * np.eye(2))
 
@@ -176,7 +175,7 @@ def test_manifest_validation_errors(tmp_path):
         read_manifest(p)
 
 
-def test_load_family_checks_dimensions(tmp_path):
+def test_read_matrix_of_manifest_files_checks_dimensions(tmp_path):
     write_matrix(tmp_path / "a.txt", np.eye(2))
     write_matrix(tmp_path / "b.txt", np.eye(3))
     man = Manifest(
@@ -185,7 +184,7 @@ def test_load_family_checks_dimensions(tmp_path):
         resolved=[str(tmp_path / "a.txt"), str(tmp_path / "b.txt")],
     )
     with pytest.raises(DimMismatchError):
-        load_family(man)
+        read_matrix(man.resolved)
 
 
 def sample_report():

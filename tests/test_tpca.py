@@ -320,8 +320,13 @@ def test_tangent_pca_names_the_direction_of_the_wrong_shape(rng):
     fam = [make_spd(3, rng) for _ in range(4)]
     mean = mean_fixed_point(fam).mean
     lifted = list(lift(fam, mean))
-    # A ragged list, which numpy cannot stack, and a stack of the wrong width.
-    for bad, index in ((lifted[:2] + [np.eye(2)] + lifted[3:], 2), (np.zeros((4, 2, 2)), 0)):
+    # A ragged list, which numpy cannot stack, a stack of the wrong width and
+    # one with a trailing axis.
+    for bad, index in (
+        (lifted[:2] + [np.eye(2)] + lifted[3:], 2),
+        (np.zeros((4, 2, 2)), 0),
+        (np.stack(lifted)[..., None], 0),
+    ):
         with pytest.raises(DimMismatchError, match=f"lifted direction {index} has shape"):
             tangent_pca(bad, mean, k=2)
     # A fault other than a shape is numpy's own, as for each direction alone.
