@@ -23,7 +23,6 @@ from .spectral import (
     Family,
     as_family,
     cov_from_product,
-    from_spectrum,
     member_sum,
     numerical_rank,
     readonly,
@@ -231,8 +230,7 @@ def _solve(family, cfg: MeanConfig, rank_tol, start, algorithm: str) -> MeanResu
         point = cov_from_product(start(members))
 
     def evaluate(point, k):
-        kernel = point.spectrum.vectors[:, numerical_rank(point, rank_tol):]
-        leaks = np.flatnonzero(kernel_leaks(kernel, members.mats, rank_tol))
+        leaks = np.flatnonzero(kernel_leaks(point, members.mats, rank_tol))
         if leaks.size:
             raise KernelConditionError(f"iterate {k} lost range inclusion for member {leaks[0]}", index=k)
         return _Evaluation(point, members, rank_tol)
@@ -285,7 +283,7 @@ def mean_procrustes_averaging(family, cfg: MeanConfig | None = None, rank_tol: f
     """
 
     def start(members):
-        avg = member_sum(from_spectrum(members.vectors, np.sqrt(members.values))) / len(members)
+        avg = member_sum(sqrt_psd(members)) / len(members)
         return avg @ avg.T
 
     return _solve(family, cfg or MeanConfig(), rank_tol, start, "procrustes_averaging")

@@ -136,12 +136,13 @@ def gaussian_w2(m1, s1, m2, s2) -> float:
     return math.sqrt(float(delta @ delta) + procrustes_distance_squared(a, b))
 
 
-def kernel_leaks(kernel: np.ndarray, mats: np.ndarray, rank_tol: float | None = None):
-    """Whether a target, or each of a stack of them, has mass on the span of ``kernel``.
+def kernel_leaks(source: Covariance, mats: np.ndarray, rank_tol: float | None = None):
+    """Whether a target, or each of a stack of them, has mass on the numerical kernel of ``source``.
 
-    The compression of a target onto that span leaks when its operator norm
-    exceeds ``rank_rel * tr target``; an empty kernel never leaks.
+    The compression of a target onto that kernel, the span of ``spectrum.vectors[:, r:]``, leaks
+    when its operator norm exceeds ``rank_rel * tr target``; an empty kernel never leaks.
     """
+    kernel = source.spectrum.vectors[:, numerical_rank(source, rank_tol):]
     if not kernel.size:
         return np.zeros(mats.shape[:-2], dtype=bool)
     w = np.linalg.eigvalsh(symmetrize(kernel.T @ mats @ kernel))
@@ -157,8 +158,7 @@ def kernel_condition(s1, s2, rank_tol: float | None = None) -> bool:
     S2 onto that kernel has operator norm at most ``rank_tol * tr S2``.
     """
     a, b = _check_pair(s1, s2)
-    kernel = a.spectrum.vectors[:, numerical_rank(a, rank_tol):]
-    return not kernel_leaks(kernel, b.mat, rank_tol)
+    return not kernel_leaks(a, b.mat, rank_tol)
 
 
 def rank_positions(members: Family, rank_tol: float | None = None) -> list[tuple[int, np.ndarray]]:

@@ -382,8 +382,8 @@ def _command(sub, name: str, load, handler, solve=False, solver_flags=False, ran
     p = sub.add_parser(name, help=handler.__doc__)
     p.set_defaults(load=load, handler=handler, solve=solve)
     if solve or solver_flags:
-        p.add_argument("--rel-tol", type=float, default=1e-9, help="relative convergence tolerance")
-        p.add_argument("--max-iter", type=int, default=200, help="iteration cap")
+        p.add_argument("--rel-tol", type=float, default=MeanConfig.rel_tol, help="relative convergence tolerance")
+        p.add_argument("--max-iter", type=int, default=MeanConfig.max_iter, help="iteration cap")
     if solve or rank_tol:
         p.add_argument(
             "--rank-tol",

@@ -4,16 +4,16 @@ Matrix files are plain text: one row per line, comma-separated decimals,
 ``#`` starts a comment.  A family of them is one ``np.loadtxt`` parse, which
 rounds like ``float()`` (both call CPython's correctly rounded dtoa); files
 it refuses, comments for one, are read one by one, entry by entry, to name
-the first fault.  Files written here use 17 significant digits, so
-every matrix the tool writes re-parses to bit-identical doubles.  The writer
-accepts only what the reader accepts back: a nonempty, finite, square matrix,
-symmetric to within ``SYMMETRY_RTOL``, or a ``JointCovariance``.  It formats
-the upper triangle once, by row tiles, into a table of fixed-width cells (a
-joint's tiles come from its factor, so the table alone sets the peak memory)
-and gathers each block of lines, mirrored below the diagonal, into one reused
-buffer.  Reports are JSON documents with sorted keys and the same fixed float
-formatting, collected as a list of pieces and joined once, making
-byte-identical output a function of the inputs alone.
+the first fault; either returns the entries as written.  Files written here
+use 17 significant digits, so every matrix the tool writes re-parses to
+bit-identical doubles.  The writer accepts only what the reader accepts back:
+a nonempty, finite, square matrix, symmetric to within ``SYMMETRY_RTOL``, or a
+``JointCovariance``.  It formats the upper triangle once, by row tiles, into a
+table of fixed-width cells (a joint's tiles come from its factor, so the table
+alone sets the peak memory) and gathers each block of lines, mirrored below the
+diagonal, into one reused buffer.  Reports are JSON documents with sorted keys
+and the same fixed float formatting, collected as a list of pieces and joined
+once, making byte-identical output a function of the inputs alone.
 
 Float arrays in files and reports are formatted by one numpy kernel that gives
 exactly the text of ``FLOAT_FORMAT % x`` for each entry.  In its fast range,
@@ -41,7 +41,6 @@ from io import StringIO
 import numpy as np
 
 from .errors import DimMismatchError, EmptyFamilyError, MatrixParseError
-from .spectral import symmetrize
 
 # Relative asymmetry allowed in an input matrix before it is rejected.
 SYMMETRY_RTOL = 1e-9
@@ -69,15 +68,15 @@ _ASCII_ZEROS = _U64(0x3030303030303030)
 
 
 def _asymmetric_entry(a: np.ndarray) -> tuple[int, int] | None:
-    """Position of the largest asymmetry of a square array when it exceeds
-    ``SYMMETRY_RTOL`` relative to the largest entry, else ``None``."""
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    """Position of the largest asymmetry of the first member of a stack (n, d, d)
+    whose asymmetry exceeds ``SYMMETRY_RTOL`` relative to its largest entry, else ``None``."""
     with np.errstate(over="ignore"):  # an infinite gap is asymmetric
-        gap = a - a.T
+        gap = a - np.swapaxes(a, 1, 2)
     np.abs(gap, out=gap)
-    if float(gap.max(initial=0.0)) <= SYMMETRY_RTOL * scale:
+    bad = np.flatnonzero(gap.max(axis=(1, 2)) > SYMMETRY_RTOL * np.abs(a).max(axis=(1, 2)))
+    if not bad.size:
         return None
-    i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
+    i, j = np.unravel_index(int(np.argmax(gap[bad[0]])), gap.shape[1:])
     return int(i), int(j)
 
 
@@ -100,15 +99,11 @@ def _parse(paths) -> np.ndarray | None:
         a = a.reshape(len(paths), a.shape[1], a.shape[1])
     except (OSError, ValueError):
         return None
-    if not np.isfinite(a).all():
-        return None
-    with np.errstate(over="ignore"):  # an infinite gap is asymmetric
-        gap = np.abs(a - np.swapaxes(a, 1, 2)).max(axis=(1, 2))
-    return None if (gap > SYMMETRY_RTOL * np.abs(a).max(axis=(1, 2))).any() else a
+    return a if np.isfinite(a).all() and _asymmetric_entry(a) is None else None
 
 
 def _read_one(path) -> np.ndarray:
-    """Parse one symmetric matrix file entry by entry, naming the first fault; ``read_matrix`` symmetrizes."""
+    """Parse one symmetric matrix file entry by entry, naming the first fault."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw_lines = f.readlines()
@@ -139,7 +134,7 @@ def _read_one(path) -> np.ndarray:
     a = np.array([entries for _, entries in rows], dtype=np.float64)
     if a.shape[0] != a.shape[1]:
         raise MatrixParseError(path, f"matrix is {a.shape[0]}x{a.shape[1]}, expected square")
-    at = _asymmetric_entry(a)
+    at = _asymmetric_entry(a[None])
     if at is not None:
         i, j = at
         raise MatrixParseError(
@@ -153,13 +148,13 @@ def _read_one(path) -> np.ndarray:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Parse a symmetric matrix file into its symmetrized (d, d) array, or a
-    list of files into their (n, d, d) stack, by one ``np.loadtxt`` over all of
-    them.  Where it refuses them (a blank or comment line, a token it cannot
-    read but ``float()`` may, a non-square, non-finite or asymmetric member, or
-    members of different dimensions), ``_read_one`` reads them one by one and
-    raises the first fault; then a member whose dimension is not the first's
-    is a ``DimMismatchError``."""
+    """Parse a symmetric matrix file into its (d, d) array of entries as written,
+    or a list of files into their (n, d, d) stack, by one ``np.loadtxt`` over all
+    of them; validation (``spectral.as_symmetric``) makes them symmetric.  Where it
+    refuses them (a blank or comment line, a token it cannot read but ``float()``
+    may, a non-square, non-finite or asymmetric member, or members of different
+    dimensions), ``_read_one`` reads them one by one and raises the first fault;
+    then a member whose dimension is not the first's is a ``DimMismatchError``."""
     family = isinstance(path, (list, tuple))
     paths = list(path) if family else [path]
     if not paths:
@@ -172,11 +167,7 @@ def read_matrix(path) -> np.ndarray:
             if len(m) != d:
                 raise DimMismatchError(f"operator {p!r} is {len(m)}x{len(m)}, expected {d}x{d}")
         stack = np.stack(mats)
-    with np.errstate(over="ignore"):
-        sym = symmetrize(stack)
-    big = np.isinf(sym)  # a + a^T overflowed, where 0.5 a + 0.5 a^T is exact
-    sym[big] = 0.5 * stack[big] + 0.5 * np.swapaxes(stack, 1, 2)[big]
-    return sym if family else sym[0]
+    return stack if family else stack[0]
 
 
 def format_float(x: float) -> str:
@@ -387,7 +378,7 @@ def write_matrix(path, a) -> None:
         raise ValueError(f"cannot write a {m.shape} array as a matrix file: expected nonempty square")
     if not np.isfinite(m).all():
         raise ValueError("cannot write a matrix with non-finite entries")
-    at = _asymmetric_entry(m)
+    at = _asymmetric_entry(m[None])
     if at is not None:
         i, j = at
         raise ValueError(

@@ -5,10 +5,10 @@ coerced to float64 and symmetrized on entry.  Only a covariance carries more
 than its entries (its cached spectrum): roots, transport maps and tangent
 directions are read-only, exactly symmetric float64 arrays, and a family of
 them is one read-only (n, d, d) stack.  ``sym_eigen``, ``from_spectrum``,
-``validate_psd``, ``cov_from_product``, ``as_symmetric``, ``pinv_sqrt`` and
-``rank_cutoff`` take such a stack (of spectra, for the last two), each matrix
-bit for bit as alone: one LAPACK call per rank group in a mean's evaluation,
-one for a whole geodesic grid, and one PSD test for a whole family.
+``validate_psd``, ``cov_from_product``, ``as_symmetric``, ``sqrt_psd``,
+``pinv_sqrt`` and ``rank_cutoff`` take such a stack (of spectra, for the last
+two), each matrix bit for bit as alone: one LAPACK call per rank group in a
+mean's evaluation, one for a whole geodesic grid, one PSD test for a family.
 ``validate_psd`` and ``cov_from_product`` of a stack return a ``Family``:
 read-only stacks of matrices and spectra, whose ``family[i]`` is a
 ``Covariance`` of views.  Only ``as_family`` stacks members.
@@ -79,13 +79,16 @@ class Spectrum:
 def as_symmetric(a) -> np.ndarray:
     """Read-only ``(a + a^T) / 2`` of a square matrix with finite entries, or of
     each of a stack (..., d, d), so that ``m[..., i, j] == m[..., j, i]`` holds
-    exactly."""
+    exactly: the one symmetrization on the way in.  An overflowing ``a + a^T`` raises too."""
     m = np.asarray(a, dtype=np.float64)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DimMismatchError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteError("matrix entries must be finite")
-    return readonly(symmetrize(m))
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is tested instead
+        s = symmetrize(m)
+    if not np.isfinite(s).all():
+        what = "above half the largest double overflow when symmetrized" if np.isfinite(m).all() else "must be finite"
+        raise NonFiniteError(f"matrix entries {what}")
+    return readonly(s)
 
 
 class Covariance:
@@ -252,10 +255,11 @@ def from_spectrum(vectors: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 def sqrt_psd(s) -> np.ndarray:
-    """Unique PSD square root, by mapping eigenvalues to their roots, as a
-    read-only array; a ``Covariance`` builds it once and returns the same root
-    afterwards."""
+    """Unique PSD square root, by mapping eigenvalues to their roots, as a read-only array, or the
+    stack of a ``Family``'s; a ``Covariance`` builds it once and returns the same root afterwards."""
     c = validate_psd(s)
+    if isinstance(c, Family):
+        return readonly(from_spectrum(c.vectors, np.sqrt(c.values)))
     if c._root is None:
         c._root = readonly(from_spectrum(c.spectrum.vectors, np.sqrt(c.spectrum.values)))
     return c._root

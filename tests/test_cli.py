@@ -174,6 +174,23 @@ def test_exit_code_for_opposite_huge_mirrors_names_the_file(tmp_path, capsys):
             assert code == 2 and out == "" and str(huge) in err and "asymmetric" in err
 
 
+def test_entries_above_half_the_largest_double_exit_2_naming_the_overflow(tmp_path, capsys):
+    # The file is symmetric and finite, but a + a^T overflows when validation symmetrizes it.
+    huge = tmp_path / "huge.txt"
+    huge.write_text("1e308,0\n0,1\n")
+    write_matrix(tmp_path / "eye2.txt", np.eye(2))
+    write_manifest(tmp_path / "fam.json", ["eye2.txt", "huge.txt"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (
+            ["distance", str(huge), str(tmp_path / "eye2.txt")],
+            ["geodesic", str(huge), str(tmp_path / "eye2.txt")],
+            ["mean", str(tmp_path / "fam.json"), "--output", str(tmp_path / "out")],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and "overflow" in err
+
+
 def test_exit_code_dimension_mismatch(tmp_path, capsys):
     write_matrix(tmp_path / "a.txt", np.eye(2))
     write_matrix(tmp_path / "b.txt", np.eye(3))

@@ -26,6 +26,7 @@ from bwgeom.io import (
     write_manifest,
     write_matrix,
 )
+from bwgeom.spectral import symmetrize
 
 
 def test_matrix_round_trip_is_bit_exact(tmp_path, rng):
@@ -116,11 +117,14 @@ def test_opposite_mirrors_above_half_the_largest_double_are_asymmetric(tmp_path)
             write_matrix(tmp_path / "w.txt", [[0.0, 1e308], [-1e308, 0.0]])
 
 
-def test_read_matrix_symmetrizes_tiny_asymmetry(tmp_path):
+def test_read_matrix_keeps_tiny_asymmetry_for_validation_to_symmetrize(tmp_path):
     p = tmp_path / "m.txt"
     p.write_text("1.0, 0.5000000000001\n0.5, 1.0\n")
     got = read_matrix(p)
-    np.testing.assert_array_equal(got, got.T)
+    assert got[0, 1] == 0.5000000000001 and got[1, 0] == 0.5
+    mat = validate_psd(got).mat
+    assert mat.tobytes() == symmetrize(got).tobytes()
+    np.testing.assert_array_equal(mat, mat.T)
 
 
 def test_format_float_round_trips_doubles(rng):
@@ -572,8 +576,8 @@ def _float_reference(path) -> np.ndarray:
 @given(data=st.data())
 def test_read_matrix_families_match_a_float_reference_bit_for_bit(data, tmp_path_factory):
     n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 6))
-    # The full finite range: above half the largest double an entry and its
-    # mirror overflow their sum, and the reader takes their halves' sum instead.
+    # The full finite range: the reader returns entries as written, so an entry
+    # above half the largest double, whose mirror sum overflows, reads back too.
     finite = st.floats(allow_nan=False, allow_infinity=False)
     mats = data.draw(hnp.arrays(np.float64, (n, d, d), elements=finite))
     mats = np.triu(mats) + np.swapaxes(np.triu(mats, 1), 1, 2)
@@ -589,8 +593,8 @@ def test_read_matrix_families_match_a_float_reference_bit_for_bit(data, tmp_path
 
 @pytest.mark.parametrize("text", ["", "# a comment\n"], ids=["one_pass", "per_file"])
 def test_read_matrix_entries_above_half_the_largest_double_round_trip(tmp_path, text):
-    # a + a^T overflows here; the symmetrized entry must still be the entry itself,
-    # with no overflow warning, through the one-pass parse and the per-file reader.
+    # a + a^T would overflow here; the reader returns each entry as written, with
+    # no overflow warning, through the one-pass parse and the per-file reader.
     big = np.array([[9e307, -1.7976931348623157e308], [-1.7976931348623157e308, 1e-310]])
     path = tmp_path / "big.txt"
     write_matrix(path, big)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,25 @@ def test_validate_psd_of_a_stack_is_the_per_matrix_check_bit_for_bit(stack):
             assert x.spectrum.vectors.tobytes() == ref.spectrum.vectors.tobytes()
 
 
+@given(_psd_test_stacks(), st.integers(0, 2**32 - 1))
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+def test_validate_psd_symmetrizes_a_tiny_asymmetry_as_a_symmetrized_input_bit_for_bit(stack, seed):
+    # A matrix file within SYMMETRY_RTOL reaches validation as written, not symmetrized.
+    noise = np.random.default_rng(seed).standard_normal(stack.shape)
+    a = stack + 1e-12 * np.abs(stack).max(axis=(1, 2), keepdims=True) * noise
+    try:
+        want = validate_psd(symmetrize(a))
+    except NotPSDError as e:
+        with pytest.raises(NotPSDError) as err:
+            validate_psd(a)
+        assert (err.value.index, err.value.lambda_min) == (e.index, e.lambda_min)
+        return
+    got = validate_psd(a)
+    for x, y in ((got.mats, want.mats), (got.values, want.values), (got.vectors, want.vectors)):
+        assert x.tobytes() == y.tobytes()
+    assert np.array_equal(got.mats, got.mats.swapaxes(1, 2))
+
+
 def test_family_rows_by_slice_and_index_array(rng):
     fam = validate_psd(np.array([make_spd(3, rng).mat for _ in range(5)]))
     cases = [(slice(1, 4), [1, 2, 3]), (np.array([4, 0]), [4, 0]), (np.flatnonzero([1, 0, 1, 0, 0]), [0, 2])]
@@ -242,8 +262,14 @@ def test_as_family_keeps_a_covariance_bit_for_bit_among_raw_arrays(rng):
 
 
 def test_sym_eigen_rejects_nonfinite():
-    with pytest.raises(NonFiniteError):
-        sym_eigen(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([[1.0, np.nan], [np.nan, 1.0]], [[1.0, np.inf], [-np.inf, 1.0]]):
+            with pytest.raises(NonFiniteError, match="must be finite"):
+                sym_eigen(np.array(bad))
+        # Finite, but the mirror sum overflows.
+        with pytest.raises(NonFiniteError, match="overflow"):
+            sym_eigen(np.diag([1e308, 1.0]))
 
 
 def test_validate_psd_boundary():
@@ -277,6 +303,11 @@ def test_sqrt_psd_squares_back(rng):
         s = make_spd(int(rng.integers(1, 9)), rng)
         r = sqrt_psd(s)
         assert np.max(np.abs(r @ r - s.mat)) <= 1e-10 * (1.0 + s.trace)
+    # A family gives the read-only stack of its members' roots, each bit for bit.
+    family = as_family([make_spd(4, rng).mat for _ in range(5)])
+    roots = sqrt_psd(family)
+    assert not roots.flags.writeable
+    assert roots.tobytes() == np.stack([sqrt_psd(c) for c in family]).tobytes()
 
 
 def test_pinv_sqrt_examples():
