@@ -170,9 +170,10 @@ def rank_positions(members: Family, rank_tol: float | None = None) -> list[tuple
 def rank_groups(members: Family, rank_tol: float | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
     """Members of equal numerical rank r, highest r first (``rank_positions``), as ``(positions,
     stack)`` pairs; the stack (k, d, r) holds ``product_root``'s operands: their matrices at full
-    rank, else their exact-rank factors."""
+    rank (the family's own stack, uncopied, when one group holds every member), else their exact-rank factors."""
     d, groups = members.mats.shape[-1], rank_positions(members, rank_tol)
-    return [(idx, members.mats[idx] if r == d else _range_factor(members[idx], r)) for r, idx in groups]
+    mats = lambda idx: members.mats if len(idx) == len(members) else members.mats[idx]
+    return [(idx, mats(idx) if r == d else _range_factor(members[idx], r)) for r, idx in groups]
 
 
 def product_root(root: np.ndarray, stack: np.ndarray, rank_tol: float | None = None) -> np.ndarray:
@@ -212,7 +213,7 @@ def optimal_map(s1, s2, rank_tol: float | None = None) -> np.ndarray:
     ker(S2), in which case no map exists.
     """
     a, b = _check_pair(s1, s2)
-    if not kernel_condition(a, b, rank_tol):
+    if kernel_leaks(a, b.mat, rank_tol):
         raise KernelConditionError(
             "kernel of the source covariance is not contained in the kernel of the target"
         )

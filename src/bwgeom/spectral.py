@@ -2,13 +2,15 @@
 
 Public functions accept plain arrays or ``Covariance`` instances; input is
 coerced to float64 and symmetrized on entry.  Only a covariance carries more
-than its entries (its cached spectrum): roots, transport maps and tangent
-directions are read-only, exactly symmetric float64 arrays, and a family of
-them is one read-only (n, d, d) stack.  ``sym_eigen``, ``from_spectrum``,
-``validate_psd``, ``cov_from_product``, ``as_symmetric``, ``sqrt_psd``,
-``pinv_sqrt`` and ``rank_cutoff`` take such a stack (of spectra, for the last
-two), each matrix bit for bit as alone: one LAPACK call per rank group in a
-mean's evaluation, one for a whole geodesic grid, one PSD test for a family.
+than its entries: its spectrum, and what it derives from it on first use, its
+root and, per relative rank tolerance, its numerical rank and inverse root.
+Roots, transport maps and tangent directions are read-only, exactly symmetric
+float64 arrays, and a family of them is one read-only (n, d, d) stack.
+``sym_eigen``, ``from_spectrum``, ``validate_psd``, ``cov_from_product``,
+``as_symmetric``, ``sqrt_psd``, ``pinv_sqrt`` and ``rank_cutoff`` take such a
+stack (of spectra, for the last two), each matrix bit for bit as alone: one
+LAPACK call per rank group in a mean's evaluation, one for a whole geodesic
+grid, one PSD test for a family.
 ``validate_psd`` and ``cov_from_product`` of a stack return a ``Family``:
 read-only stacks of matrices and spectra, whose ``family[i]`` is a
 ``Covariance`` of views.  Only ``as_family`` stacks members.
@@ -33,6 +35,13 @@ import numpy as np
 from .errors import DimMismatchError, EmptyFamilyError, NonFiniteError, NotPSDError, OutOfRangeError
 
 EPS = float(np.finfo(np.float64).eps)
+# Every entry of a PSD matrix is at most its largest eigenvalue lam, and every entry of its root
+# R, or of a factor L of it, at most sqrt(lam).  Each partial sum of an entry of a matrix between
+# two roots, R S R or L^T H L, is then at most d^2 lam^2, as is one of B^T B for B = R L (at most
+# ||B||^2 <= lam^2 by Cauchy-Schwarz), and the mirror sum that symmetrizes it at most 2 d^2 lam^2:
+# no larger than the largest double when lam <= sqrt(largest double / 2) / d, which
+# ``validate_psd`` enforces.
+_ROOT_HALF_MAX = math.sqrt(0.5 * float(np.finfo(np.float64).max))
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -95,17 +104,25 @@ class Covariance:
     """Symmetric PSD matrix carrying its eigendecomposition.
 
     Instances come from ``validate_psd``; ``spectrum.values`` is descending and
-    nonnegative (tolerated negative noise is clamped at validation).  The
-    square root is built from the spectrum on the first ``sqrt_psd`` call and
-    kept.
+    nonnegative (tolerated negative noise is clamped at validation).  What is
+    derived from the spectrum is built on first use and kept in one memo: the
+    square root (``sqrt_psd``) and, per relative rank tolerance ``rank_rel``,
+    the numerical rank (``numerical_rank``) and the inverse root (``pinv_sqrt``).
     """
 
-    __slots__ = ("mat", "spectrum", "_root")
+    __slots__ = ("mat", "spectrum", "_memo")
 
     def __init__(self, mat: np.ndarray, spectrum: Spectrum):
         self.mat = mat
         self.spectrum = spectrum
-        self._root = None
+        self._memo = {}
+
+    def _kept(self, key, build):
+        """The memo's entry ``key``, from ``build()`` on the first call."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     @property
     def dim(self) -> int:
@@ -149,12 +166,18 @@ def validate_psd(m):
     A matrix with no negative eigenvalues is passed through unchanged.  A stack
     (n, d, d) gives the ``Family`` of its n members, each as alone, from one stacked ``sym_eigen``,
     PSD test, ``symmetrize`` and rebuild of the clamped members, or names the first indefinite in ``index``.
+    Before the PSD test, an eigenvalue above ``sqrt(largest double / 2) / d`` in magnitude raises
+    ``NonFiniteError``: products of such matrices would overflow.
     """
     if isinstance(m, (Covariance, Family)):
         return m
     spec, a = sym_eigen(m), np.asarray(m, dtype=np.float64)
-    values, lam_min = spec.values, spec.values[..., -1]
-    bad = lam_min < -values.shape[-1] * EPS * np.abs(values).max(axis=-1)
+    values, lam_min, d = spec.values, spec.values[..., -1], spec.values.shape[-1]
+    scale = np.abs(values).max(axis=-1)
+    if scale.max() > _ROOT_HALF_MAX / d:
+        what = f"matrix eigenvalue {scale.max():.6g} above sqrt(largest double / 2) / d = {_ROOT_HALF_MAX / d:.6g}"
+        raise NonFiniteError(f"{what} at d = {d}: products of such matrices would overflow")
+    bad = lam_min < -d * EPS * scale
     if bad.any():
         raise NotPSDError(float(np.ravel(lam_min)[bad.argmax()]), index=int(bad.argmax()) if a.ndim > 2 else None)
     mats, neg = symmetrize(a), lam_min < 0.0
@@ -237,9 +260,11 @@ def numerical_rank(c, rank_tol: float | None = None):
     This is the range/kernel split: ``spectrum.vectors[:, :r]`` spans the
     numerical range and ``spectrum.vectors[:, r:]`` the numerical kernel.
     """
-    values = c.values if isinstance(c, Family) else c.spectrum.values
-    above = values.T > rank_cutoff(values, rank_tol)
-    return above.sum(axis=0) if isinstance(c, Family) else int(np.count_nonzero(above))
+    if isinstance(c, Family):
+        return (c.values.T > rank_cutoff(c.values, rank_tol)).sum(axis=0)
+    values = c.spectrum.values
+    rel = rank_rel(values.size, rank_tol)
+    return c._kept(("rank", rel), lambda: int(np.count_nonzero(values > rank_cutoff(values, rel))))
 
 
 def _condition(values: np.ndarray, rank_tol: float | None = None) -> float:
@@ -260,9 +285,7 @@ def sqrt_psd(s) -> np.ndarray:
     c = validate_psd(s)
     if isinstance(c, Family):
         return readonly(from_spectrum(c.vectors, np.sqrt(c.values)))
-    if c._root is None:
-        c._root = readonly(from_spectrum(c.spectrum.vectors, np.sqrt(c.spectrum.values)))
-    return c._root
+    return c._kept("root", lambda: readonly(from_spectrum(c.spectrum.vectors, np.sqrt(c.spectrum.values))))
 
 
 def pinv_sqrt(s, rank_tol: float | None = None) -> np.ndarray:
@@ -270,12 +293,14 @@ def pinv_sqrt(s, rank_tol: float | None = None) -> np.ndarray:
     ``Spectrum`` (or a stack of spectra, values (n, d), vectors (n, d, d)):
     eigenvalues above the rank cutoff, per row, map to ``1 / sqrt(lambda)``,
     the rest to zero, so the read-only result inverts the root on its
-    numerical range and vanishes on its kernel."""
-    spec = s if isinstance(s, Spectrum) else validate_psd(s).spectrum
-    values = spec.values
-    keep = values > rank_cutoff(values, rank_tol)[..., None]
-    inv = np.divide(1.0, np.sqrt(values), out=np.zeros_like(values), where=keep)
-    return readonly(from_spectrum(spec.vectors, inv))
+    numerical range and vanishes on its kernel.  A ``Covariance`` builds it once per ``rank_rel``."""
+    c = s if isinstance(s, Spectrum) else validate_psd(s)
+    if isinstance(c, Covariance):
+        rel = rank_rel(c.dim, rank_tol)
+        return c._kept(("pinv", rel), lambda: pinv_sqrt(c.spectrum, rel))
+    keep = c.values > rank_cutoff(c.values, rank_tol)[..., None]
+    inv = np.divide(1.0, np.sqrt(c.values), out=np.zeros_like(c.values), where=keep)
+    return readonly(from_spectrum(c.vectors, inv))
 
 
 def cov_from_product(a) -> Covariance:

@@ -191,6 +191,22 @@ def test_entries_above_half_the_largest_double_exit_2_naming_the_overflow(tmp_pa
             assert code == 2 and out == "" and "overflow" in err
 
 
+def test_scales_whose_products_overflow_exit_2_before_any_warning(tmp_path, capsys):
+    # Finite, symmetric and PSD, but the root sandwiches of the distance and the maps would overflow.
+    (tmp_path / "a.txt").write_text("1e300,2e299\n2e299,3e300\n")
+    (tmp_path / "b.txt").write_text("2e300,0\n0,1e300\n")
+    write_manifest(tmp_path / "fam.json", ["a.txt", "b.txt"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (
+            ["distance", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")],
+            ["geodesic", str(tmp_path / "a.txt"), str(tmp_path / "b.txt")],
+            ["mean", str(tmp_path / "fam.json"), "--output", str(tmp_path / "out")],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "" and "overflow" in err
+
+
 def test_exit_code_dimension_mismatch(tmp_path, capsys):
     write_matrix(tmp_path / "a.txt", np.eye(2))
     write_matrix(tmp_path / "b.txt", np.eye(3))
@@ -863,6 +879,29 @@ def test_multicouple_command_consistency(tmp_path, capsys):
     assert doc["diagnostics"]["diagonal_block_gap"] <= 1e-9
     joint = read_matrix(tmp_path / "mc" / "multicoupling.txt")
     assert joint.shape == (4, 4)
+
+
+def test_multicouple_builds_one_inverse_root_per_point(tmp_path, capsys, monkeypatch, rng):
+    # The 2n maps from the mean share its inverse root: the solve builds one per step's
+    # point and the maps one for the mean, not one per map.
+    from bwgeom.spectral import Spectrum, pinv_sqrt
+
+    calls = count_optimal_map_calls(monkeypatch)
+    roots, sources = {}, {}
+
+    def recorded(s, *args, **kwargs):
+        out = pinv_sqrt(s, *args, **kwargs)
+        if not isinstance(s, Spectrum):
+            sources[id(s)], roots[id(out)] = s, out
+        return out
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("bwgeom") and hasattr(module, "pinv_sqrt"):
+            monkeypatch.setattr(module, "pinv_sqrt", recorded)
+    manifest = write_family(tmp_path, [x @ x.T + np.eye(3) for x in rng.standard_normal((4, 3, 3))])
+    code, out, _ = run_cli(capsys, "multicouple", manifest, "--output", str(tmp_path / "mc"))
+    assert code == 0 and len(calls) == 8
+    assert len(roots) == len(sources) == json.loads(out)["diagnostics"]["iterations"] + 1
 
 
 def test_multicouple_map_conditioning_is_each_maps_own(tmp_path, capsys, rng):

@@ -150,6 +150,20 @@ def test_validate_psd_of_a_stack_matches_each_matrix_and_names_the_first_failure
     assert err.value.index == 1 and err.value.lambda_min == pytest.approx(-0.5)
 
 
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_validate_psd_refuses_scales_whose_products_overflow(d):
+    # At an eigenvalue of sqrt(largest double / 2) / d the root sandwich and its mirror sum
+    # stay finite; one ulp above it, validation refuses the matrix, as one member of a stack too.
+    bound = math.sqrt(0.5 * np.finfo(np.float64).max) / d
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c = validate_psd(np.diag([bound] + [1.0] * (d - 1)))
+        assert np.isfinite(symmetrize(sqrt_psd(c) @ c.mat @ sqrt_psd(c))).all()
+        for m in (np.nextafter(bound, math.inf) * np.eye(d), np.stack([np.eye(d), -bound * 2.0 * np.eye(d)])):
+            with pytest.raises(NonFiniteError, match="overflow"):
+                validate_psd(m)
+
+
 def _checked_reference(m):
     """``validate_psd`` of one matrix as before stacks were checked at once:
     its own PSD test, clamp and rebuild."""
@@ -334,6 +348,33 @@ def test_pinv_sqrt_of_a_stack_of_spectra_is_each_row_alone(rng, rank_tol):
     for row, m in zip(stacked, members):
         assert np.array_equal(row, pinv_sqrt(m, rank_tol))
         assert np.array_equal(row, pinv_sqrt(m.spectrum, rank_tol))
+
+
+def test_a_covariance_keeps_its_inverse_root_and_rank_per_tolerance(rng, monkeypatch):
+    import bwgeom.spectral
+
+    q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    c = validate_psd((q * [4.0, 1.0, 0.0]) @ q.T)
+    spec = Spectrum(c.spectrum.values, c.spectrum.vectors)
+    default, half = pinv_sqrt(c), pinv_sqrt(c, 0.5)
+    assert not np.array_equal(default, half)
+    assert np.array_equal(default, pinv_sqrt(spec)) and np.array_equal(half, pinv_sqrt(spec, 0.5))
+    # Kept per relative tolerance: the default is d eps, and a float, a numpy scalar
+    # and a 0-d array of one value are one entry.
+    assert pinv_sqrt(c) is default and pinv_sqrt(c, c.dim * EPS) is default
+    for tol in (0.5, np.float64(0.5), np.array(0.5)):
+        assert pinv_sqrt(c, tol) is half and not half.flags.writeable
+    cutoffs, rank_cutoff = [], bwgeom.spectral.rank_cutoff
+
+    def counted(values, rank_tol=None):
+        cutoffs.append(rank_tol)
+        return rank_cutoff(values, rank_tol)
+
+    monkeypatch.setattr(bwgeom.spectral, "rank_cutoff", counted)
+    assert [numerical_rank(c, tol) for tol in (None, 0.5, np.float64(0.5), np.array(0.5), None)] == [2, 1, 1, 1, 2]
+    assert len(cutoffs) == 2
+    with pytest.raises(OutOfRangeError):
+        numerical_rank(c, np.array(1.0))
 
 
 @pytest.mark.parametrize("rank_tol", [math.nan, -1.0, 1.0, math.inf])
