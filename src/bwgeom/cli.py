@@ -44,7 +44,7 @@ from .bures import optimal_map, pairwise_distances, transport_matrix
 from .bures import procrustes_distance, procrustes_distance_via_alignment
 from .errors import BwGeomError, MatrixParseError, MaxIterExceeded, NotPSDError, OutOfRangeError
 from .geometry import geodesic
-from .io import read_manifest, read_matrix, render_report, write_manifest, write_matrix
+from .io import read_manifest, read_matrix, render_report, write_manifest, write_matrices, write_matrix
 from .simulate import (
     RngSpec,
     checked_ranks,
@@ -112,19 +112,23 @@ def _family_files(mats) -> dict:
 
 def _write(output: str, files: dict, results: dict) -> None:
     """The write phase: write ``files`` (file name -> matrix or joint covariance, or a manifest's
-    name -> the member files it lists) into ``output``, and turn the file names of the ``*_file`` and
-    ``*_files`` results into paths.  An output that cannot be written is a ``MatrixParseError``."""
-    path = output
+    name -> the member files it lists) into ``output``, two or more arrays as one stack, and turn the
+    file names of the ``*_file`` and ``*_files`` results into paths.  An output that cannot be
+    written is a ``MatrixParseError``."""
     try:
         os.makedirs(output, exist_ok=True)
-        for name, content in files.items():
-            path = os.path.join(output, name)
-            if isinstance(content, list):
-                write_manifest(path, content)
-            else:
-                write_matrix(path, content)
     except OSError as e:
-        raise MatrixParseError(path, str(e)) from e
+        raise MatrixParseError(output, str(e)) from e
+    arrays = {name: content for name, content in files.items() if isinstance(content, np.ndarray)}
+    if len(arrays) > 1:
+        write_matrices([os.path.join(output, name) for name in arrays], np.stack(list(arrays.values())))
+        files = {name: content for name, content in files.items() if name not in arrays}
+    for name, content in files.items():
+        path = os.path.join(output, name)
+        if isinstance(content, list):
+            write_manifest(path, content)
+        else:
+            write_matrix(path, content)
     for key, value in results.items():
         if key.endswith("_file"):
             results[key] = os.path.join(output, value)

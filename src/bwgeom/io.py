@@ -7,13 +7,15 @@ it refuses, comments for one, are read one by one, entry by entry, to name
 the first fault; either returns the entries as written.  Files written here
 use 17 significant digits, so every matrix the tool writes re-parses to
 bit-identical doubles.  The writer accepts only what the reader accepts back:
-a nonempty, finite, square matrix, symmetric to within ``SYMMETRY_RTOL``, or a
-``JointCovariance``.  It formats the upper triangle once, by row tiles, into a
-table of fixed-width cells (a joint's tiles come from its factor, so the table
-alone sets the peak memory) and gathers each block of lines, mirrored below the
-diagonal, into one reused buffer.  Reports are JSON documents with sorted keys
-and the same fixed float formatting, collected as a list of pieces and joined
-once, making byte-identical output a function of the inputs alone.
+nonempty, finite, square matrices, symmetric to within ``SYMMETRY_RTOL``, or a
+``JointCovariance``.  ``write_matrices`` writes a stack, as ``read_matrix`` reads a list,
+checking every member before it replaces any file; the upper triangles of as many files
+as fit in ``_BLOCK`` entries take one kernel call into one table of fixed-width cells.
+``write_matrix`` writes an array through it, or a joint by row tiles from its factor,
+so the table alone sets the peak memory.  Each block of a file's lines, mirrored below
+the diagonal, is gathered into one reused buffer.  Reports are JSON documents with sorted
+keys and the same fixed float formatting, collected as a list of pieces and joined once,
+making byte-identical output a function of the inputs alone.
 
 Float arrays in files and reports are formatted by one numpy kernel that gives
 exactly the text of ``FLOAT_FORMAT % x`` for each entry.  In its fast range,
@@ -67,9 +69,9 @@ _U64 = np.uint64
 _ASCII_ZEROS = _U64(0x3030303030303030)
 
 
-def _asymmetric_entry(a: np.ndarray) -> tuple[int, int] | None:
-    """Position of the largest asymmetry of the first member of a stack (n, d, d)
-    whose asymmetry exceeds ``SYMMETRY_RTOL`` relative to its largest entry, else ``None``."""
+def _asymmetric_entry(a: np.ndarray) -> tuple[int, int, int] | None:
+    """Member, row and column of the largest asymmetry of the first member of a stack
+    (n, d, d) whose asymmetry exceeds ``SYMMETRY_RTOL`` relative to its largest entry, else ``None``."""
     with np.errstate(over="ignore"):  # an infinite gap is asymmetric
         gap = a - np.swapaxes(a, 1, 2)
     np.abs(gap, out=gap)
@@ -77,7 +79,7 @@ def _asymmetric_entry(a: np.ndarray) -> tuple[int, int] | None:
     if not bad.size:
         return None
     i, j = np.unravel_index(int(np.argmax(gap[bad[0]])), gap.shape[1:])
-    return int(i), int(j)
+    return int(bad[0]), int(i), int(j)
 
 
 def _parse(paths) -> np.ndarray | None:
@@ -136,7 +138,7 @@ def _read_one(path) -> np.ndarray:
         raise MatrixParseError(path, f"matrix is {a.shape[0]}x{a.shape[1]}, expected square")
     at = _asymmetric_entry(a[None])
     if at is not None:
-        i, j = at
+        _, i, j = at
         raise MatrixParseError(
             path,
             f"asymmetric beyond tolerance at ({i + 1}, {j + 1}): "
@@ -176,16 +178,20 @@ def format_float(x: float) -> str:
 
 
 def _atomic_write(path, chunks) -> None:
-    """Write the byte chunks to a new file beside ``path``, its mode set by the umask, then rename it."""
+    """Write the byte chunks to a new file beside ``path``, its mode set by the umask, then rename
+    it; an ``OSError`` is a ``MatrixParseError`` naming ``path``."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".bwgeom-{os.urandom(8).hex()}.tmp")
-    f = open(tmp, "xb")
     try:
-        with f:
-            f.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        f = open(tmp, "xb")
+        try:
+            with f:
+                f.writelines(chunks)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as e:
+        raise MatrixParseError(path, str(e)) from e
 
 
 @functools.cache
@@ -336,14 +342,34 @@ def _format_cells(x: np.ndarray, out: np.ndarray) -> None:
         _cells(x[s : s + _BLOCK], out[s : s + _BLOCK])
 
 
+def _line_blocks(n: int):
+    """The index that gathers an n x n file's lines from its table of upper cells, in blocks of
+    at most ``_BLOCK`` cells (at least one line), the first the largest: line i takes the cells of
+    entries ``(min(i, j), max(i, j))``, so entry (j, i) below the diagonal repeats the text of (i, j)."""
+    cols = np.arange(n)
+    start = cols * n - cols * (cols + 1) // 2
+    step = min(n, max(1, _BLOCK // n))
+    for i in np.split(cols[:, None], range(step, n, step)):
+        yield start[np.minimum(i, cols)] + np.maximum(i, cols)
+
+
+def _lines(table: np.ndarray, blocks):
+    """Yield the bytes of a file from its table, a block of lines per index block, through one buffer."""
+    buf = bytearray()
+    for index in blocks:
+        buf = buf or bytearray(index.size * _CELL)
+        lines = np.frombuffer(buf, np.uint8, index.size * _CELL).reshape(*index.shape, _CELL)
+        np.take(table, index, 0, lines, "clip")  # unbuffered
+        lines[:, -1, -1] = ord("\n")
+        yield (buf if lines.nbytes == len(buf) else buf[: lines.nbytes]).translate(None, _PADDING)
+
+
 def _symmetric_rows(n: int, tiles):
     """Yield the bytes of a symmetric n x n matrix file in blocks of whole lines.
 
     ``tiles`` are pairs ``(r0, t)``, t the next rows from column r0 on.  Their
     upper triangles, checked to be finite, are formatted into a table of cells
     in ``np.triu_indices`` order: (i, j), i <= j, is cell ``start[i] + j``.
-    Line i gathers the cells of entries ``(min(i, j), max(i, j))``, so entry
-    (j, i) below the diagonal repeats the text of (i, j).
     """
     cols = np.arange(n)
     start = cols * n - cols * (cols + 1) // 2
@@ -354,39 +380,49 @@ def _symmetric_rows(n: int, tiles):
         if not np.isfinite(upper).all():
             raise ValueError("cannot write a matrix with non-finite entries")
         _format_cells(upper, table[start[r0] + r0 :][: upper.size])
-    step = min(n, max(1, _BLOCK // n))
-    buf = bytearray(step * n * _CELL)
-    out = np.frombuffer(buf, np.uint8).reshape(step, n, _CELL)
-    for i in np.split(cols[:, None], range(step, n, step)):
-        lines = np.take(table, start[np.minimum(i, cols)] + np.maximum(i, cols), 0, out[: len(i)], "clip")  # unbuffered
-        lines[:, -1, -1] = ord("\n")
-        yield (buf if len(i) == step else buf[: lines.nbytes]).translate(None, _PADDING)
+    yield from _lines(table, _line_blocks(n))
+
+
+def write_matrices(paths, stack) -> None:
+    """Write a stack (n, d, d) to n files as ``write_matrix`` writes each.  Every member is checked
+    before any file is replaced, and a fault names the first bad member's path.  The upper triangles
+    of as many whole files as fit in ``_BLOCK`` entries (at least one) take one ``_format_cells`` call."""
+    m = np.asarray(stack, dtype=np.float64)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or not m.size or len(m) != len(paths):
+        raise ValueError(f"cannot write a {m.shape} stack as {len(paths)} matrix files: expected nonempty squares")
+    finite = np.isfinite(m).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"cannot write a matrix with non-finite entries to {paths[int(np.argmin(finite))]}")
+    at = _asymmetric_entry(m)
+    if at is not None:
+        k, i, j = at
+        bad = f"({i + 1}, {j + 1}) is {float(m[k, i, j])!r} vs {float(m[k, j, i])!r}"
+        raise ValueError(f"cannot write an asymmetric matrix to {paths[k]}: {bad}")
+    d = m.shape[1]
+    files = max(1, _BLOCK // (d * (d + 1) // 2))
+    # Lines that fit one block share one index; larger files build theirs per block, never d * d at once.
+    shared = list(_line_blocks(d)) if d * d <= _BLOCK else None
+    for g in range(0, len(m), files):
+        cells = m[g : g + files, np.tri(d, dtype=bool).T]
+        table = np.empty((cells.size, _CELL), np.uint8)
+        table[:, -1] = ord(",")
+        _format_cells(cells.ravel(), table)
+        for path, t in zip(paths[g : g + files], table.reshape(len(cells), -1, _CELL)):
+            _atomic_write(path, _lines(t, shared or _line_blocks(d)))
 
 
 def write_matrix(path, a) -> None:
     """Write a symmetric matrix file atomically (temp file plus rename).
 
-    ``a`` is a square array or a ``JointCovariance``, written from its
-    ``upper_tiles``.  Raises ``ValueError`` for what ``read_matrix`` would
-    refuse: an empty or non-square array, non-finite entries, or asymmetry
-    beyond ``SYMMETRY_RTOL``, within which the upper triangle is mirrored.
+    ``a`` is a square array, written as ``write_matrices([path], a[None])``, or a
+    ``JointCovariance``, written from its ``upper_tiles``.  Raises ``ValueError`` for
+    what ``read_matrix`` would refuse: an empty or non-square array, non-finite entries,
+    or asymmetry beyond ``SYMMETRY_RTOL``, within which the upper triangle is mirrored;
+    a file it cannot write is a ``MatrixParseError``.
     """
     if hasattr(a, "upper_tiles"):
         return _atomic_write(path, _symmetric_rows(a.n * a.dim, a.upper_tiles()))
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.size:
-        raise ValueError(f"cannot write a {m.shape} array as a matrix file: expected nonempty square")
-    if not np.isfinite(m).all():
-        raise ValueError("cannot write a matrix with non-finite entries")
-    at = _asymmetric_entry(m[None])
-    if at is not None:
-        i, j = at
-        raise ValueError(
-            f"cannot write an asymmetric matrix: ({i + 1}, {j + 1}) is "
-            f"{float(m[i, j])!r} vs {float(m[j, i])!r}"
-        )
-    step = max(1, _BLOCK // len(m))
-    _atomic_write(path, _symmetric_rows(len(m), ((r, m[r : r + step, r:]) for r in range(0, len(m), step))))
+    write_matrices([path], np.asarray(a, dtype=np.float64)[None])
 
 
 @dataclass(frozen=True)

@@ -494,6 +494,32 @@ def test_pca_command_evaluates_no_reconstruction_entry_by_entry(tmp_path, capsys
     assert calls == []
 
 
+def test_pca_command_formats_its_files_in_one_kernel_call(tmp_path, capsys, monkeypatch):
+    import bwgeom.io
+
+    format_cells, write, calls = bwgeom.io._format_cells, bwgeom_cli._write, []
+
+    def counted(x, out):
+        calls.append(x.size)
+        format_cells(x, out)
+
+    def write_phase(*args):
+        # Counted in the write phase alone: the report's float arrays take the kernel too.
+        with monkeypatch.context() as m:
+            m.setattr(bwgeom.io, "_format_cells", counted)
+            write(*args)
+
+    monkeypatch.setattr(bwgeom_cli, "_write", write_phase)
+    rng = np.random.default_rng(5)
+    mats = [x @ x.T + np.eye(5) for x in rng.standard_normal((8, 5, 5))]
+    code, out, _ = run_cli(capsys, "pca", write_family(tmp_path, mats), "--output", str(tmp_path / "pca"))
+    assert code == 0
+    results = json.loads(out)["results"]
+    files = [results["mean_file"], *results["component_files"]]
+    # The mean and seven components, 15 upper entries each, from one call.
+    assert len(files) == 8 and calls == [8 * 15]
+
+
 @pytest.mark.parametrize("flag, rank_tol", [([], None), (["--rank-tol", "1e-12"], 1e-12)])
 def test_pca_command_passes_its_rank_tol_to_the_reconstruction_table(
     tmp_path, capsys, monkeypatch, flag, rank_tol

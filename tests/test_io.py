@@ -24,6 +24,7 @@ from bwgeom.io import (
     read_matrix,
     render_report,
     write_manifest,
+    write_matrices,
     write_matrix,
 )
 from bwgeom.spectral import symmetrize
@@ -443,6 +444,66 @@ def test_write_matrix_bytes_with_small_blocks(tmp_path, rng, monkeypatch, n):
         write_matrix(p, a)
         assert p.read_bytes() == reference_matrix_text(a).encode("utf-8")
         assert kernel_texts(a.ravel()) == percent_texts(a.ravel())
+
+
+def mixed_stack(n, d, rng):
+    """n symmetric d x d matrices, every other one negative and scaled by 1e-9."""
+    return np.stack([symmetric_fast_range(d, rng) * (-1e-9 if k % 2 else 1.0) for k in range(n)])
+
+
+# 16 files of 5 x 5 hold 240 upper entries, below _CROSSOVER; 21 files hold 315, above it.
+@pytest.mark.parametrize("n", [16, 21])
+def test_write_matrices_bytes_on_both_sides_of_the_crossover(tmp_path, rng, n):
+    assert 16 * 15 < bwgeom_io._CROSSOVER < 21 * 15
+    stack = mixed_stack(n, 5, rng)
+    paths = [tmp_path / f"m{k}.txt" for k in range(n)]
+    write_matrices(paths, stack)
+    for p, a in zip(paths, stack):
+        assert p.read_bytes() == reference_matrix_text(a).encode("utf-8")
+
+
+# With blocks of 16 entries, 3 x 3 files (6 upper entries) go two to a group, the last
+# one partial, and share one block of lines; 5 x 5 files (15) go one to a group; 6 x 6
+# and 9 x 9 files (21, 45) exceed a group; from 5 x 5 on, each file gathers its lines in
+# several blocks of an index of its own.
+@pytest.mark.parametrize("n, d", [(5, 3), (4, 5), (3, 6), (3, 9)])
+def test_write_matrices_bytes_with_small_blocks(tmp_path, rng, monkeypatch, n, d):
+    monkeypatch.setattr(bwgeom_io, "_BLOCK", 16)
+    monkeypatch.setattr(bwgeom_io, "_CROSSOVER", 4)
+    stack = mixed_stack(n, d, rng)
+    paths = [tmp_path / f"m{k}.txt" for k in range(n)]
+    write_matrices(paths, stack)
+    for p, a in zip(paths, stack):
+        assert p.read_bytes() == reference_matrix_text(a).encode("utf-8")
+
+
+def test_write_matrices_refuses_the_stack_before_replacing_any_file(tmp_path, rng):
+    paths = [tmp_path / f"m{k}.txt" for k in range(1, 6)]
+    for p in paths[:2]:
+        write_matrix(p, np.eye(3))
+    before = sorted(os.listdir(tmp_path))
+    stack = mixed_stack(5, 3, rng)
+    # Members 3 and 4 are at fault; the error names the first of them.
+    non_finite, asymmetric = stack.copy(), stack.copy()
+    non_finite[2:4, 1, 1] = math.nan
+    asymmetric[2:4, 0, 1] += 1.0
+    for bad, match in ((non_finite, "non-finite"), (asymmetric, "asymmetric")):
+        with pytest.raises(ValueError, match=match) as exc:
+            write_matrices(paths, bad)
+        assert str(paths[2]) in str(exc.value) and str(paths[3]) not in str(exc.value)
+        assert sorted(os.listdir(tmp_path)) == before
+    for p in paths[:2]:
+        np.testing.assert_array_equal(read_matrix(p), np.eye(3))
+
+
+def test_a_file_that_cannot_be_written_is_named(tmp_path):
+    # A directory in the place of file 2 of 3: the rename onto it fails.
+    paths = [tmp_path / name for name in ("a.txt", "b.txt", "c.txt")]
+    paths[1].mkdir()
+    with pytest.raises(MatrixParseError) as exc:
+        write_matrices(paths, np.stack([np.eye(2)] * 3))
+    assert exc.value.path == str(paths[1])
+    assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
 
 
 def test_write_matrix_mirrors_the_upper_triangle_text(tmp_path):
