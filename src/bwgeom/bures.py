@@ -33,6 +33,10 @@ from .spectral import (
     validate_psd,
 )
 
+# Entries of a block's operands, (pairs, d, d) in ``_pair_distances`` and (members, K + 1, d, d) in
+# ``tpca.reconstruction_errors``: a size limit, not a knob, as one unbounded stack is slower at d = 100.
+_BLOCK_ENTRIES = 1 << 16
+
 
 def _check_pair(s1, s2) -> tuple[Covariance, Covariance]:
     a = validate_psd(s1)
@@ -53,27 +57,35 @@ def _trace_form(l: np.ndarray, ta, hs: np.ndarray, ths) -> np.ndarray:
     ``A = L L^T`` of trace ``ta`` to one H or each of a stack (..., d, d) of traces ``ths``,
     or L a stack; the cross traces are the roots of the spectra of ``L^T H L``."""
     w = np.linalg.eigvalsh(symmetrize(l.swapaxes(-1, -2) @ hs @ l))
-    return np.maximum(0.0, ta + ths - 2.0 * np.sum(np.sqrt(np.maximum(w, 0.0)), axis=-1))
+    return np.maximum(0.0, ta + ths - 2.0 * np.sqrt(np.maximum(w, 0.0)).sum(axis=-1))
 
 
-def _squared_distances(a: Covariance, bs: Family) -> np.ndarray:
-    """Squared Procrustes distances from ``a`` to each member of ``bs``, of its
-    dimension, as one array from ``_trace_form``.  Each goes through the factor of
-    the lower-rank side, which avoids square roots of spurious near-zero
-    eigenvalues: every member through the factor of ``a`` in one stacked
-    evaluation, each bit for bit as alone, then those of lower rank than ``a``
-    again through their own."""
-    ra, rbs, tbs = numerical_rank(a), numerical_rank(bs), bs.mats.trace(axis1=1, axis2=2)
-    d2 = _trace_form(_range_factor(a.spectrum, ra), a.trace, bs.mats, tbs)
-    for k in np.flatnonzero(rbs < ra):
-        d2[k] = _trace_form(_range_factor(bs[k].spectrum, rbs[k]), tbs[k], a.mat, a.trace)
+def _pair_distances(members: Family, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Squared Procrustes distances of the index pairs ``(i[k], j[k])`` of a family, as one array.
+    Each pair goes through the exact-rank factor of its lower-rank side, ``i[k]`` on ties, which
+    avoids square roots of spurious near-zero eigenvalues.  Pairs are grouped by that side's rank
+    and evaluated by ``_trace_form`` in blocks of at most ``_BLOCK_ENTRIES`` entries of their
+    (pairs, d, d) operands, one stacked ``eigvalsh`` per block, each pair bit for bit as alone."""
+    ranks, traces = numerical_rank(members), members.mats.trace(axis1=1, axis2=2)
+    lo = np.where(ranks[j] < ranks[i], j, i)
+    hi, rlo = i + j - lo, ranks[lo]
+    d2, step = np.empty(len(lo)), max(1, _BLOCK_ENTRIES // members.mats.shape[-1] ** 2)
+    for r in sorted(set(rlo.tolist()), reverse=True):
+        group, factors = (rlo == r).nonzero()[0], _range_factor(members, r)
+        for s in range(0, len(group), step):
+            k = group[s : s + step]
+            a, b = lo[k], hi[k]
+            d2[k] = _trace_form(factors[a], traces[a], members.mats[b], traces[b])
     return d2
 
 
 def procrustes_distance_squared(s1, s2) -> float:
-    """Squared Procrustes distance: ``_squared_distances`` from S1 to the one-member family of S2."""
+    """Squared Procrustes distance: ``_pair_distances`` of the pair (0, 1) of the two-member family
+    of S1 and S2, so that every distance passes one rank rule and one stacked evaluation."""
     a, b = _check_pair(s1, s2)
-    return float(_squared_distances(a, Family(b.mat[None], b.spectrum.values[None], b.spectrum.vectors[None]))[0])
+    sa, sb = a.spectrum, b.spectrum
+    pair = Family(np.array((a.mat, b.mat)), np.array((sa.values, sb.values)), np.array((sa.vectors, sb.vectors)))
+    return float(_pair_distances(pair, np.zeros(1, np.intp), np.ones(1, np.intp))[0])
 
 
 def procrustes_distance(s1, s2) -> float:
@@ -82,15 +94,13 @@ def procrustes_distance(s1, s2) -> float:
 
 
 def pairwise_distances(family) -> dict[tuple[int, int], float]:
-    """``procrustes_distance`` of each pair i < j of a family, keyed ``(i, j)``
-    in row order, bit for bit; member i's distances to the later members are
-    one ``_squared_distances`` evaluation."""
-    members = as_family(family) if len(family) else ()
-    return {
-        (i, j): math.sqrt(d2)
-        for i in range(len(members) - 1)
-        for j, d2 in enumerate(_squared_distances(members[i], members[i + 1 :]), i + 1)
-    }
+    """``procrustes_distance`` of each pair i < j of a family, bit for bit, keyed by ``(i, j)`` as
+    Python ints in row order: one ``_pair_distances`` over the pairs of ``np.triu_indices``."""
+    if not len(family):
+        return {}
+    members = as_family(family)
+    i, j = np.triu_indices(len(members), 1)
+    return dict(zip(zip(i.tolist(), j.tolist()), np.sqrt(_pair_distances(members, i, j)).tolist()))
 
 
 def procrustes_distance_via_alignment(s1, s2) -> tuple[float, np.ndarray]:

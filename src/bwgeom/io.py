@@ -399,7 +399,13 @@ def write_matrices(paths, stack) -> None:
         bad = f"({i + 1}, {j + 1}) is {float(m[k, i, j])!r} vs {float(m[k, j, i])!r}"
         raise ValueError(f"cannot write an asymmetric matrix to {paths[k]}: {bad}")
     d = m.shape[1]
-    files = max(1, _BLOCK // (d * (d + 1) // 2))
+    if d * (d + 1) // 2 > _BLOCK:
+        # A file larger than a group goes through row tiles of at most _BLOCK entries, as a joint does.
+        step = max(1, _BLOCK // d)
+        for path, a in zip(paths, m):
+            _atomic_write(path, _symmetric_rows(d, ((r0, a[r0 : r0 + step, r0:]) for r0 in range(0, d, step))))
+        return
+    files = _BLOCK // (d * (d + 1) // 2)
     # Lines that fit one block share one index; larger files build theirs per block, never d * d at once.
     shared = list(_line_blocks(d)) if d * d <= _BLOCK else None
     for g in range(0, len(m), files):

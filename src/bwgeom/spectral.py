@@ -150,11 +150,14 @@ def sym_eigen(m) -> Spectrum:
     dom = np.argmax(np.abs(v), axis=-2)
     order = np.lexsort((dom, -w), axis=-1)
     if w.ndim == 1:
-        values, vectors = w[order], v[:, order].copy()
+        values, vectors = w[order], v.take(order, 1)  # a C-ordered copy, as the stacked branch gives
         vectors[:, vectors[dom[order], np.arange(w.size)] < 0.0] *= -1.0
-    else:
-        v *= np.where(np.take_along_axis(v, dom[..., None, :], -2) < 0.0, -1.0, 1.0)
-        values, vectors = np.take_along_axis(w, order, -1), np.take_along_axis(v, order[..., None, :], -1)
+    else:  # leading axes flattened to one, so that plain advanced indexing gathers each matrix's entries
+        d = w.shape[-1]
+        wf, vf, dom, order = w.reshape(-1, d), v.reshape(-1, d, d), dom.reshape(-1, d), order.reshape(-1, d)
+        k, c = np.arange(len(wf))[:, None], np.arange(d)
+        vf *= np.where(vf[k, dom, c] < 0.0, -1.0, 1.0)[:, None, :]
+        values, vectors = wf[k, order].reshape(w.shape), vf[k[..., None], c[:, None], order[:, None]].reshape(v.shape)
     return Spectrum(readonly(values), readonly(vectors))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycenter import coerce_point_and_family, multicoupling
-from .bures import _range_factor, _trace_form, rank_positions
+from .bures import _BLOCK_ENTRIES, _range_factor, _trace_form, rank_positions
 from .errors import DimMismatchError, EmptyFamilyError, LeavesConeError, OutOfRangeError
 from .geometry import _cone_test, _tangent_gram, exp_map
 from .spectral import (
@@ -32,8 +32,6 @@ from .spectral import (
     symmetrize,
     validate_psd,
 )
-
-_BLOCK_ENTRIES = 1 << 16  # of a block's (members, K + 1, d, d) stacks: a size limit, not a knob
 
 
 @dataclass(frozen=True)

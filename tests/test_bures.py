@@ -16,6 +16,7 @@ from bwgeom import (
     sqrt_psd,
     validate_psd,
 )
+from bwgeom import bures
 from bwgeom.bures import pairwise_distances
 from bwgeom.spectral import _condition, numerical_rank, rank_cutoff, symmetrize
 
@@ -191,7 +192,7 @@ def pair_squared_distance(a, b):
 
 
 @pytest.mark.parametrize("d", [1, 3, 6])
-def test_pairwise_distances_are_those_of_each_pair_bit_for_bit(rng, d):
+def test_pairwise_distances_are_those_of_each_pair_bit_for_bit(rng, monkeypatch, d):
     # Every rank in 1..d twice, shuffled, so each row has later members of
     # lower, equal and higher rank: both sides of the lower-rank rule.
     family = [make_psd_rank(d, r, rng) for r in range(1, d + 1) for _ in range(2)] + [make_spd(d, rng)]
@@ -203,7 +204,12 @@ def test_pairwise_distances_are_those_of_each_pair_bit_for_bit(rng, d):
     }
     got = pairwise_distances(family)
     assert list(got) == list(want) and got == want
+    assert all(type(i) is int and type(j) is int for i, j in got)
     assert {ij: procrustes_distance(family[ij[0]], family[ij[1]]) for ij in want} == want
+    # One pair per block, then blocks of two pairs, which split every rank group of more.
+    for entries in (1, 2 * d * d):
+        monkeypatch.setattr(bures, "_BLOCK_ENTRIES", entries)
+        assert list(pairwise_distances(family).items()) == list(got.items())
     assert pairwise_distances(family[:1]) == pairwise_distances([]) == {}
     with pytest.raises(DimMismatchError):
         pairwise_distances([family[-1], np.eye(d + 1)])
@@ -216,3 +222,17 @@ def test_pairwise_distances_validate_raw_arrays_in_one_stack(rng, monkeypatch):
     # One stacked validation; each member was once validated on its own.
     assert calls == [(6, 4, 4)]
     assert got == pairwise_distances([validate_psd(m) for m in mats])
+
+
+def test_pairwise_distances_of_eleven_members_make_one_eigvalsh_call(rng, monkeypatch):
+    family = validate_psd(np.stack([make_spd(5, rng).mat for _ in range(11)]))
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    got = pairwise_distances(family)
+    # The 55 pairs share one rank and fit one block of _BLOCK_ENTRIES // 25 pairs.
+    assert calls == [(55, 5, 5)] and len(got) == 55

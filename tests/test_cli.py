@@ -359,7 +359,7 @@ def test_pca_command_on_a_common_kernel_lifts_from_the_roots(tmp_path, capsys, m
     assert calls == 0 and np.max(np.abs(got - want)) <= 1e-10
 
 
-def test_geodesic_command_solves_one_cross_trace_stack_per_grid_point(tmp_path, capsys, monkeypatch):
+def test_geodesic_command_solves_one_cross_trace_stack_for_all_pairs(tmp_path, capsys, monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     calls = []
 
@@ -377,9 +377,9 @@ def test_geodesic_command_solves_one_cross_trace_stack_per_grid_point(tmp_path, 
     )
     assert code == 0
     assert len(json.loads(out)["results"]["speed_table"]) == 55
-    # The endpoint distance as a one-member stack, then the 10 - i later
-    # points of grid point i as one stack.
-    assert calls == [(1, 4, 4)] + [(10 - i, 4, 4) for i in range(10)]
+    # The endpoint distance as a one-pair stack, then the 55 pairs of the grid,
+    # all of full rank and within one block, as one stack.
+    assert calls == [(1, 4, 4), (55, 4, 4)]
 
 
 @pytest.mark.parametrize(

@@ -559,6 +559,23 @@ def test_joint_file_peak_memory_is_its_cell_table(tmp_path, rng):
     assert peak < table + 0.75 * n * n * 8
 
 
+def test_large_array_file_peak_memory_is_its_cell_table(tmp_path, rng):
+    # A 600 x 600 array's upper triangle is eleven times _BLOCK: it is formatted
+    # from row tiles, as a joint is, not from a copy of the whole triangle.
+    n = 600
+    x = rng.standard_normal((n, n))
+    a = x + x.T
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "big.txt", a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    table = n * (n + 1) // 2 * bwgeom_io._CELL
+    assert peak < table + 0.75 * n * n * 8
+    assert np.array_equal(read_matrix(tmp_path / "big.txt"), a)
+
+
 def test_small_matrix_file_buffers_only_its_own_lines(tmp_path):
     # A line block holds min(n, _BLOCK // n) lines: 625 bytes for a 5 x 5 file, not 400 kB.
     write_matrix(tmp_path / "m.txt", np.eye(5))

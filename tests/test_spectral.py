@@ -122,6 +122,19 @@ def test_sym_eigen_matches_reference_loop(rng):
                 assert np.array_equal(spec.values[k], values)
                 assert np.array_equal(spec.vectors[k], vectors)
                 assert np.array_equal(rebuilt[k], from_spectrum(vectors, values))
+    # A 4-D stack (3, 4, 4, 4) with the tie cases at members (0, 0), (0, 3),
+    # (1, 2) and (2, 1): its leading axes are gathered as one and restored.
+    stack = np.array([0.5 * (a + a.T) for a in rng.standard_normal((12, 4, 4))])
+    stack[::3] = ties
+    stack = stack.reshape(3, 4, 4, 4)
+    spec = sym_eigen(stack)
+    assert spec.values.shape == (3, 4, 4) and spec.vectors.shape == (3, 4, 4, 4)
+    for idx in np.ndindex(3, 4):
+        values, vectors = _sym_eigen_reference(stack[idx])
+        assert np.array_equal(spec.values[idx], values)
+        assert np.array_equal(spec.vectors[idx], vectors)
+    # Both branches return C-ordered vectors, as a stacked product expects.
+    assert spec.vectors.flags.c_contiguous and sym_eigen(stack[0, 0]).vectors.flags.c_contiguous
 
 
 @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (0,)])
